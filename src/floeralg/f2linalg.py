@@ -187,13 +187,6 @@ class F2Matrix:
         dense = self.to_dense()
         return F2Matrix.from_dense(dense.T)
 
-    def stack(self, other: "F2Matrix") -> "F2Matrix":
-        """Vertical concatenation (same column count)."""
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return F2Matrix(self.rows + other.rows, self.cols,
-                        np.vstack([self.bits, other.bits]))
-
     def inverse(self) -> "F2Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
@@ -389,16 +382,6 @@ class QuotientMap:
             v ^= self.reps.basis[low.bit_length() - 1]
             m ^= low
         return v
-
-    def projector_matrix(self) -> F2Matrix:
-        n = self.sup.ambient_dim
-        cols = [self.project(1 << j) for j in range(n)]
-        rows = [0] * n
-        for j, c in enumerate(cols):
-            for i in range(n):
-                if (c >> i) & 1:
-                    rows[i] |= 1 << j
-        return F2Matrix.from_row_ints(rows, n)
 
 
 def quotient_map(sub: Subspace, sup: Subspace) -> QuotientMap:

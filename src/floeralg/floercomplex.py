@@ -106,6 +106,8 @@ class FloerComplex:
         self.nu = (morse.dimL + 1) // NL
         self.ops = ops
         self.products = products
+        self._op_images: dict[int, tuple[int, ...]] = {}
+        self._product_rows: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     @property
     def dimL(self) -> int:
@@ -166,6 +168,78 @@ class FloerComplex:
             for j in b:
                 out ^= table.get((i, j), frozenset())
         return out
+
+    # -- bitmask view --------------------------------------------------------
+    #
+    # A chain is also an int whose bit g is generator g of the global order.
+    # Generators of one Morse degree are contiguous in that order (it sorts
+    # by degree first), so a degree-local vector is a chain bitmask shifted
+    # down by the first position of its degree. The views are built on first
+    # use and cached: ``ops`` and ``products`` must not change afterwards.
+
+    def operator_images(self, k: int) -> tuple[int, ...]:
+        """op_k(g) for every generator g, as chain bitmasks."""
+        images = self._op_images.get(k)
+        if images is None:
+            out = [0] * len(self.morse.generators)
+            for m, mat in self.ops.get(k, {}).items():
+                t = m + 1 - k * self.NL
+                if not (0 <= m <= self.dimL and 0 <= t <= self.dimL):
+                    continue
+                src = self.morse.degree_positions(m)
+                tgt = self.morse.degree_positions(t)
+                for (i, j) in mat.entries():
+                    out[src[j]] ^= 1 << tgt[i]
+            images = self._op_images[k] = tuple(out)
+        return images
+
+    def product_rows(self, l: int) -> tuple[tuple[int, ...], ...]:
+        """m_l(x, y) as a chain bitmask at ``[x][y]`` for every generator pair."""
+        if self.products is None:
+            raise ProductsAbsent("complex has no product tables")
+        rows = self._product_rows.get(l)
+        if rows is None:
+            n = len(self.morse.generators)
+            out = [[0] * n for _ in range(n)]
+            for (i, j), ks in self.products.get(l, {}).items():
+                for k in ks:
+                    out[i][j] ^= 1 << k
+            rows = self._product_rows[l] = tuple(tuple(r) for r in out)
+        return rows
+
+    def product_vec(self, m1: int, v1: int, m2: int, v2: int) -> Optional[int]:
+        """m_0 of degree-local vectors of degrees m1 and m2.
+
+        Returns the degree-local vector of the product in degree m1 + m2, or
+        None when the product has support outside that degree (always the
+        case for a nonzero product beyond dimL).
+        """
+        rows = self.product_rows(0)
+        o1 = self._degree_offset(m1)
+        o2 = self._degree_offset(m2)
+        out = 0
+        a = v1
+        while a:
+            low = a & -a
+            row = rows[o1 + low.bit_length() - 1]
+            b = v2
+            while b:
+                low_b = b & -b
+                out ^= row[o2 + low_b.bit_length() - 1]
+                b ^= low_b
+            a ^= low
+        mt = m1 + m2
+        if mt > self.dimL:
+            return None if out else 0
+        off = self._degree_offset(mt)
+        vec = out >> off
+        if vec << off != out or vec >> self.morse.dim_at(mt):
+            return None
+        return vec
+
+    def _degree_offset(self, m: int) -> int:
+        positions = self.morse.degree_positions(m)
+        return positions[0] if positions else 0
 
 
 def assemble(morse: MorseComplex, NL: int,
@@ -401,32 +475,69 @@ class LeibnizReport:
 def check_product_leibniz(fc: FloerComplex) -> LeibnizReport:
     """Convolution Leibniz identity, per index l and per generator pair.
 
-    For every l: sum over i+j=l of op_j(m_i(x,y)) must equal
-    m_i(op_j x, y) + m_i(x, op_j y) summed the same way.
+    For every l and every generator pair (x, y), summed over i + j = l,
+
+        op_j(m_i(x, y)) = m_i(op_j x, y) + m_i(x, op_j y).
+
+    For fixed x write M_i^x for the map y -> m_i(x, y); the identity says
+    that op_j . M_i^x equals sum_{x' in op_j x} M_i^x' + M_i^x . op_j, summed
+    over the splits. Chains are bitmasks over the global generator order,
+    op_j is held as its images op_j(g) and m_i as its rows, so one column y
+    of either side is a few XORs per split. A split whose m_i table or op_j
+    is zero contributes nothing to any side and is skipped.
+
+    Every pair is checked exactly: its column is the symmetric difference
+    of the two sides as chains. Pairs are visited in the order (l, x, y)
+    of the generator order and the first nonzero column is the witness, so
+    each entry and witness is the one the pair-by-pair check on chains
+    reports.
     """
     if fc.products is None:
         raise ProductsAbsent("complex has no product tables")
-    gens = range(len(fc.morse.generators))
+    gens = fc.morse.generators
     entries = []
     for l in range(fc.products_bound + fc.nu + 1):
-        witness = None
-        for x in gens:
-            for y in gens:
-                cx, cy = frozenset({x}), frozenset({y})
-                lhs: frozenset = frozenset()
-                rhs: frozenset = frozenset()
-                for i in range(l + 1):
-                    j = l - i
-                    lhs ^= fc.apply_operator(j, fc.apply_product(i, cx, cy))
-                    rhs ^= fc.apply_product(i, fc.apply_operator(j, cx), cy)
-                    rhs ^= fc.apply_product(i, cx, fc.apply_operator(j, cy))
-                if lhs != rhs:
-                    witness = (fc.morse.generators[x].name, fc.morse.generators[y].name)
-                    break
-            if witness:
-                break
+        splits = []
+        for i in range(l + 1):
+            images = fc.operator_images(l - i)
+            if fc.products.get(i) and any(images):
+                splits.append((fc.product_rows(i), images))
+        pair = _first_leibniz_failure(splits, len(gens))
+        witness = None if pair is None else (gens[pair[0]].name, gens[pair[1]].name)
         entries.append(LeibnizEntry(l, witness is None, witness))
     return LeibnizReport(tuple(entries))
+
+
+def _first_leibniz_failure(splits, n: int) -> Optional[tuple[int, int]]:
+    """First pair (x, y) whose Leibniz column is nonzero, in (x, y) order."""
+    if not splits:
+        return None
+    for x in range(n):
+        diff = [0] * n
+        for rows, images in splits:
+            row = rows[x]
+            ox = images[x]  # sum over x' in op_j x of M_i^x'
+            while ox:
+                low = ox & -ox
+                diff = [a ^ b for a, b in zip(diff, rows[low.bit_length() - 1])]
+                ox ^= low
+            for y in range(n):
+                acc = 0
+                v = row[y]  # op_j(m_i(x, y))
+                while v:
+                    low = v & -v
+                    acc ^= images[low.bit_length() - 1]
+                    v ^= low
+                w = images[y]  # m_i(x, op_j y)
+                while w:
+                    low = w & -w
+                    acc ^= row[low.bit_length() - 1]
+                    w ^= low
+                diff[y] ^= acc
+        for y in range(n):
+            if diff[y]:
+                return x, y
+    return None
 
 
 # -- synthetic complexes ------------------------------------------------------

@@ -185,6 +185,31 @@ class GradedRing:
             prev = basis_elems
         return True
 
+    def _product_preimages(self, d: int
+                           ) -> tuple[tuple[tuple[int, int], ...], tuple[Optional[int], ...]]:
+        """Each degree-d basis element as a sum of degree-1 products.
+
+        Returns the pairs (g, f), g of degree 1 and f of degree d - 1, and for
+        each basis element of degree d the coordinates over those pairs of
+        one preimage under (g, f) -> g f, None when there is none. Depends
+        on the ring only, so it is computed once per degree and cached.
+        """
+        cache = self.__dict__.setdefault("_preimage_cache", {})
+        cached = cache.get(d)
+        if cached is None:
+            pair_cols = tuple((g, f) for g in self.degree_basis(1)
+                              for f in self.degree_basis(d - 1))
+            col_vecs = [self.vector_of(self.basis_mul(g, f), d)
+                        if self.basis_mul(g, f) else 0 for g, f in pair_cols]
+            tgt = len(self.degree_basis(d))
+            mu = f2linalg.F2Matrix.from_entries(
+                tgt, len(pair_cols),
+                [(r, c) for c, v in enumerate(col_vecs) for r in range(tgt)
+                 if (v >> r) & 1])
+            cached = cache[d] = (pair_cols, tuple(f2linalg.solve(mu, 1 << p)
+                                                  for p in range(tgt)))
+        return cached
+
     def check_unit(self) -> bool:
         one = self.one()
         return all(self.mul(one, frozenset({i})) == frozenset({i})
@@ -376,17 +401,9 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
     for d in sorted(ring.degrees()):
         if d < 2:
             continue
-        lower = ring.degree_basis(d - 1)
-        pair_cols = [(g, f) for g in gens for f in lower]
-        col_vecs = [ring.vector_of(ring.basis_mul(g, f), d)
-                    if ring.basis_mul(g, f) else 0 for g, f in pair_cols]
-        tgt = len(ring.degree_basis(d))
-        mu = f2linalg.F2Matrix.from_entries(
-            tgt, len(pair_cols),
-            [(r, c) for c, v in enumerate(col_vecs) for r in range(tgt) if (v >> r) & 1])
+        pair_cols, preimages = ring._product_preimages(d)
         images = []
-        for e in ring.degree_basis(d):
-            coords = f2linalg.solve(mu, ring.vector_of(frozenset({e}), d))
+        for e, coords in zip(ring.degree_basis(d), preimages):
             if coords is None:
                 raise NotDegreeOneGenerated(
                     f"degree {d} element not reachable from degree-1 products")

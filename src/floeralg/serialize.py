@@ -20,23 +20,27 @@ from .floercomplex import FloerComplex, Generator, MorseComplex, assemble
 from .gradedalg import BasisElement, GradedRing
 from .maslov import LagrangianLoop
 
-_SCHEMAS: dict[str, Any] = {}
+_VALIDATORS: dict[str, Any] = {}
 
 
-def _schema(name: str) -> dict:
-    if name not in _SCHEMAS:
+def _validator(name: str):
+    """Validator for a bundled schema, built and checked once per name."""
+    if name not in _VALIDATORS:
         text = resources.files("floeralg.schemas").joinpath(f"{name}.schema.json") \
             .read_text(encoding="utf-8")
-        _SCHEMAS[name] = json.loads(text)
-    return _SCHEMAS[name]
+        schema = json.loads(text)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[name] = cls(schema)
+    return _VALIDATORS[name]
 
 
 def validate_against_schema(data: Any, name: str) -> None:
-    try:
-        jsonschema.validate(data, _schema(name))
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise InputError(f"{name} JSON invalid at {path}: {exc.message}") from exc
+    # the error jsonschema.validate would raise, without re-checking the schema
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise InputError(f"{name} JSON invalid at {path}: {error.message}") from error
 
 
 def canonical_json(data: Any) -> str:

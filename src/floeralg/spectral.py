@@ -503,42 +503,44 @@ def induced_page_product(pages, fc: FloerComplex, paranoid: bool = True):
         l, wit = rep.first_failure
         raise LeibnizFailure(f"product tables break the Leibniz identity at "
                              f"l={l}, witnesses {wit}")
-
-    def product_chain(m1: int, v1: int, m2: int, v2: int) -> frozenset:
-        return fc.apply_product(0, fc.vec_to_chain(v1, m1), fc.vec_to_chain(v2, m2))
-
     out = []
     for page in pages:
-        tables: dict[tuple[int, int], list[list[int]]] = {}
-        for m1 in range(fc.dimL + 1):
-            for m2 in range(fc.dimL + 1):
-                if page.dim(m1) == 0 or page.dim(m2) == 0:
-                    continue
-                mt = m1 + m2
-                table = []
-                for q1 in page.reps(m1):
-                    row = []
-                    for q2 in page.reps(m2):
-                        chain = product_chain(m1, q1, m2, q2)
-                        if mt > fc.dimL:
-                            if chain:
-                                raise LeibnizFailure("product escapes the grading")
-                            row.append(0)
-                            continue
-                        vec = fc.chain_to_vec(chain, mt)
-                        try:
-                            row.append(page.class_coords(mt, vec))
-                        except ValueError as exc:
-                            raise LeibnizFailure(
-                                f"page {page.r} product of degrees ({m1},{m2}) "
-                                f"leaves the cycle space") from exc
-                    table.append(row)
-                tables[(m1, m2)] = table
+        tables = _page_product_tables(page, fc)
         if paranoid:
             _product_second_lift(page, fc, tables)
         _page_leibniz(page, fc, tables)
         out.append(dataclasses.replace(page, product=tables))
     return out
+
+
+def _page_product_tables(page: SpectralPage, fc: FloerComplex
+                         ) -> dict[tuple[int, int], list[list[int]]]:
+    """Page classes of m_0 on every pair of representatives, per degree pair."""
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+    for m1 in range(fc.dimL + 1):
+        for m2 in range(fc.dimL + 1):
+            if page.dim(m1) == 0 or page.dim(m2) == 0:
+                continue
+            mt = m1 + m2
+            table = []
+            for q1 in page.reps(m1):
+                row = []
+                for q2 in page.reps(m2):
+                    vec = fc.product_vec(m1, q1, m2, q2)
+                    if vec is None:
+                        raise LeibnizFailure("product escapes the grading")
+                    if mt > fc.dimL:
+                        row.append(0)
+                        continue
+                    try:
+                        row.append(page.class_coords(mt, vec))
+                    except ValueError as exc:
+                        raise LeibnizFailure(
+                            f"page {page.r} product of degrees ({m1},{m2}) "
+                            f"leaves the cycle space") from exc
+                table.append(row)
+            tables[(m1, m2)] = table
+    return tables
 
 
 def _product_second_lift(page: SpectralPage, fc: FloerComplex, tables) -> None:
@@ -550,13 +552,11 @@ def _product_second_lift(page: SpectralPage, fc: FloerComplex, tables) -> None:
             continue
         for i, q1 in enumerate(page.reps(m1)):
             for j, q2 in enumerate(page.reps(m2)):
-                chain = fc.apply_product(0, fc.vec_to_chain(q1 ^ b1, m1),
-                                         fc.vec_to_chain(q2 ^ b2, m2))
+                vec = fc.product_vec(m1, q1 ^ b1, m2, q2 ^ b2)
+                if vec is None:
+                    raise LeibnizFailure("perturbed product escapes the grading")
                 if mt > fc.dimL:
-                    if chain:
-                        raise LeibnizFailure("perturbed product escapes the grading")
                     continue
-                vec = fc.chain_to_vec(chain, mt)
                 try:
                     coords = page.class_coords(mt, vec)
                 except ValueError as exc:
@@ -572,35 +572,38 @@ def _page_leibniz(page: SpectralPage, fc: FloerComplex, tables) -> None:
     """delta_r(ab) = delta_r(a) b + a delta_r(b) on all basis pairs."""
     r = page.r
     N = fc.NL
+    # delta_r of each basis class, once per degree
+    d_of = {m: [page.delta_matrix(m).mul_vec(1 << i) for i in range(page.dim(m))]
+            for m in range(fc.dimL + 1)}
 
-    def classes_product(m1: int, c1: int, m2: int, c2: int) -> tuple[int, int]:
-        mt = m1 + m2
+    def combine(rows: list[int], c: int) -> int:
         acc = 0
+        while c:
+            low = c & -c
+            acc ^= rows[low.bit_length() - 1]
+            c ^= low
+        return acc
+
+    def classes_product(m1: int, c1: int, m2: int, c2: int) -> int:
         table = tables.get((m1, m2))
-        if table is not None:
-            i = c1
-            while i:
-                li = i & -i
-                j = c2
-                while j:
-                    lj = j & -j
-                    acc ^= table[li.bit_length() - 1][lj.bit_length() - 1]
-                    j ^= lj
-                i ^= li
-        return mt, acc
+        if table is None:
+            return 0
+        acc = 0
+        while c1:
+            low = c1 & -c1
+            acc ^= combine(table[low.bit_length() - 1], c2)
+            c1 ^= low
+        return acc
 
     for (m1, m2), table in tables.items():
         mt = m1 + m2
         if mt > fc.dimL:
             continue
-        for i in range(page.dim(m1)):
-            for j in range(page.dim(m2)):
-                _, ab = classes_product(m1, 1 << i, m2, 1 << j)
-                lhs = page.delta_matrix(mt).mul_vec(ab)
-                da = page.delta_matrix(m1).mul_vec(1 << i)
-                db = page.delta_matrix(m2).mul_vec(1 << j)
-                _, t1 = classes_product(m1 + 1 - r * N, da, m2, 1 << j)
-                _, t2 = classes_product(m1, 1 << i, m2 + 1 - r * N, db)
+        for i, da in enumerate(d_of[m1]):
+            for j, db in enumerate(d_of[m2]):
+                lhs = combine(d_of[mt], table[i][j])
+                t1 = classes_product(m1 + 1 - r * N, da, m2, 1 << j)
+                t2 = classes_product(m1, 1 << i, m2 + 1 - r * N, db)
                 if lhs != t1 ^ t2:
                     raise LeibnizFailure(
                         f"page {r} differential breaks Leibniz on degrees "

@@ -1,0 +1,28 @@
+"""Complexes shared by the test modules."""
+
+import pytest
+
+from floeralg import floercomplex as fcx
+from floeralg import gradedalg as ga
+
+
+@pytest.fixture(scope="module")
+def t2():
+    """Perfect Morse torus complex: NL=2, op_1 the witness derivation."""
+    ring = ga.build_exterior(2)
+    d = ga.derivation_from_generator_values(
+        ring, -1, {ring.index_of("x1"): ring.one(), ring.index_of("x2"): frozenset()})
+    return fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+
+
+@pytest.fixture(scope="module")
+def mixed_boundary():
+    """Nonzero Morse boundary (a degree +1 derivation), so pages have real
+    boundary spaces and a differential that only shows up on page two."""
+    ring = ga.build_exterior(3)
+    up = ga.derivation_from_generator_values(
+        ring, +1, {ring.index_of("x1"): ring.element("x2x3")})
+    down = ga.derivation_from_generator_values(
+        ring, -1, {ring.index_of("x1"): ring.one()})
+    return fcx.complex_from_ring(ring, 2, derivation=down, boundary=up,
+                                 with_products=True)

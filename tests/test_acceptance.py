@@ -175,33 +175,51 @@ def test_criterion_6_worked_torus_example():
     _report(6, "V1 dims (1,2,1), V2 = 0, folded homology = 0")
 
 
+def _check_page1_cup_product(ring, d):
+    fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+    assert fcx.check_product_leibniz(fc).ok
+    pages = sp.induced_page_product(
+        sp.run_to_collapse(fc, paranoid=True).pages, fc, paranoid=True)
+    p1 = pages[1]
+    cpos = {i: fc.morse.position_of(ring.basis[i].name)
+            for i in range(ring.dim)}
+    for m1 in range(fc.dimL + 1):
+        for m2 in range(fc.dimL + 1):
+            table = p1.product.get((m1, m2))
+            if table is None:
+                continue
+            for i, gi in enumerate(ring.degree_basis(m1)):
+                for j, gj in enumerate(ring.degree_basis(m2)):
+                    prod = ring.basis_mul(gi, gj)
+                    mt = m1 + m2
+                    expected = fc.chain_to_vec(
+                        frozenset(cpos[k] for k in prod), mt) \
+                        if mt <= fc.dimL else 0
+                    assert table[i][j] == expected, (ring.label, m1, m2)
+
+
+# Shift -1 derivations of the rank-6 exterior ring checked by criterion 7,
+# as the set of generators sent to 1 (all others go to 0): the zero
+# derivation, every generator to 1, the first and the last generator alone,
+# and four mixed patterns.
+RANK_6_GENERATORS_TO_ONE = ((), (1, 2, 3, 4, 5, 6), (1,), (6,), (1, 2),
+                            (1, 3, 5), (2, 4, 6), (1, 2, 3))
+
+
 def test_criterion_7_multiplicativity():
     rings = [ga.build_exterior(2), ga.build_exterior(3), ga.build_exterior(4),
              ga.build_truncated_poly(3), ga.build_truncated_poly(5)]
     complexes = 0
     for ring in rings:
         for d in ga.enumerate_derivations(ring, -1):
-            fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
-            assert fcx.check_product_leibniz(fc).ok
-            pages = sp.induced_page_product(
-                sp.run_to_collapse(fc, paranoid=True).pages, fc, paranoid=True)
-            p1 = pages[1]
-            cpos = {i: fc.morse.position_of(ring.basis[i].name)
-                    for i in range(ring.dim)}
-            for m1 in range(fc.dimL + 1):
-                for m2 in range(fc.dimL + 1):
-                    table = p1.product.get((m1, m2))
-                    if table is None:
-                        continue
-                    for i, gi in enumerate(ring.degree_basis(m1)):
-                        for j, gj in enumerate(ring.degree_basis(m2)):
-                            prod = ring.basis_mul(gi, gj)
-                            mt = m1 + m2
-                            expected = fc.chain_to_vec(
-                                frozenset(cpos[k] for k in prod), mt) \
-                                if mt <= fc.dimL else 0
-                            assert table[i][j] == expected, (ring.label, m1, m2)
+            _check_page1_cup_product(ring, d)
             complexes += 1
+    ring = ga.build_exterior(6)
+    for ones in RANK_6_GENERATORS_TO_ONE:
+        d = ga.derivation_from_generator_values(
+            ring, -1, {ring.index_of(f"x{g}"): ring.one() for g in ones})
+        _check_page1_cup_product(ring, d)
+        complexes += 1
 
     # nonzero Morse boundary: the representative-independence check has
     # genuine second representatives to compare

@@ -8,15 +8,6 @@ from floeralg.errors import NotADifferential, ProductsAbsent, ShapeMismatch
 from floeralg.f2linalg import F2Matrix
 
 
-@pytest.fixture(scope="module")
-def t2():
-    """Perfect Morse torus complex: NL=2, op_1 the witness derivation."""
-    ring = ga.build_exterior(2)
-    d = ga.derivation_from_generator_values(
-        ring, -1, {ring.index_of("x1"): ring.one(), ring.index_of("x2"): frozenset()})
-    return fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
-
-
 def ring_complex(n=2, NL=2, derivation=True, products=True):
     ring = ga.build_exterior(n)
     d = None

@@ -1,0 +1,209 @@
+"""Bitmask product checks against the pair-by-pair chain algorithms.
+
+The two oracles below are the frozenset implementations the bitmask code
+replaced: the product-Leibniz check applies ``apply_operator`` and
+``apply_product`` to every generator pair, and the page-product builder
+round-trips representatives through chains. Reports and tables must agree
+exactly, witnesses included, on valid complexes and on seeded single-entry
+corruptions of m_0, m_1 and op_1.
+"""
+
+import random
+
+import pytest
+
+from floeralg import floercomplex as fcx
+from floeralg import gradedalg as ga
+from floeralg import spectral as sp
+from floeralg.errors import LeibnizFailure, LiftFailure
+from floeralg.f2linalg import F2Matrix
+
+
+def leibniz_oracle(fc):
+    gens = range(len(fc.morse.generators))
+    entries = []
+    for l in range(fc.products_bound + fc.nu + 1):
+        witness = None
+        for x in gens:
+            for y in gens:
+                cx, cy = frozenset({x}), frozenset({y})
+                lhs: frozenset = frozenset()
+                rhs: frozenset = frozenset()
+                for i in range(l + 1):
+                    j = l - i
+                    lhs ^= fc.apply_operator(j, fc.apply_product(i, cx, cy))
+                    rhs ^= fc.apply_product(i, fc.apply_operator(j, cx), cy)
+                    rhs ^= fc.apply_product(i, cx, fc.apply_operator(j, cy))
+                if lhs != rhs:
+                    witness = (fc.morse.generators[x].name, fc.morse.generators[y].name)
+                    break
+            if witness:
+                break
+        entries.append(fcx.LeibnizEntry(l, witness is None, witness))
+    return fcx.LeibnizReport(tuple(entries))
+
+
+def page_tables_oracle(page, fc):
+    tables = {}
+    for m1 in range(fc.dimL + 1):
+        for m2 in range(fc.dimL + 1):
+            if page.dim(m1) == 0 or page.dim(m2) == 0:
+                continue
+            mt = m1 + m2
+            table = []
+            for q1 in page.reps(m1):
+                row = []
+                for q2 in page.reps(m2):
+                    chain = fc.apply_product(0, fc.vec_to_chain(q1, m1),
+                                             fc.vec_to_chain(q2, m2))
+                    if mt > fc.dimL:
+                        if chain:
+                            raise LeibnizFailure("product escapes the grading")
+                        row.append(0)
+                        continue
+                    try:
+                        row.append(page.class_coords(mt, fc.chain_to_vec(chain, mt)))
+                    except ValueError as exc:
+                        raise LeibnizFailure("leaves the cycle space") from exc
+                table.append(row)
+            tables[(m1, m2)] = table
+    return tables
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LeibnizFailure:
+        return LeibnizFailure
+
+
+# -- cases ---------------------------------------------------------------------
+
+
+CRITERION_7_RINGS = (("exterior", 2), ("exterior", 3), ("exterior", 4),
+                     ("truncated", 3), ("truncated", 5))
+
+
+def build_ring(kind, n):
+    return ga.build_exterior(n) if kind == "exterior" else ga.build_truncated_poly(n)
+
+
+def criterion_7_complexes():
+    for kind, n in CRITERION_7_RINGS:
+        ring = build_ring(kind, n)
+        for d in ga.enumerate_derivations(ring, -1):
+            yield fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+
+
+def corrupted(seed):
+    """A ring complex of rank <= 4 with one entry of m_0, m_1 or op_1 flipped.
+
+    Product corruptions keep the degree of m_l, so only the Leibniz identity
+    can notice them; the complex is built without assemble's d^2 check.
+    """
+    rng = random.Random(seed)
+    kind, n = rng.choice([("exterior", 2), ("exterior", 3), ("exterior", 4),
+                          ("truncated", 3), ("truncated", 4)])
+    ring = build_ring(kind, n)
+    d = rng.choice(ga.enumerate_derivations(ring, -1))
+    fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+    morse, NL = fc.morse, fc.NL
+    ops = {k: dict(v) for k, v in fc.ops.items()}
+    products = {0: dict(fc.products[0])}
+    target = seed % 3
+    if target < 2:
+        table = products.setdefault(target, {})
+        while True:
+            x, y = rng.randrange(len(morse.generators)), rng.randrange(len(morse.generators))
+            deg = morse.generators[x].index + morse.generators[y].index - target * NL
+            if 0 <= deg <= morse.dimL and morse.dim_at(deg):
+                break
+        k = rng.choice(morse.degree_positions(deg))
+        table[(x, y)] = table.get((x, y), frozenset()) ^ {k}
+    else:
+        slots = [m for m in range(morse.dimL + 1)
+                 if 0 <= m + 1 - NL <= morse.dimL and morse.dim_at(m)
+                 and morse.dim_at(m + 1 - NL)]
+        m = rng.choice(slots)
+        rows, cols = morse.dim_at(m + 1 - NL), morse.dim_at(m)
+        flip = F2Matrix.from_entries(rows, cols, [(rng.randrange(rows), rng.randrange(cols))])
+        ops.setdefault(1, {})
+        ops[1][m] = ops[1].get(m, F2Matrix.zeros(rows, cols)) + flip
+    return fcx.FloerComplex(morse, NL, ops, products)
+
+
+CORRUPTION_SEEDS = range(45)
+
+
+# -- product Leibniz -------------------------------------------------------------
+
+
+def test_leibniz_matches_oracle_on_criterion_7_rings():
+    for fc in criterion_7_complexes():
+        assert fcx.check_product_leibniz(fc) == leibniz_oracle(fc)
+
+
+def test_leibniz_matches_oracle_on_t2_and_mixed_boundary(t2, mixed_boundary):
+    for fc in (t2, mixed_boundary):
+        report = fcx.check_product_leibniz(fc)
+        assert report.ok
+        assert report == leibniz_oracle(fc)
+
+
+def test_leibniz_matches_oracle_on_corruptions():
+    failing = 0
+    for seed in CORRUPTION_SEEDS:
+        fc = corrupted(seed)
+        report = fcx.check_product_leibniz(fc)
+        assert report == leibniz_oracle(fc), seed
+        failing += not report.ok
+    assert failing >= len(CORRUPTION_SEEDS) // 3  # the corruptions are seen
+
+
+# -- page products ---------------------------------------------------------------
+
+
+def assert_page_tables_match(fc):
+    try:
+        pages = sp.run_to_collapse(fc, paranoid=False).pages
+    except LiftFailure:
+        return 0
+    for page in pages:
+        assert outcome(sp._page_product_tables, page, fc) == \
+            outcome(page_tables_oracle, page, fc)
+    return len(pages)
+
+
+def test_page_tables_match_oracle(t2, mixed_boundary):
+    pages = sum(assert_page_tables_match(fc) for fc in criterion_7_complexes())
+    pages += assert_page_tables_match(t2) + assert_page_tables_match(mixed_boundary)
+    for seed in CORRUPTION_SEEDS:
+        pages += assert_page_tables_match(corrupted(seed))
+    assert pages > 0
+
+
+def test_product_vec_matches_chain_product(t2, mixed_boundary):
+    # page representatives of ring complexes are mostly single generators,
+    # so multiply random sums of generators as well
+    rng = random.Random(5)
+    complexes = [t2, mixed_boundary] + [corrupted(seed) for seed in range(0, 45, 3)]
+    for fc in complexes:
+        for m1 in range(fc.dimL + 1):
+            for m2 in range(fc.dimL + 1):
+                mt = m1 + m2
+                for _ in range(8):
+                    v1 = rng.getrandbits(fc.morse.dim_at(m1))
+                    v2 = rng.getrandbits(fc.morse.dim_at(m2))
+                    chain = fc.apply_product(0, fc.vec_to_chain(v1, m1),
+                                             fc.vec_to_chain(v2, m2))
+                    expected = 0 if not chain else \
+                        None if mt > fc.dimL else fc.chain_to_vec(chain, mt)
+                    assert fc.product_vec(m1, v1, m2, v2) == expected
+
+
+def test_page_leibniz_detects_corrupted_table(t2):
+    page = sp.induced_page_product(sp.run_to_collapse(t2).pages, t2)[1]
+    tables = {key: [row[:] for row in table] for key, table in page.product.items()}
+    tables[(1, 1)][0][1] ^= 1  # x1 * x2 on page 1, where delta_1 is nonzero
+    with pytest.raises(LeibnizFailure):
+        sp._page_leibniz(page, t2, tables)

@@ -9,14 +9,6 @@ from floeralg import spectral as sp
 from floeralg.errors import LeibnizFailure, LiftFailure, ProductsAbsent
 
 
-@pytest.fixture(scope="module")
-def t2():
-    ring = ga.build_exterior(2)
-    d = ga.derivation_from_generator_values(
-        ring, -1, {ring.index_of("x1"): ring.one(), ring.index_of("x2"): frozenset()})
-    return fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
-
-
 def corpus(seeds=range(8), dims_list=((1, 2, 2, 1), (2, 2, 2), (1, 3, 3, 1),
                                       (0, 2, 1, 2), (2, 0, 2)),
            nls=(2, 3)):
@@ -297,20 +289,8 @@ def test_page_leibniz_enforced(t2):
     sp.induced_page_product(sp.run_to_collapse(t2).pages, t2, paranoid=True)
 
 
-def mixed_boundary_complex():
-    """Nonzero Morse boundary (a degree +1 derivation), so pages have real
-    boundary spaces and a differential that only shows up on page two."""
-    ring = ga.build_exterior(3)
-    up = ga.derivation_from_generator_values(
-        ring, +1, {ring.index_of("x1"): ring.element("x2x3")})
-    down = ga.derivation_from_generator_values(
-        ring, -1, {ring.index_of("x1"): ring.one()})
-    return fcx.complex_from_ring(ring, 2, derivation=down, boundary=up,
-                                 with_products=True)
-
-
-def test_mixed_boundary_complex_valid():
-    fc = mixed_boundary_complex()
+def test_mixed_boundary_complex_valid(mixed_boundary):
+    fc = mixed_boundary
     assert fcx.check_d_squared(fc).ok
     assert fcx.check_product_leibniz(fc).ok
     res = sp.run_to_collapse(fc)
@@ -320,8 +300,8 @@ def test_mixed_boundary_complex_valid():
     assert f2.rank(res.pages[2].delta_matrix(3)) == 1
 
 
-def test_rep_independence_nonvacuous():
-    fc = mixed_boundary_complex()
+def test_rep_independence_nonvacuous(mixed_boundary):
+    fc = mixed_boundary
     pages = sp.induced_page_product(sp.run_to_collapse(fc).pages, fc,
                                     paranoid=True)
     assert any(page.data[m].b_span and page.dim(m) > 0
