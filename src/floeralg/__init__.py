@@ -1,6 +1,6 @@
 """Exact F2 computational engine for Floer-type filtered complexes.
 
-Subpackages: bit-packed F2 linear algebra, graded rings and Leibniz
+Subpackages: F2 linear algebra on int rows, graded rings and Leibniz
 derivations, T-periodic Floer complexes with quantum products, the
 multiplicative spectral sequence of the T-power filtration, theorem-level
 drivers, and a numerical Maslov index for loops of Lagrangian subspaces.

@@ -34,11 +34,16 @@ def _engine_errors(f):
 
 
 def _emit(data: dict, fmt: str, table_lines) -> None:
+    # click.echo's default stream is cached per sys.stdout object, and the
+    # cache keeps that object alive, so a caller that runs commands in-process
+    # with a fresh redirected stdout each time would retain every output; the
+    # same stream fetched uncached does not.
+    out = click.get_text_stream("stdout")
     if fmt == "json":
-        click.echo(serialize.canonical_json(data), nl=False)
+        click.echo(serialize.canonical_json(data), nl=False, file=out)
     else:
         for line in table_lines(data):
-            click.echo(line)
+            click.echo(line, file=out)
 
 
 _format_option = click.option("--format", "fmt", type=click.Choice(["json", "table"]),
@@ -99,7 +104,7 @@ def cmd_ss_run(complex_file, paranoid, verbose_pages, fmt):
     convergence against the folded homology and the window oracle."""
     fc = serialize.complex_from_dict(serialize.load_json(complex_file))
     result = spectral.run_to_collapse(fc, paranoid=paranoid)
-    report = spectral.check_convergence(fc, paranoid=paranoid)
+    report = spectral.check_convergence(result)
     data = {
         "nu": fc.nu,
         "NL": fc.NL,
@@ -295,10 +300,11 @@ def cmd_corpus(seed, count, dims, nl, out, paranoid, fmt):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize.canonical_json(serialize.complex_to_dict(fc)))
         d2_ok = fcx.check_d_squared(fc).ok
-        conv = spectral.check_convergence(fc, paranoid=paranoid)
-        census_ok = fcx.folded_homology(fc) == expected
+        collapse = spectral.run_to_collapse(fc, paranoid=paranoid)
+        conv = spectral.check_convergence(collapse)
+        census_ok = {v.residue: v.folded for v in conv.residues} == expected
         dims1, deltas1 = spectral.e1_oracle(fc)
-        page1 = spectral.turn_page(spectral.page0(fc), paranoid=paranoid)
+        page1 = collapse.pages[1]
         e1_ok = all(page1.dim(m) == dims1[m] and page1.delta_matrix(m) == deltas1[m]
                     for m in range(fc.dimL + 1))
         items.append({

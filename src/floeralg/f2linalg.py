@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the two-element field.
 
-Matrices are bit-packed row-major into 64-bit words and all row operations
-work word-wise (XOR of whole payload rows). Vectors cross the API as plain
-Python ints, bit ``i`` holding coordinate ``i``; ints are themselves
-word-packed, hashable and immutable, which the higher layers rely on.
+A matrix is a tuple of rows and each row is a Python int, bit ``j`` holding
+column ``j``; row operations are int XORs. Vectors cross the API as the same
+plain ints, bit ``i`` holding coordinate ``i``; ints are hashable and
+immutable, which the higher layers rely on.
 
 Matrices act on column vectors: ``m.mul_vec(x)`` computes ``m @ x``.
 Subspaces are canonicalized to reduced row echelon form so that equality
@@ -13,81 +13,66 @@ of subspaces is payload equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import NotASubspace
-
-WORD_BITS = 64
-
-
-def _nwords(cols: int) -> int:
-    return (cols + WORD_BITS - 1) // WORD_BITS
-
-
-def _int_to_words(x: int, nwords: int) -> np.ndarray:
-    if nwords == 0:
-        return np.zeros(0, dtype=np.uint64)
-    return np.frombuffer(x.to_bytes(nwords * 8, "little"), dtype="<u8").astype(np.uint64)
-
-
-def _words_to_int(w: np.ndarray) -> int:
-    return int.from_bytes(w.astype("<u8").tobytes(), "little")
 
 
 def _pad_mask(cols: int) -> int:
     return (1 << cols) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class F2Matrix:
-    """Dense bit-packed matrix over F2.
+def _bits_of(x: int) -> Iterable[int]:
+    """Indices of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    ``bits`` has shape ``(rows, ceil(cols/64))`` with dtype uint64; padding
-    bits beyond ``cols`` are zero. Instances are immutable.
+
+@dataclass(frozen=True)
+class F2Matrix:
+    """Dense matrix over F2 stored as one int per row.
+
+    ``bits[i]`` is row ``i``; no row has bits at or past ``cols``.
+    Instances are immutable, and equal iff shape and rows are equal.
     """
 
     rows: int
     cols: int
-    bits: np.ndarray
+    bits: tuple[int, ...]
 
     def __post_init__(self):
-        expected = (self.rows, _nwords(self.cols))
-        if self.bits.shape != expected or self.bits.dtype != np.uint64:
-            raise ValueError(f"payload shape {self.bits.shape} != {expected}")
-        self.bits.flags.writeable = False
+        if len(self.bits) != self.rows:
+            raise ValueError(f"payload has {len(self.bits)} rows, expected {self.rows}")
+        if reduce(or_, self.bits, 0) >> self.cols:  # also rejects negative rows
+            raise ValueError("row has bits beyond cols")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, np.zeros((rows, _nwords(cols)), dtype=np.uint64))
+        return cls(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls.from_row_ints([1 << i for i in range(n)], n)
+        return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def from_row_ints(cls, row_ints: Sequence[int], cols: int) -> "F2Matrix":
-        mask = _pad_mask(cols)
-        nw = _nwords(cols)
-        payload = np.zeros((len(row_ints), nw), dtype=np.uint64)
-        for i, r in enumerate(row_ints):
-            if r & ~mask:
-                raise ValueError("row has bits beyond cols")
-            payload[i] = _int_to_words(r, nw)
-        return cls(len(row_ints), cols, payload)
+        return cls(len(row_ints), cols, tuple(row_ints))
 
     @classmethod
-    def from_dense(cls, dense) -> "F2Matrix":
-        arr = np.asarray(dense, dtype=np.uint8) % 2
-        if arr.ndim != 2:
+    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "F2Matrix":
+        """Matrix from nested rows of 0/1 entries (taken mod 2)."""
+        rows = [list(row) for row in dense]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("dense input must be 2-D")
-        rows, cols = arr.shape
-        ints = [int.from_bytes(np.packbits(arr[i], bitorder="little").tobytes(), "little")
-                for i in range(rows)]
-        return cls.from_row_ints(ints, cols)
+        return cls.from_row_ints(
+            [sum(1 << j for j, e in enumerate(row) if int(e) % 2) for row in rows], cols)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "F2Matrix":
@@ -96,56 +81,19 @@ class F2Matrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) out of range")
             row_ints[i] ^= 1 << j
-        return cls.from_row_ints(row_ints, cols)
+        return cls(rows, cols, tuple(row_ints))
 
     # -- accessors --------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
-        return int(self.bits[i, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & 1
-
-    def _cached_rows(self) -> tuple[int, ...]:
-        cached = self.__dict__.get("_rows_cache")
-        if cached is None:
-            cached = tuple(_words_to_int(self.bits[i]) for i in range(self.rows))
-            object.__setattr__(self, "_rows_cache", cached)
-        return cached
-
-    def row_int(self, i: int) -> int:
-        return self._cached_rows()[i]
-
-    def row_ints(self) -> list[int]:
-        return list(self._cached_rows())
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        if self.cols:
-            raw = np.unpackbits(self.bits.view(np.uint8), axis=1, bitorder="little")
-            out[:] = raw[:, : self.cols]
-        return out
+        return (self.bits[i] >> j) & 1
 
     def entries(self) -> list[tuple[int, int]]:
         """Coordinates of 1-entries, sorted lexicographically."""
-        out = []
-        for i in range(self.rows):
-            r = self.row_int(i)
-            while r:
-                low = r & -r
-                out.append((i, low.bit_length() - 1))
-                r ^= low
-        return out
+        return [(i, j) for i, r in enumerate(self.bits) for j in _bits_of(r)]
 
     def is_zero(self) -> bool:
-        return not self.bits.any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, F2Matrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and np.array_equal(
-            self.bits, other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.bits.tobytes()))
+        return not any(self.bits)
 
     def __repr__(self):
         return f"F2Matrix({self.rows}x{self.cols}, rank={rank(self)})"
@@ -155,48 +103,46 @@ class F2Matrix:
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in F2 matrix sum")
-        return F2Matrix(self.rows, self.cols, self.bits ^ other.bits)
+        return F2Matrix(self.rows, self.cols,
+                        tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in F2 matrix product")
-        out = np.zeros((self.rows, _nwords(other.cols)), dtype=np.uint64)
-        for i in range(self.rows):
-            r = self.row_int(i)
-            acc = np.zeros(_nwords(other.cols), dtype=np.uint64)
-            while r:
-                low = r & -r
-                acc ^= other.bits[low.bit_length() - 1]
-                r ^= low
-            out[i] = acc
-        return F2Matrix(self.rows, other.cols, out)
+        out = []
+        for r in self.bits:
+            acc = 0
+            for k in _bits_of(r):
+                acc ^= other.bits[k]
+            out.append(acc)
+        return F2Matrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, x: int) -> int:
         """Matrix-vector product ``self @ x`` with ``x`` over the columns."""
         if x & ~_pad_mask(self.cols):
             raise ValueError("vector has bits beyond cols")
         out = 0
-        for i, row in enumerate(self._cached_rows()):
+        for i, row in enumerate(self.bits):
             if (row & x).bit_count() & 1:
                 out |= 1 << i
         return out
 
     def transpose(self) -> "F2Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return F2Matrix.zeros(self.cols, self.rows)
-        dense = self.to_dense()
-        return F2Matrix.from_dense(dense.T)
+        cols = [0] * self.cols
+        for i, r in enumerate(self.bits):
+            for j in _bits_of(r):
+                cols[j] |= 1 << i
+        return F2Matrix(self.cols, self.rows, tuple(cols))
 
     def inverse(self) -> "F2Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [self.row_int(i) | (1 << (n + i)) for i in range(n)]
+        aug = [r | (1 << (n + i)) for i, r in enumerate(self.bits)]
         red, pivots = _rref_ints(aug, 2 * n, pivot_limit=n)
         if len(pivots) != n:
             raise ValueError("matrix is singular over F2")
-        inv_rows = [red[i] >> n for i in range(n)]
-        return F2Matrix.from_row_ints(inv_rows, n)
+        return F2Matrix(n, n, tuple(red[i] >> n for i in range(n)))
 
 
 def _rref_ints(row_ints: Sequence[int], cols: int, pivot_limit: Optional[int] = None
@@ -228,7 +174,7 @@ def _rref_ints(row_ints: Sequence[int], cols: int, pivot_limit: Optional[int] = 
 
 def rank(m: F2Matrix) -> int:
     """Row rank over F2 by Gaussian elimination."""
-    _, pivots = _rref_ints(m.row_ints(), m.cols)
+    _, pivots = _rref_ints(m.bits, m.cols)
     return len(pivots)
 
 
@@ -296,11 +242,8 @@ class Subspace:
         """All 2^dim elements (small subspaces only; test use)."""
         for mask in range(1 << self.dim):
             v = 0
-            m = mask
-            while m:
-                low = m & -m
-                v ^= self.basis[low.bit_length() - 1]
-                m ^= low
+            for i in _bits_of(mask):
+                v ^= self.basis[i]
             yield v
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -311,7 +254,7 @@ class Subspace:
 
 def kernel(m: F2Matrix) -> Subspace:
     """Null space {v : m @ v = 0} as a canonical Subspace of F2^cols."""
-    red, pivots = _rref_ints(m.row_ints(), m.cols)
+    red, pivots = _rref_ints(m.bits, m.cols)
     pivot_set = set(pivots)
     gens = []
     for free in range(m.cols):
@@ -327,7 +270,7 @@ def kernel(m: F2Matrix) -> Subspace:
 
 def image(m: F2Matrix) -> Subspace:
     """Column span of m as a canonical Subspace of F2^rows."""
-    return Subspace.from_vectors(m.rows, m.transpose().row_ints())
+    return Subspace.from_vectors(m.rows, m.transpose().bits)
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:
@@ -337,7 +280,7 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
     """
     if b & ~_pad_mask(m.rows):
         raise ValueError("rhs has bits beyond rows")
-    aug = [m.row_int(i) | (((b >> i) & 1) << m.cols) for i in range(m.rows)]
+    aug = [r | (((b >> i) & 1) << m.cols) for i, r in enumerate(m.bits)]
     red, pivots = _rref_ints(aug, m.cols + 1, pivot_limit=m.cols)
     x = 0
     for i, p in enumerate(pivots):
@@ -376,11 +319,8 @@ class QuotientMap:
 
     def rep(self, coords: int) -> int:
         v = 0
-        m = coords
-        while m:
-            low = m & -m
-            v ^= self.reps.basis[low.bit_length() - 1]
-            m ^= low
+        for i in _bits_of(coords):
+            v ^= self.reps.basis[i]
         return v
 
 

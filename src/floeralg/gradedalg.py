@@ -115,6 +115,7 @@ class GradedRing:
         return frozenset(self.mult.get((i, j), ()))
 
     def mul(self, a: Element, b: Element) -> Element:
+        """Bilinear extension of the structure table (the cup product)."""
         out = frozenset()
         for i in a:
             for j in b:
@@ -234,11 +235,6 @@ class GradedRing:
 
 def _as_element(e) -> Element:
     return e if isinstance(e, frozenset) else frozenset(e)
-
-
-def cup(ring: GradedRing, a: Element, b: Element) -> Element:
-    """Bilinear extension of the structure table (the cup product)."""
-    return ring.mul(a, b)
 
 
 def build_exterior(n: int) -> GradedRing:

@@ -81,11 +81,12 @@ def _check_lagrangian(frame: np.ndarray, where: str = "frame") -> None:
     if np.linalg.matrix_rank(_real_stack(frame)) < frame.shape[0]:
         raise DegenerateFrame(f"{where}: columns do not span an n-dimensional "
                               f"real subspace")
+    # relative to the Gram matrix, so the check does not depend on the scale
     gram = frame.conj().T @ frame
-    skew = np.abs(gram.imag).max()
+    skew = np.abs(gram.imag).max() / np.abs(gram).max()
     if skew > LAGRANGIAN_TOL:
         raise NotLagrangian(f"{where}: symplectic pairing of columns is "
-                            f"{skew:.3e} > {LAGRANGIAN_TOL:.0e}")
+                            f"{skew:.3e} of the Gram matrix > {LAGRANGIAN_TOL:.0e}")
 
 
 def unitary_representative(frame: np.ndarray) -> np.ndarray:

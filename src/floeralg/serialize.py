@@ -7,12 +7,10 @@ generator order (sorted by (index, name)), which loaders enforce.
 
 from __future__ import annotations
 
+import cmath
 import json
 from importlib import resources
 from typing import Any
-
-import jsonschema
-import numpy as np
 
 from .errors import InputError, ShapeMismatch
 from .f2linalg import F2Matrix
@@ -26,6 +24,8 @@ _VALIDATORS: dict[str, Any] = {}
 def _validator(name: str):
     """Validator for a bundled schema, built and checked once per name."""
     if name not in _VALIDATORS:
+        import jsonschema  # only needed once a file is validated
+
         text = resources.files("floeralg.schemas").joinpath(f"{name}.schema.json") \
             .read_text(encoding="utf-8")
         schema = json.loads(text)
@@ -36,8 +36,10 @@ def _validator(name: str):
 
 
 def validate_against_schema(data: Any, name: str) -> None:
+    from jsonschema.exceptions import best_match
+
     # the error jsonschema.validate would raise, without re-checking the schema
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
+    error = best_match(_validator(name).iter_errors(data))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise InputError(f"{name} JSON invalid at {path}: {error.message}") from error
@@ -203,8 +205,13 @@ def loop_from_dict(data: dict) -> LagrangianLoop:
     for t, frame in enumerate(data["samples"]):
         if len(frame) != n or any(len(row) != n for row in frame):
             raise InputError(f"sample {t} is not an {n} x {n} frame")
-        frames.append(np.array([[complex(re, im) for re, im in row]
-                                for row in frame], dtype=np.complex128))
+        try:
+            rows = [[complex(re, im) for re, im in row] for row in frame]
+        except OverflowError as exc:
+            raise InputError(f"sample {t} has an entry too large for a float") from exc
+        if not all(map(cmath.isfinite, (z for row in rows for z in row))):
+            raise InputError(f"sample {t} has a NaN or infinite entry")
+        frames.append(rows)
     return LagrangianLoop.from_frames(frames)
 
 

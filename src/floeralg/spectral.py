@@ -449,9 +449,13 @@ class ConvergenceReport:
         return all(v.ok for v in self.residues)
 
 
-def check_convergence(fc: FloerComplex, paranoid: bool = True) -> ConvergenceReport:
-    """Compare E_infinity, folded homology and the window oracle per residue."""
-    collapse = run_to_collapse(fc, paranoid=paranoid)
+def check_convergence(collapse: CollapseResult) -> ConvergenceReport:
+    """Compare E_infinity, folded homology and the window oracle per residue.
+
+    E_infinity comes from the finished ``collapse``; both oracles recompute
+    from the complex alone.
+    """
+    fc = collapse.pages[-1].fc
     einf = collapse.einf_residue_dims()
     folded = folded_homology(fc)
     window = window_homology_dims(fc)

@@ -1,13 +1,19 @@
 """CLI contract: exit codes, formats, golden files, determinism."""
 
+import contextlib
+import gc
+import io
 import json
+import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import floeralg
 from floeralg import maslov as mv
 from floeralg import serialize
 from floeralg.cli import main
@@ -29,6 +35,23 @@ def golden(name):
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def loaded_after(imports):
+    """Which of numpy and jsonschema a fresh interpreter holds after ``imports``."""
+    code = (f"import sys\n{imports}\n"
+            "print(*(m for m in ('numpy', 'jsonschema') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(floeralg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    return proc.stdout.split()
+
+
+def test_import_isolation():
+    # the exact F2 core needs no numpy; jsonschema loads only to validate a file
+    assert "numpy" not in loaded_after(
+        "from floeralg import f2linalg, gradedalg, floercomplex, spectral, theorems")
+    assert "jsonschema" not in loaded_after("import floeralg.cli")
+
+
 # -- ring ------------------------------------------------------------------
 
 
@@ -45,6 +68,17 @@ def test_ring_rp_golden():
     assert r.stdout == golden("ring_rp_3.json")
     data = json.loads(r.stdout)
     assert [b["degree"] for b in data["basis"]] == [0, 1, 2, 3]
+
+
+def test_in_process_run_releases_redirected_stdout():
+    buf = io.StringIO()
+    ref = weakref.ref(buf)
+    with contextlib.redirect_stdout(buf):
+        main.main(args=["ring", "torus", "--n", "2"], standalone_mode=False)
+    assert buf.getvalue() == golden("ring_torus_2.json")
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_ring_size_limit_exit_2():
@@ -221,6 +255,21 @@ def test_maslov_coarse_exit_3(tmp_path):
     r = run_cli("maslov", "index", str(path))
     assert r.exit_code == 3
     assert "resample" in r.stderr
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "NaN or infinite"), ("Infinity", "NaN or infinite"),
+    ("-Infinity", "NaN or infinite"), ("1e400", "NaN or infinite"),
+    ("1" + "0" * 400, "too large for a float"),
+])
+def test_maslov_non_finite_sample_exit_2(tmp_path, literal, message):
+    # json.load accepts these literals and the schema sees plain numbers
+    text = serialize.canonical_json(serialize.loop_to_dict(mv.rotating_loop(2, 64)))
+    path = tmp_path / "loop.json"
+    path.write_text(text.replace("1.0", literal, 1))
+    r = run_cli("maslov", "index", str(path))
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: sample 0 ") and message in r.stderr
 
 
 # -- corpus ---------------------------------------------------------------------

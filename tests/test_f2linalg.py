@@ -1,4 +1,4 @@
-"""Bit-packed F2 linear algebra: examples and invariants."""
+"""F2 linear algebra on int rows: examples and invariants."""
 
 import random
 
@@ -162,10 +162,15 @@ def test_solution_set_is_coset_of_kernel():
 
 def test_payload_shape_and_padding():
     m = f2.F2Matrix.from_dense([[1, 0, 1], [0, 1, 1]])
-    assert m.bits.shape == (2, 1)
+    assert m.bits == (0b101, 0b110)  # row i packed with bit j = column j
     assert m.rows == 2 and m.cols == 3
+    assert all(r >> m.cols == 0 for r in m.bits)
     with pytest.raises(ValueError):
         f2.F2Matrix.from_row_ints([0b1000], 3)  # bit beyond cols
+    with pytest.raises(ValueError):
+        f2.F2Matrix.from_row_ints([-1], 3)  # infinitely many bits
+    with pytest.raises(ValueError):
+        f2.F2Matrix(2, 3, (0b1,))  # row count disagrees with rows
 
 
 def test_subspace_equality_is_payload_equality():
@@ -194,7 +199,7 @@ def test_empty_shapes():
 
 
 def test_census_scale_elimination():
-    # word-packed elimination must stay usable at ~1000 columns
+    # int-row elimination must stay usable at ~1000 columns
     import time
     rng = random.Random(1)
     m = random_matrix(rng, 1024, 1024)

@@ -1,0 +1,74 @@
+"""Property tests for the int-row F2 core, with shrinking counterexamples."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from floeralg import f2linalg as f2
+
+MAX_DIM = 10
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_dim=MAX_DIM):
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim)) if cols is None else cols
+    bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return f2.F2Matrix.from_row_ints(bits, cols)
+
+
+@st.composite
+def products(draw):
+    """A pair (A, B) with A.cols == B.rows."""
+    inner = draw(st.integers(0, MAX_DIM))
+    return draw(matrices(cols=inner)), draw(matrices(rows=inner))
+
+
+@given(matrices())
+def test_transpose_is_entrywise_involution(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert all(t.get(j, i) == m.get(i, j) for i in range(m.rows) for j in range(m.cols))
+    assert t.transpose() == m
+
+
+@given(products(), st.integers(0, (1 << MAX_DIM) - 1))
+def test_matmul_transpose_and_action(pair, x):
+    a, b = pair
+    assert (a @ b).transpose() == b.transpose() @ a.transpose()
+    x &= (1 << b.cols) - 1
+    assert (a @ b).mul_vec(x) == a.mul_vec(b.mul_vec(x))
+
+
+@given(matrices())
+def test_rank_of_transpose(m):
+    assert f2.rank(m) == f2.rank(m.transpose())
+
+
+@given(matrices())
+def test_rank_nullity(m):
+    r = f2.rank(m)
+    assert r + f2.kernel(m).dim == m.cols
+    assert f2.image(m).dim == r
+
+
+@settings(max_examples=60)
+@given(matrices(max_dim=7), st.integers(0, (1 << 7) - 1))
+def test_solutions_are_a_coset_of_kernel(m, b):
+    b &= (1 << m.rows) - 1
+    solutions = {x for x in range(1 << m.cols) if m.mul_vec(x) == b}
+    x0 = f2.solve(m, b)
+    if x0 is None:
+        assert not solutions
+    else:
+        assert solutions == {x0 ^ v for v in f2.kernel(m).vectors()}
+
+
+@given(matrices())
+def test_dense_and_entries_round_trip(m):
+    dense = [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    if m.rows:  # an empty list carries no column count
+        assert f2.F2Matrix.from_dense(dense) == m
+    entries = m.entries()
+    assert entries == sorted(entries)
+    assert f2.F2Matrix.from_entries(m.rows, m.cols, entries) == m
+    assert all(r >> m.cols == 0 for r in m.bits)

@@ -52,6 +52,20 @@ def test_non_lagrangian_rejected():
         mv.unitary_representative(bad)
 
 
+def test_lagrangian_check_is_scale_free():
+    # U @ R with U unitary and R real spans a Lagrangian subspace at any scale
+    rng = np.random.default_rng(6)
+    frames = []
+    for _ in range(50):
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        frames.append(u @ (1e3 * rng.normal(size=(6, 6))))
+    mv.LagrangianLoop.from_frames(frames).validate()
+    for scale in (1e-3, 1e3):
+        bad = scale * np.array([[1, 1j], [0, 1]], dtype=complex)
+        with pytest.raises(NotLagrangian):
+            mv.LagrangianLoop.from_frames([bad]).validate()
+
+
 def test_degenerate_frame_rejected():
     sing = np.array([[1, 1], [1, 1]], dtype=complex)
     with pytest.raises(DegenerateFrame):

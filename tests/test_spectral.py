@@ -80,7 +80,7 @@ def test_t2_collapse_and_convergence(t2):
     res = sp.run_to_collapse(t2)
     assert res.collapse_index == 2
     assert res.einf_residue_dims() == {0: 0, 1: 0}
-    report = sp.check_convergence(t2)
+    report = sp.check_convergence(res)
     assert report.ok
     for v in report.residues:
         assert v.einf == v.folded == v.window == 0
@@ -150,7 +150,7 @@ def test_quotient_dim_equals_rank_arithmetic():
 
 def test_convergence_on_corpus():
     for fc in corpus():
-        report = sp.check_convergence(fc)
+        report = sp.check_convergence(sp.run_to_collapse(fc))
         assert report.ok, [(v.residue, v.einf, v.folded, v.window)
                            for v in report.residues]
 
@@ -183,7 +183,7 @@ def test_larger_complexes_deep_pages():
     for dims, NL, seed in cases:
         fc, expected = fcx.random_complex_census(seed, dims, NL)
         assert fcx.folded_homology(fc) == expected
-        report = sp.check_convergence(fc, paranoid=True)
+        report = sp.check_convergence(sp.run_to_collapse(fc, paranoid=True))
         assert report.ok, (dims, NL)
 
 
@@ -302,11 +302,11 @@ def test_mixed_boundary_complex_valid(mixed_boundary):
 
 def test_rep_independence_nonvacuous(mixed_boundary):
     fc = mixed_boundary
-    pages = sp.induced_page_product(sp.run_to_collapse(fc).pages, fc,
-                                    paranoid=True)
+    collapse = sp.run_to_collapse(fc)
+    pages = sp.induced_page_product(collapse.pages, fc, paranoid=True)
     assert any(page.data[m].b_span and page.dim(m) > 0
                for page in pages for m in range(fc.dimL + 1))
-    report = sp.check_convergence(fc)
+    report = sp.check_convergence(collapse)
     assert report.ok
 
 
