@@ -108,6 +108,7 @@ class FloerComplex:
         self.products = products
         self._op_images: dict[int, tuple[int, ...]] = {}
         self._product_rows: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
 
     @property
     def dimL(self) -> int:
@@ -119,11 +120,16 @@ class FloerComplex:
 
     def operator(self, k: int, m: int) -> F2Matrix:
         """Matrix of op_k on C^m (zero matrix when absent or out of range)."""
+        mat = self.ops.get(k, {}).get(m)
+        if mat is not None:
+            return mat
         t = m + 1 - k * self.NL
         tgt = self.morse.dim_at(t) if 0 <= t <= self.dimL else 0
         src = self.morse.dim_at(m) if 0 <= m <= self.dimL else 0
-        mat = self.ops.get(k, {}).get(m)
-        return mat if mat is not None else F2Matrix.zeros(tgt, src)
+        # one shared zero block per shape; F2Matrix is frozen
+        if (tgt, src) not in self._zero_blocks:
+            self._zero_blocks[tgt, src] = F2Matrix.zeros(tgt, src)
+        return self._zero_blocks[tgt, src]
 
     # -- chains ------------------------------------------------------------
 

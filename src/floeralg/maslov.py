@@ -2,11 +2,19 @@
 
 A Lagrangian frame is an n-by-n complex matrix whose columns span the
 subspace over the reals; the subspace is Lagrangian exactly when the
-Hermitian Gram matrix of the frame is real. Orthonormalizing a frame by
-polar decomposition gives a unitary representative, well defined up to a
-real orthogonal factor on the right, so the square of its determinant is a
-function of the subspace alone. The index of a loop is the winding number
-of that determinant square, accumulated from per-step argument changes.
+Hermitian Gram matrix of the frame is real. The index of a loop is the
+winding number of det(U)^2, where U is a unitary frame of the same subspace,
+accumulated from per-step argument changes.
+
+No unitary frame is ever computed. A frame A factors as A = U.P with U
+unitary and P = (A^H A)^(1/2); for a Lagrangian frame A^H A is real
+symmetric positive definite, so P is real with det P > 0, and
+det A / |det A| = det U. U is unique up to a real orthogonal factor on the
+right, which det^2 does not see, so det^2 is the squared phase of det A, read
+from `np.linalg.slogdet` (which cannot overflow) for all samples at once.
+A positive real factor changes neither the subspace nor that phase, so each
+frame is first divided by its largest entry, which keeps the rank and Gram
+checks finite at any scale.
 
 Orientation convention: counterclockwise winding of the determinant square
 counts +1. The rotating-line loop diag(e^(i*pi*t), 1, ..., 1), t in [0, 1),
@@ -30,8 +38,6 @@ from .errors import (
 )
 
 LAGRANGIAN_TOL = 1e-9
-POLAR_TOL = 1e-12
-POLAR_MAX_ITER = 80
 STEP_GUARD = math.pi / 2
 WINDING_TOL = 1e-6
 
@@ -66,59 +72,55 @@ class LagrangianLoop:
         return cls(n, tuple(mats))
 
     def validate(self) -> None:
-        for k, frame in enumerate(self.samples):
-            _check_lagrangian(frame, where=f"sample {k}")
+        _checked_stack(self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
-def _real_stack(frame: np.ndarray) -> np.ndarray:
-    return np.vstack([frame.real, frame.imag])
+def _real_stack(stack: np.ndarray) -> np.ndarray:
+    return np.concatenate([stack.real, stack.imag], axis=-2)
 
 
-def _check_lagrangian(frame: np.ndarray, where: str = "frame") -> None:
-    if np.linalg.matrix_rank(_real_stack(frame)) < frame.shape[0]:
-        raise DegenerateFrame(f"{where}: columns do not span an n-dimensional "
-                              f"real subspace")
-    # relative to the Gram matrix, so the check does not depend on the scale
-    gram = frame.conj().T @ frame
-    skew = np.abs(gram.imag).max() / np.abs(gram).max()
-    if skew > LAGRANGIAN_TOL:
-        raise NotLagrangian(f"{where}: symplectic pairing of columns is "
-                            f"{skew:.3e} of the Gram matrix > {LAGRANGIAN_TOL:.0e}")
+def _checked_stack(frames, where: str = "sample {}") -> np.ndarray:
+    """The frames as one array, each divided by its largest entry, checked.
 
-
-def unitary_representative(frame: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose columns span the same real subspace.
-
-    Newton iteration for the unitary polar factor: X <- (X + X^-H) / 2.
-    The polar scaling matrix is real for a Lagrangian frame, so the column
-    span over the reals is unchanged; the result is unique up to right
-    multiplication by a real orthogonal matrix, under which det^2 is
-    invariant.
+    Raises for the first bad frame in order, DegenerateFrame before
+    NotLagrangian; ``where`` names frame k as ``where.format(k)``.
     """
-    frame = np.asarray(frame, dtype=np.complex128)
-    _check_lagrangian(frame)
-    x = frame.copy()
-    for _ in range(POLAR_MAX_ITER):
-        try:
-            inv_herm = np.linalg.inv(x.conj().T)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateFrame("polar iteration hit a singular iterate") from exc
-        x = (x + inv_herm) / 2.0
-        defect = np.abs(x.conj().T @ x - np.eye(frame.shape[0])).max()
-        if defect <= POLAR_TOL:
-            return x
-    raise DegenerateFrame(f"polar iteration did not converge within "
-                          f"{POLAR_MAX_ITER} steps")
+    stack = np.stack(frames).astype(np.complex128, copy=False)
+    # a positive real factor per frame, applied to the real and imaginary
+    # parts: unlike |z| and complex division, this neither overflows nor
+    # underflows for finite entries
+    parts = stack.view(np.float64)
+    scale = np.abs(parts).max(axis=(1, 2))
+    parts /= np.where(scale > 0, scale, 1.0)[:, None, None]
+    n = stack.shape[-1]
+    degenerate = np.linalg.matrix_rank(_real_stack(stack)) < n
+    # relative to the Gram matrix; NaN only for a zero frame, caught above
+    gram = stack.conj().swapaxes(1, 2) @ stack
+    with np.errstate(invalid="ignore"):
+        skew = np.abs(gram.imag).max(axis=(1, 2)) / np.abs(gram).max(axis=(1, 2))
+    bad = degenerate | ~(skew <= LAGRANGIAN_TOL)
+    if bad.any():
+        k = int(bad.argmax())
+        if degenerate[k]:
+            raise DegenerateFrame(f"{where.format(k)}: columns do not span an "
+                                  f"n-dimensional real subspace")
+        raise NotLagrangian(f"{where.format(k)}: symplectic pairing of columns is "
+                            f"{skew[k]:.3e} of the Gram matrix > {LAGRANGIAN_TOL:.0e}")
+    return stack
+
+
+def _det_squared(stack: np.ndarray) -> np.ndarray:
+    """det(U)^2 per checked frame: the squared phase of det A (module docstring)."""
+    sign, _ = np.linalg.slogdet(stack)
+    return sign ** 2
 
 
 def det_squared(frame: np.ndarray) -> complex:
-    """Square of the determinant of a unitary representative, on the circle."""
-    d = np.linalg.det(unitary_representative(frame))
-    d2 = complex(d * d)
-    return d2 / abs(d2)
+    """Square of the determinant of a unitary frame of the same subspace."""
+    return complex(_det_squared(_checked_stack([frame], where="frame"))[0])
 
 
 @dataclass(frozen=True)
@@ -134,19 +136,17 @@ def maslov_index(loop: LagrangianLoop) -> MaslovIndex:
     beyond pi/2 is rejected as undersampled rather than silently rounded.
     The accumulated total must be an integer multiple of 2*pi within 1e-6.
     """
-    loop.validate()
-    dets = [det_squared(f) for f in loop.samples]
-    total = 0.0
-    worst = 0.0
-    k = len(dets)
-    for t in range(k):
-        step = cmath.phase(dets[(t + 1) % k] / dets[t])
-        if abs(step) >= STEP_GUARD:
-            raise InsufficientSampling(
-                f"argument change {abs(step):.3f} rad at step {t} reaches the "
-                f"guard {STEP_GUARD:.3f}; resample the loop more finely")
-        worst = max(worst, abs(step))
-        total += step
+    d = _det_squared(_checked_stack(loop.samples))
+    steps = np.angle(np.roll(d, -1) / d)
+    over = np.abs(steps) >= STEP_GUARD
+    if over.any():
+        t = int(over.argmax())
+        raise InsufficientSampling(
+            f"argument change {abs(steps[t]):.3f} rad at step {t} reaches the "
+            f"guard {STEP_GUARD:.3f}; resample the loop more finely")
+    # cumsum adds left to right, as a running float total would
+    total = float(np.cumsum(steps)[-1])
+    worst = float(np.abs(steps).max())
     turns = total / (2.0 * math.pi)
     nearest = round(turns)
     if abs(total - 2.0 * math.pi * nearest) > WINDING_TOL:
@@ -157,9 +157,8 @@ def maslov_index(loop: LagrangianLoop) -> MaslovIndex:
 
 
 def _same_subspace(a: np.ndarray, b: np.ndarray, tol: float = LAGRANGIAN_TOL) -> bool:
-    ua, ub = unitary_representative(a), unitary_representative(b)
-    pa = _real_stack(ua) @ _real_stack(ua).T
-    pb = _real_stack(ub) @ _real_stack(ub).T
+    q, _ = np.linalg.qr(_real_stack(_checked_stack([a, b], where="frame")))
+    pa, pb = q @ q.swapaxes(1, 2)
     return bool(np.abs(pa - pb).max() <= math.sqrt(tol))
 
 

@@ -198,8 +198,49 @@ def loop_to_dict(loop: LagrangianLoop) -> dict:
     }
 
 
+def _plain_loop(data: Any) -> bool:
+    """True only for data that ``loop.schema.json`` accepts; needs no jsonschema.
+
+    jsonschema's types are a dict for an object, a list for an array, an int
+    or float that is not a bool for a number and an int for an integer, so
+    each clause implies the schema keywords it names:
+
+    - a dict whose keys are exactly {n, samples}: ``type: object``,
+      ``required`` and ``additionalProperties: false``;
+    - ``type(n) is int`` and n >= 1: ``type: integer`` (a bool is an int to
+      Python but not to JSON Schema, hence ``type`` and not ``isinstance``)
+      and ``minimum: 1``;
+    - samples a non-empty list: ``type: array`` and ``minItems: 1``;
+    - every frame and every row a list: the two nested ``type: array``;
+    - every entry a list of two items: ``type: array``, ``minItems: 2``,
+      ``maxItems: 2`` and ``items: false`` past the prefix;
+    - each item's ``type`` int or float: ``prefixItems`` of ``type: number``.
+
+    The converse fails (n = 2.0 is a JSON Schema integer, a tuple is not a
+    list), so False only means "ask jsonschema".
+    """
+    if type(data) is not dict or data.keys() != {"n", "samples"}:
+        return False
+    n, samples = data["n"], data["samples"]
+    if type(n) is not int or n < 1 or type(samples) is not list or not samples:
+        return False
+    number = (int, float)
+    for frame in samples:
+        if type(frame) is not list:
+            return False
+        for row in frame:
+            if type(row) is not list:
+                return False
+            for z in row:
+                if (type(z) is not list or len(z) != 2
+                        or type(z[0]) not in number or type(z[1]) not in number):
+                    return False
+    return True
+
+
 def loop_from_dict(data: dict) -> LagrangianLoop:
-    validate_against_schema(data, "loop")
+    if not _plain_loop(data):
+        validate_against_schema(data, "loop")
     n = data["n"]
     frames = []
     for t, frame in enumerate(data["samples"]):

@@ -45,11 +45,19 @@ def loaded_after(imports):
     return proc.stdout.split()
 
 
-def test_import_isolation():
-    # the exact F2 core needs no numpy; jsonschema loads only to validate a file
+def test_import_isolation(tmp_path):
+    # the exact F2 core needs no numpy; jsonschema loads only to validate a
+    # file, and a plain loop file is checked without it
     assert "numpy" not in loaded_after(
         "from floeralg import f2linalg, gradedalg, floercomplex, spectral, theorems")
     assert "jsonschema" not in loaded_after("import floeralg.cli")
+    path = tmp_path / "loop.json"
+    path.write_text(serialize.canonical_json(serialize.loop_to_dict(mv.rotating_loop(2, 64))))
+    run = ("import contextlib, io\nfrom floeralg.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+           f"    main.main(args=['maslov', 'index', {str(path)!r}], standalone_mode=False)\n"
+           "assert '\"index\": 1' in out.getvalue()")
+    assert "jsonschema" not in loaded_after(run)
 
 
 # -- ring ------------------------------------------------------------------
@@ -270,6 +278,18 @@ def test_maslov_non_finite_sample_exit_2(tmp_path, literal, message):
     r = run_cli("maslov", "index", str(path))
     assert r.exit_code == 2
     assert r.stderr.startswith("error: sample 0 ") and message in r.stderr
+
+
+def test_maslov_extreme_scale_loops(tmp_path):
+    # A^H A overflows or underflows at these scales; a positive factor per
+    # frame changes neither the subspaces nor the index
+    for scale in (1e300, 1e-300, 5e307 * (1 + 1j)):
+        loop = mv.LagrangianLoop.from_frames(scale * f for f in mv.rotating_loop(2, 64).samples)
+        path = tmp_path / "loop.json"
+        path.write_text(serialize.canonical_json(serialize.loop_to_dict(loop)))
+        r = run_cli("maslov", "index", str(path))
+        assert r.exit_code == 0, r.stderr
+        assert json.loads(r.stdout)["index"] == 1
 
 
 # -- corpus ---------------------------------------------------------------------

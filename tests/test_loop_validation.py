@@ -1,0 +1,160 @@
+"""The jsonschema-free fast path for loop files: `_plain_loop` implies the schema."""
+
+import json
+from importlib import resources
+
+import jsonschema
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
+
+from floeralg import maslov as mv
+from floeralg import serialize
+from floeralg.cli import main
+from floeralg.errors import InputError
+
+SCHEMA = json.loads(resources.files("floeralg.schemas").joinpath("loop.schema.json")
+                    .read_text(encoding="utf-8"))
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
+def test_loop_schema_pinned():
+    # _plain_loop mirrors this schema keyword by keyword; review it on any edit
+    pair = {"type": "array", "prefixItems": [{"type": "number"}, {"type": "number"}],
+            "minItems": 2, "maxItems": 2, "items": False}
+    assert SCHEMA == {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "title": "Sampled loop of Lagrangian frames",
+        "type": "object",
+        "required": ["n", "samples"],
+        "additionalProperties": False,
+        "properties": {
+            "n": {"type": "integer", "minimum": 1},
+            "samples": {"type": "array", "minItems": 1, "items": {
+                "type": "array", "items": {"type": "array", "items": pair}}},
+        },
+    }
+
+
+def plain(n=2, frames=2):
+    return json.loads(serialize.canonical_json(
+        serialize.loop_to_dict(mv.rotating_loop(n, frames))))
+
+
+def _set(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+# Each mutation makes the data something _plain_loop must not pass; the
+# schema rejects all of them but n = 2.0, which it calls an integer.
+MUTATIONS = {
+    "bool leaf": lambda d: _set(d, ["samples", 0, 0, 0, 0], True),
+    "string leaf": lambda d: _set(d, ["samples", 0, 1, 1, 1], "1.0"),
+    "null leaf": lambda d: _set(d, ["samples", 1, 0, 0, 1], None),
+    "1-element pair": lambda d: _set(d, ["samples", 0, 0, 1], [1.0]),
+    "3-element pair": lambda d: _set(d, ["samples", 1, 1, 0], [1.0, 0.0, 0.0]),
+    "n = 0": lambda d: _set(d, ["n"], 0),
+    "n = True": lambda d: _set(d, ["n"], True),
+    "n = 2.0": lambda d: _set(d, ["n"], 2.0),
+    "extra key": lambda d: _set(d, ["extra"], 1),
+    "missing n": lambda d: {"samples": d["samples"]},
+    "empty samples": lambda d: _set(d, ["samples"], []),
+    "samples not a list": lambda d: _set(d, ["samples"], {"0": d["samples"][0]}),
+    "frame not a list": lambda d: _set(d, ["samples", 1], 1.0),
+    "row not a list": lambda d: _set(d, ["samples", 0, 1], {"re": 1.0}),
+    "pair not a list": lambda d: _set(d, ["samples", 0, 0, 0], 1.0),
+    "not an object": lambda d: d["samples"],
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_mutation_leaves_the_fast_path(name):
+    data = MUTATIONS[name](plain())
+    assert not serialize._plain_loop(data)
+    assert VALIDATOR.is_valid(data) == (name == "n = 2.0")
+
+
+@pytest.mark.parametrize("name", [m for m in MUTATIONS if m != "n = 2.0"])
+def test_cli_reports_the_schema_message(tmp_path, name):
+    data = MUTATIONS[name](plain())
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(data))
+    error = best_match(VALIDATOR.iter_errors(data))
+    where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+    r = CliRunner().invoke(main, ["maslov", "index", str(path)])
+    assert r.exit_code == 2
+    assert r.stderr == f"error: loop JSON invalid at {where}: {error.message}\n"
+
+
+def test_plain_loops_take_the_fast_path():
+    for n, frames in ((1, 1), (2, 5), (4, 3)):
+        data = plain(n, frames)
+        assert serialize._plain_loop(data) and VALIDATOR.is_valid(data)
+    assert serialize._plain_loop({"n": 1, "samples": [[[[1, -2]]]]})
+
+
+def test_schema_fallback_keeps_jsonschema_verdict():
+    # n = 2.0 is valid JSON Schema and loads as before; the others raise
+    assert len(serialize.loop_from_dict(MUTATIONS["n = 2.0"](plain()))) == 2
+    with pytest.raises(InputError, match="loop JSON invalid at samples/0/0/0/0"):
+        serialize.loop_from_dict(MUTATIONS["bool leaf"](plain()))
+
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                        st.floats(allow_nan=True), st.text(max_size=2))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["n", "samples", "x"]),
+                                            inner, max_size=3)),
+    max_leaves=12)
+numbers = st.one_of(st.integers(-10**30, 10**30), st.floats())
+
+
+@st.composite
+def schema_loops(draw, min_size=0):
+    """Loops the schema accepts, frames not necessarily n x n."""
+    n = draw(st.integers(1, 3))
+    pair = st.lists(numbers, min_size=2, max_size=2)
+    frames = st.lists(st.lists(pair, min_size=min_size, max_size=3),
+                      min_size=min_size, max_size=3)
+    return {"n": n, "samples": draw(st.lists(frames, min_size=1, max_size=3))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema_loops())
+def test_schema_loops_take_the_fast_path(data):
+    assert VALIDATOR.is_valid(data) and serialize._plain_loop(data)
+
+
+def _paths(node, path=()):
+    yield list(path)
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_loops(min_size=1), st.data())
+def test_fast_path_implies_schema_on_mutated_loops(loop, data):
+    # replace up to two nodes, each by a number, a list of numbers or any
+    # JSON value
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(list(_paths(loop))))
+        value = data.draw(st.one_of(numbers, st.lists(numbers, max_size=3), json_values))
+        loop = _set(loop, path, value) if path else value
+    if serialize._plain_loop(loop):
+        assert VALIDATOR.is_valid(loop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_fast_path_implies_schema(data):
+    if serialize._plain_loop(data):
+        assert VALIDATOR.is_valid(data)

@@ -1,5 +1,6 @@
 """Numerical Maslov index: winding, guards, loop algebra."""
 
+import cmath
 import math
 import random
 
@@ -22,11 +23,77 @@ def random_real_invertible(rng, n):
             return g
 
 
-# -- unitary representative ---------------------------------------------------
+# -- det^2 against the polar-iteration oracle ----------------------------------
+
+
+def polar_unitary(frame, tol=1e-12, max_iter=80):
+    """Unitary polar factor by Newton iteration X <- (X + X^-H) / 2.
+
+    The algorithm det_squared replaced; its det^2 is the reference value.
+    """
+    x = np.array(frame, dtype=complex)
+    for _ in range(max_iter):
+        x = (x + np.linalg.inv(x.conj().T)) / 2.0
+        if np.abs(x.conj().T @ x - np.eye(len(x))).max() <= tol:
+            return x
+    raise AssertionError("polar iteration did not converge")
+
+
+def polar_det_squared(frame):
+    d = np.linalg.det(polar_unitary(frame)) ** 2
+    return d / abs(d)
+
+
+def random_unitary(rng, n):
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return u
+
+
+def random_real_frame(rng, n, scale):
+    """scale * Q diag(sigma), Q orthogonal, sigma in [1/4, 1]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return scale * q * rng.uniform(0.25, 1.0, size=n)
+
+
+def random_lagrangian_frame(rng, n, scale):
+    """U @ R with U unitary and R real invertible of norm at most ``scale``."""
+    return random_unitary(rng, n) @ random_real_frame(rng, n, scale)
+
+
+def test_det_squared_matches_polar_oracle():
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        for scale in 10.0 ** rng.uniform(-3, 3, size=12):
+            frame = random_lagrangian_frame(rng, n, scale)
+            assert abs(mv.det_squared(frame) - polar_det_squared(frame)) < 1e-9
+
+
+def sequential_index(loop):
+    """The replaced index loop: polar det^2 per frame, steps summed one by one."""
+    dets = [polar_det_squared(f) for f in loop.samples]
+    steps = [cmath.phase(dets[(t + 1) % len(dets)] / dets[t]) for t in range(len(dets))]
+    total = 0.0
+    for step in steps:
+        total += step
+    return round(total / (2 * math.pi)), max(abs(s) for s in steps)
+
+
+def test_index_matches_sequential_oracle():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        ks, u = rng.integers(-2, 3, size=n), random_unitary(rng, n)
+        loop = mv.LagrangianLoop.from_frames(
+            (u * np.exp(1j * np.pi * ks * t / 128))
+            @ random_real_frame(rng, n, 10.0 ** rng.uniform(-3, 3))
+            for t in range(128))
+        value, gap = sequential_index(loop)
+        idx = mv.maslov_index(loop)
+        assert idx.value == value == ks.sum()
+        assert abs(idx.min_gap - gap) < 1e-9
 
 
 def test_unitary_frame_fixed_up_to_orthogonal():
-    u = mv.unitary_representative(np.eye(2, dtype=complex))
+    u = polar_unitary(np.eye(2, dtype=complex))
     assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-9
     d0 = mv.det_squared(np.eye(2, dtype=complex))
     assert abs(d0 - 1) < 1e-9
@@ -48,8 +115,10 @@ def test_positive_column_scaling_invariance():
 
 def test_non_lagrangian_rejected():
     bad = np.array([[1, 1j], [0, 1]], dtype=complex)
-    with pytest.raises(NotLagrangian):
-        mv.unitary_representative(bad)
+    with pytest.raises(NotLagrangian, match="^frame: "):
+        mv.det_squared(bad)
+    with pytest.raises(NotLagrangian, match="^sample 1: "):
+        mv.LagrangianLoop.from_frames([np.eye(2), bad]).validate()
 
 
 def test_lagrangian_check_is_scale_free():
@@ -66,10 +135,42 @@ def test_lagrangian_check_is_scale_free():
             mv.LagrangianLoop.from_frames([bad]).validate()
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_lagrangian_check_survives_overflow_and_underflow(scale):
+    # A^H A is inf or 0 at these scales, which made the skew NaN
+    bad = scale * np.array([[1, 1j], [0, 1]], dtype=complex)
+    with pytest.raises(NotLagrangian):
+        mv.det_squared(bad)
+    with pytest.raises(NotLagrangian):
+        mv.LagrangianLoop.from_frames([bad]).validate()
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 5e307 * (1 + 1j), 1e-310])
+def test_index_at_extreme_scales(scale):
+    loop = mv.rotating_loop(2, 64)
+    scaled = mv.LagrangianLoop.from_frames([scale * f for f in loop.samples])
+    idx = mv.maslov_index(scaled)
+    assert idx.value == 1
+    assert abs(idx.min_gap - mv.maslov_index(loop).min_gap) < 1e-12
+
+
 def test_degenerate_frame_rejected():
     sing = np.array([[1, 1], [1, 1]], dtype=complex)
     with pytest.raises(DegenerateFrame):
-        mv.unitary_representative(sing)
+        mv.det_squared(sing)
+    with pytest.raises(DegenerateFrame, match="^sample 0: "):
+        mv.LagrangianLoop.from_frames([sing, 1j * sing]).validate()
+
+
+def test_first_bad_frame_in_sample_order_is_reported():
+    sing = np.array([[1, 1], [1, 1]], dtype=complex)
+    bad = np.array([[1, 1j], [0, 1]], dtype=complex)
+    with pytest.raises(NotLagrangian, match="^sample 1: "):
+        mv.LagrangianLoop.from_frames([np.eye(2), bad, sing]).validate()
+    with pytest.raises(DegenerateFrame, match="^sample 1: "):
+        mv.LagrangianLoop.from_frames([np.eye(2), sing, bad]).validate()
+    with pytest.raises(DegenerateFrame):
+        mv.LagrangianLoop.from_frames([np.zeros((2, 2))]).validate()
 
 
 # -- index ------------------------------------------------------------------
