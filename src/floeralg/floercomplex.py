@@ -5,8 +5,14 @@ A complex is a Morse-graded F2 space together with operators
 The full Laurent-coefficient complex never needs to be materialized: the
 coefficient ring acts invertibly, so the complex is determined by the graded
 space and the operator family, and its homology is computed on the fold by
-degree residue mod NL. Optional product tables ``m_l`` of degree
-``-l*NL`` equip the complex with a filtered product.
+degree residue mod NL. Optional product tables ``m_l`` of degree ``-l*NL``
+feed the product-Leibniz check and the induced page products of
+:mod:`floeralg.spectral`.
+
+Chains are int bitmasks: bit g is generator g of the global order, which
+sorts by (index, name). Each m_l is stored once, as bitmask rows with
+``rows[x][y]`` = m_l(x, y); there is no separate chain algebra or filtered
+chain product.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -95,19 +101,23 @@ class FloerComplex:
     """Validated complex: Morse data, minimal Maslov number, operator family.
 
     Use :func:`assemble` to construct one; the constructor assumes shapes
-    were already checked.
+    were already checked. ``products`` maps l to a pair table
+    ``{(i, j): iterable of k}``, meaning m_l(g_i, g_j) = sum of the g_k; it
+    is kept only as ``self.products[l]``, the bitmask rows of m_l.
     """
 
     def __init__(self, morse: MorseComplex, NL: int,
                  ops: dict[int, dict[int, F2Matrix]],
-                 products: Optional[dict[int, dict[tuple[int, int], frozenset]]] = None):
+                 products: Optional[Mapping[int, Mapping[tuple[int, int], Iterable[int]]]] = None):
         self.morse = morse
         self.NL = NL
         self.nu = (morse.dimL + 1) // NL
         self.ops = ops
-        self.products = products
+        n = len(morse.generators)
+        self.products: Optional[dict[int, tuple[tuple[int, ...], ...]]] = None
+        if products is not None:
+            self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
         self._op_images: dict[int, tuple[int, ...]] = {}
-        self._product_rows: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
 
     @property
@@ -132,59 +142,24 @@ class FloerComplex:
         return self._zero_blocks[tgt, src]
 
     # -- chains ------------------------------------------------------------
-
-    def chain_from_names(self, *names: str) -> frozenset:
-        out: frozenset = frozenset()
-        for n in names:
-            out ^= frozenset({self.morse.position_of(n)})
-        return out
+    #
+    # Generators of one Morse degree are contiguous in the global order (it
+    # sorts by degree first), so a degree-local vector is a chain bitmask
+    # shifted down by the first position of its degree.
 
     def chain_to_vec(self, chain: frozenset, m: int) -> int:
-        pos = {g: p for p, g in enumerate(self.morse.degree_positions(m))}
-        v = 0
-        for g in chain:
-            v |= 1 << pos[g]
-        return v
+        """Degree-local vector of a chain of degree-m generator positions."""
+        return sum(1 << g for g in chain) >> self._degree_offset(m)
 
     def vec_to_chain(self, vec: int, m: int) -> frozenset:
-        idx = self.morse.degree_positions(m)
-        return frozenset(idx[p] for p in range(len(idx)) if (vec >> p) & 1)
-
-    def apply_operator(self, k: int, chain: frozenset) -> frozenset:
-        """op_k applied degree-wise to an arbitrary chain."""
-        out: frozenset = frozenset()
-        by_degree: dict[int, frozenset] = {}
-        for g in chain:
-            m = self.morse.generators[g].index
-            by_degree[m] = by_degree.get(m, frozenset()) ^ frozenset({g})
-        for m, part in by_degree.items():
-            t = m + 1 - k * self.NL
-            if not (0 <= t <= self.dimL):
-                continue
-            img = self.operator(k, m).mul_vec(self.chain_to_vec(part, m))
-            out ^= self.vec_to_chain(img, t)
-        return out
-
-    def apply_product(self, l: int, a: frozenset, b: frozenset) -> frozenset:
-        if self.products is None:
-            raise ProductsAbsent("complex has no product tables")
-        table = self.products.get(l, {})
-        out: frozenset = frozenset()
-        for i in a:
-            for j in b:
-                out ^= table.get((i, j), frozenset())
-        return out
-
-    # -- bitmask view --------------------------------------------------------
-    #
-    # A chain is also an int whose bit g is generator g of the global order.
-    # Generators of one Morse degree are contiguous in that order (it sorts
-    # by degree first), so a degree-local vector is a chain bitmask shifted
-    # down by the first position of its degree. The views are built on first
-    # use and cached: ``ops`` and ``products`` must not change afterwards.
+        off = self._degree_offset(m)
+        return frozenset(p + off for p in range(vec.bit_length()) if (vec >> p) & 1)
 
     def operator_images(self, k: int) -> tuple[int, ...]:
-        """op_k(g) for every generator g, as chain bitmasks."""
+        """op_k(g) for every generator g, as chain bitmasks.
+
+        Built on first use and cached: ``ops`` must not change afterwards.
+        """
         images = self._op_images.get(k)
         if images is None:
             out = [0] * len(self.morse.generators)
@@ -200,17 +175,13 @@ class FloerComplex:
         return images
 
     def product_rows(self, l: int) -> tuple[tuple[int, ...], ...]:
-        """m_l(x, y) as a chain bitmask at ``[x][y]`` for every generator pair."""
+        """m_l(x, y) as a chain bitmask at ``[x][y]``; zero for a table not given."""
         if self.products is None:
             raise ProductsAbsent("complex has no product tables")
-        rows = self._product_rows.get(l)
+        rows = self.products.get(l)
         if rows is None:
             n = len(self.morse.generators)
-            out = [[0] * n for _ in range(n)]
-            for (i, j), ks in self.products.get(l, {}).items():
-                for k in ks:
-                    out[i][j] ^= 1 << k
-            rows = self._product_rows[l] = tuple(tuple(r) for r in out)
+            rows = ((0,) * n,) * n
         return rows
 
     def product_vec(self, m1: int, v1: int, m2: int, v2: int) -> Optional[int]:
@@ -247,6 +218,22 @@ class FloerComplex:
         positions = self.morse.degree_positions(m)
         return positions[0] if positions else 0
 
+    def _degree_mask(self, m: int) -> int:
+        """Chain bitmask of every generator of Morse degree m."""
+        if not (0 <= m <= self.dimL):
+            return 0
+        return ((1 << self.morse.dim_at(m)) - 1) << self._degree_offset(m)
+
+
+def _bitmask_rows(n: int, table: Mapping[tuple[int, int], Iterable[int]]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """A pair table over n generators as rows, ``rows[i][j]`` = sum of g_k."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), ks in table.items():
+        for k in ks:
+            rows[i][j] |= 1 << k
+    return tuple(map(tuple, rows))
+
 
 def assemble(morse: MorseComplex, NL: int,
              op_tables: Mapping[int, Mapping[int, F2Matrix]],
@@ -281,28 +268,18 @@ def assemble(morse: MorseComplex, NL: int,
                                     f"{(mat.rows, mat.cols)}, expected {shape}")
             ops[k][m] = mat
 
-    prod_tables = None
-    if products is not None:
-        bound = (2 * morse.dimL) // NL
-        prod_tables = {}
-        for l, table in products.items():
-            if l < 0 or l > bound:
-                raise ShapeMismatch(f"product index {l} outside 0..{bound}")
-            checked: dict[tuple[int, int], frozenset] = {}
-            for (i, j), ks in table.items():
-                val = frozenset(ks)
-                if not val:
-                    continue
-                want = (morse.generators[i].index + morse.generators[j].index
-                        - l * NL)
-                if any(morse.generators[k].index != want for k in val):
-                    raise ShapeMismatch(f"m_{l}({morse.generators[i].name}, "
-                                        f"{morse.generators[j].name}) has entries "
-                                        f"of wrong degree")
-                checked[(i, j)] = val
-            prod_tables[l] = checked
+    fc = FloerComplex(morse, NL, ops, products)
+    for l, table in (products or {}).items():
+        if l < 0 or l > fc.products_bound:
+            raise ShapeMismatch(f"product index {l} outside 0..{fc.products_bound}")
+        rows = fc.products[l]
+        for (i, j) in table:
+            want = morse.generators[i].index + morse.generators[j].index - l * NL
+            if rows[i][j] & ~fc._degree_mask(want):
+                raise ShapeMismatch(f"m_{l}({morse.generators[i].name}, "
+                                    f"{morse.generators[j].name}) has entries "
+                                    f"of wrong degree")
 
-    fc = FloerComplex(morse, NL, ops, prod_tables)
     report = check_d_squared(fc)
     if not report.ok:
         l, name = report.first_failure
@@ -357,23 +334,6 @@ def check_d_squared(fc: FloerComplex) -> D2Report:
     return D2Report(tuple(entries))
 
 
-@dataclass(frozen=True)
-class GradingSummand:
-    morse_degree: int
-    t_power: int
-    dim: int
-
-
-def grading_decomposition(fc: FloerComplex, l: int, window: int) -> list[GradingSummand]:
-    """Nonzero summands of the degree-l graded piece over T-powers in the window."""
-    out = []
-    for k in range(-window, window + 1):
-        m = l - k * fc.NL
-        if 0 <= m <= fc.dimL and fc.morse.dim_at(m) > 0:
-            out.append(GradingSummand(m, k, fc.morse.dim_at(m)))
-    return out
-
-
 def folded_homology(fc: FloerComplex) -> dict[int, int]:
     """F2 dimensions of the homology of the fold, one per residue mod NL.
 
@@ -413,48 +373,6 @@ def folded_homology(fc: FloerComplex) -> dict[int, int]:
 
     ranks = {r: f2linalg.rank(folded_matrix(r)) for r in range(N)}
     return {r: sizes[r] - ranks[r] - ranks[(r - 1) % N] for r in range(N)}
-
-
-@dataclass(frozen=True)
-class FilteredElement:
-    """Finite F2 sum of (chain, T-power) terms, canonically ordered."""
-
-    terms: tuple[tuple[frozenset, int], ...]
-
-    @classmethod
-    def make(cls, terms: Iterable[tuple[frozenset, int]]) -> "FilteredElement":
-        acc: dict[int, frozenset] = {}
-        for chain, p in terms:
-            acc[p] = acc.get(p, frozenset()) ^ chain
-        return cls(tuple((acc[p], p) for p in sorted(acc) if acc[p]))
-
-    @property
-    def filtration(self) -> Optional[int]:
-        return self.terms[0][1] if self.terms else None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def homogeneous_degree(self, fc: "FloerComplex") -> Optional[int]:
-        """Common total degree (Morse degree + power * NL), None if mixed."""
-        degrees = {fc.morse.generators[g].index + p * fc.NL
-                   for chain, p in self.terms for g in chain}
-        return degrees.pop() if len(degrees) == 1 else None
-
-
-def star_product(fc: FloerComplex, a: FilteredElement, b: FilteredElement
-                 ) -> FilteredElement:
-    """Bilinear product sum_l m_l(x, y) T^(p+p'+l); filtration levels add."""
-    if fc.products is None:
-        raise ProductsAbsent("complex has no product tables")
-    out: list[tuple[frozenset, int]] = []
-    for ca, pa in a.terms:
-        for cb, pb in b.terms:
-            for l in range(fc.products_bound + 1):
-                val = fc.apply_product(l, ca, cb)
-                if val:
-                    out.append((val, pa + pb + l))
-    return FilteredElement.make(out)
 
 
 @dataclass(frozen=True)
@@ -501,13 +419,14 @@ def check_product_leibniz(fc: FloerComplex) -> LeibnizReport:
     if fc.products is None:
         raise ProductsAbsent("complex has no product tables")
     gens = fc.morse.generators
+    nonzero = {i: rows for i, rows in fc.products.items() if any(map(any, rows))}
     entries = []
     for l in range(fc.products_bound + fc.nu + 1):
         splits = []
         for i in range(l + 1):
             images = fc.operator_images(l - i)
-            if fc.products.get(i) and any(images):
-                splits.append((fc.product_rows(i), images))
+            if i in nonzero and any(images):
+                splits.append((nonzero[i], images))
         pair = _first_leibniz_failure(splits, len(gens))
         witness = None if pair is None else (gens[pair[0]].name, gens[pair[1]].name)
         entries.append(LeibnizEntry(l, witness is None, witness))
@@ -700,8 +619,8 @@ def complex_from_ring(ring: GradedRing, NL: int,
     generators = [Generator(b.name, b.degree) for b in ring.basis]
     morse = MorseComplex(generators, dimL)
 
-    def cpos(ring_idx: int) -> int:
-        return morse.position_of(ring.basis[ring_idx].name)
+    position = {g.name: p for p, g in enumerate(morse.generators)}
+    cpos = [position[b.name] for b in ring.basis]
 
     local = {}
     for m in range(dimL + 1):
@@ -713,7 +632,7 @@ def complex_from_ring(ring: GradedRing, NL: int,
             m = ring.basis[g].degree
             for h in d.apply(frozenset({g})):
                 t = ring.basis[h].degree
-                table.setdefault(m, []).append((local[t][cpos(h)], local[m][cpos(g)]))
+                table.setdefault(m, []).append((local[t][cpos[h]], local[m][cpos[g]]))
         return {m: F2Matrix.from_entries(morse.dim_at(m + d.shift),
                                          morse.dim_at(m), pairs)
                 for m, pairs in table.items()}
@@ -733,9 +652,7 @@ def complex_from_ring(ring: GradedRing, NL: int,
 
     products = None
     if with_products:
-        m0: dict[tuple[int, int], frozenset] = {}
-        for (i, j), prod in ring.mult.items():
-            m0[(cpos(i), cpos(j))] = frozenset(cpos(k) for k in prod)
-        products = {0: m0}
+        products = {0: {(cpos[i], cpos[j]): [cpos[k] for k in prod]
+                        for (i, j), prod in ring.mult.items()}}
 
     return assemble(morse, NL, op_tables, products)

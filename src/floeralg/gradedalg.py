@@ -275,7 +275,7 @@ def build_exterior(n: int) -> GradedRing:
 def build_truncated_poly(n: int) -> GradedRing:
     """F2[a]/(a^(n+1)) with deg(a) = 1: the mod-2 cohomology ring of RP^n."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise SizeLimit(f"truncated polynomial ring supported for n >= 1, got {n}")
     basis = [BasisElement("1" if i == 0 else ("a" if i == 1 else f"a^{i}"), i)
              for i in range(n + 1)]
     mult = {(i, j): (i + j,) for i in range(n + 1) for j in range(n + 1) if i + j <= n}

@@ -7,7 +7,6 @@ generator order (sorted by (index, name)), which loaders enforce.
 
 from __future__ import annotations
 
-import cmath
 import json
 from importlib import resources
 from typing import Any
@@ -109,13 +108,13 @@ def complex_to_dict(fc: FloerComplex) -> dict:
         "operators": operators,
     }
     if fc.products is not None:
-        products: dict[str, list[list[int]]] = {}
-        for l in sorted(fc.products):
-            triples = []
-            for (i, j), ks in fc.products[l].items():
-                triples.extend([i, j, k] for k in ks)
-            products[str(l)] = sorted(triples)
-        out["products"] = products
+        # rows are visited in (i, j, k) order, so the triples come out sorted
+        out["products"] = {
+            str(l): [[i, j, k] for i, row in enumerate(fc.products[l])
+                     for j, bits in enumerate(row)
+                     for k in range(bits.bit_length()) if (bits >> k) & 1]
+            for l in sorted(fc.products)
+        }
     return out
 
 
@@ -172,7 +171,7 @@ def complex_from_dict(data: dict) -> FloerComplex:
     if "products" in data:
         products = {}
         for key, triples in data["products"].items():
-            table: dict[tuple[int, int], set] = {}
+            table: dict[tuple[int, int], list[int]] = {}
             seen = set()
             for i, j, k in triples:
                 if max(i, j, k) >= len(gens):
@@ -181,8 +180,8 @@ def complex_from_dict(data: dict) -> FloerComplex:
                     raise InputError(f"product table {key} lists entry "
                                      f"({i}, {j}, {k}) twice")
                 seen.add((i, j, k))
-                table.setdefault((i, j), set()).add(k)
-            products[int(key)] = {pair: frozenset(ks) for pair, ks in table.items()}
+                table.setdefault((i, j), []).append(k)
+            products[int(key)] = table
 
     return assemble(morse, NL, ops, products)
 
@@ -239,21 +238,42 @@ def _plain_loop(data: Any) -> bool:
 
 
 def loop_from_dict(data: dict) -> LagrangianLoop:
+    import numpy as np  # loop files only; maslov needs it anyway
+
     if not _plain_loop(data):
         validate_against_schema(data, "loop")
-    n = data["n"]
-    frames = []
-    for t, frame in enumerate(data["samples"]):
+    n, samples = data["n"], data["samples"]
+    try:
+        parts = np.array(samples, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged, or an int beyond the float range
+        parts = None
+    if parts is None or parts.shape != (len(samples), n, n, 2) \
+            or not np.isfinite(parts).all():
+        raise _first_bad_sample(samples, n)
+    frames = parts.view(np.complex128)[..., 0]
+    frames.flags.writeable = False
+    return LagrangianLoop(frames.shape[1], tuple(frames))
+
+
+def _first_bad_sample(samples: list, n: int) -> InputError:
+    """The error for the first sample that is not a finite n x n frame.
+
+    Each sample is checked for its shape, then for an entry too large for a
+    float, then for a NaN or infinite entry; the first sample with any of
+    these defects is the one named.
+    """
+    import numpy as np
+
+    for t, frame in enumerate(samples):
         if len(frame) != n or any(len(row) != n for row in frame):
-            raise InputError(f"sample {t} is not an {n} x {n} frame")
+            return InputError(f"sample {t} is not an {n} x {n} frame")
         try:
-            rows = [[complex(re, im) for re, im in row] for row in frame]
-        except OverflowError as exc:
-            raise InputError(f"sample {t} has an entry too large for a float") from exc
-        if not all(map(cmath.isfinite, (z for row in rows for z in row))):
-            raise InputError(f"sample {t} has a NaN or infinite entry")
-        frames.append(rows)
-    return LagrangianLoop.from_frames(frames)
+            parts = np.array(frame, dtype=np.float64)
+        except OverflowError:
+            return InputError(f"sample {t} has an entry too large for a float")
+        if not np.isfinite(parts).all():
+            return InputError(f"sample {t} has a NaN or infinite entry")
+    raise AssertionError("every sample is a finite frame")
 
 
 def load_json(path: str) -> dict:

@@ -49,8 +49,6 @@ class BGen:
 class PageDegree:
     z_basis: tuple[ZGen, ...]
     b_span: tuple[BGen, ...]
-    z_space: Subspace
-    b_space: Subspace
     quotient: QuotientMap
 
 
@@ -164,7 +162,7 @@ def page0(fc: FloerComplex) -> SpectralPage:
         z = tuple(ZGen(1 << i, ()) for i in range(n))
         zsp = Subspace.full(n)
         bsp = Subspace.zero(n)
-        data[m] = PageDegree(z, (), zsp, bsp, f2linalg.quotient_map(bsp, zsp))
+        data[m] = PageDegree(z, (), f2linalg.quotient_map(bsp, zsp))
     delta = _compute_delta(fc, 0, data)
     return SpectralPage(fc, 0, data, delta)
 
@@ -338,7 +336,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         if quot.dim > page.dim(m):
             raise LiftFailure(f"page dimensions increased at degree {m}")
 
-        new_data[m] = PageDegree(tuple(new_z), tuple(kept), z_space, span, quot)
+        new_data[m] = PageDegree(tuple(new_z), tuple(kept), quot)
 
     delta = _compute_delta(fc, r + 1, new_data)
     if paranoid:

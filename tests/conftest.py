@@ -1,9 +1,19 @@
 """Complexes shared by the test modules."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
+from floeralg import serialize
+
+# CLI tests start `python -m floeralg.cli` in a subprocess; let it import the
+# same source tree as this process, as pyproject's pytest pythonpath does here
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    if p)
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +23,18 @@ def t2():
     d = ga.derivation_from_generator_values(
         ring, -1, {ring.index_of("x1"): ring.one(), ring.index_of("x2"): frozenset()})
     return fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+
+
+@pytest.fixture(scope="module")
+def t2_tables(t2):
+    """The product tables of t2 as {l: {(i, j): frozenset of k}}, read from
+    its serialized triples, for building complexes with other tables."""
+    tables = {}
+    for key, triples in serialize.complex_to_dict(t2)["products"].items():
+        table = tables.setdefault(int(key), {})
+        for i, j, k in triples:
+            table[i, j] = table.get((i, j), frozenset()) | {k}
+    return tables
 
 
 @pytest.fixture(scope="module")

@@ -95,6 +95,16 @@ def test_ring_size_limit_exit_2():
     assert r.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("args", [
+    ("ring", "rp", "--n", "0"), ("ring", "rp", "--n", "-3"),
+    ("derivations", "enumerate", "--kind", "rp", "--n", "0", "--shift", "-1"),
+])
+def test_rp_ring_below_rank_one_exit_2(args):
+    r = run_cli(*args)
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: truncated polynomial ring")
+
+
 def test_ring_round_trip():
     r = run_cli("ring", "torus", "--n", "3")
     ring = serialize.ring_from_dict(json.loads(r.stdout))

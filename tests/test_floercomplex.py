@@ -4,7 +4,9 @@ import pytest
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
-from floeralg.errors import NotADifferential, ProductsAbsent, ShapeMismatch
+from floeralg import serialize
+from floeralg import spectral as sp
+from floeralg.errors import NotADifferential, ShapeMismatch
 from floeralg.f2linalg import F2Matrix
 
 
@@ -74,27 +76,6 @@ def test_check_d_squared_detects_single_bit_corruption(t2):
     assert witness is not None
 
 
-# -- grading -------------------------------------------------------------------
-
-
-def test_grading_decomposition_l0(t2):
-    summands = fcx.grading_decomposition(t2, 0, 3)
-    assert [(s.morse_degree, s.t_power, s.dim) for s in summands] == \
-        [(2, -1, 1), (0, 0, 1)]
-
-
-def test_grading_decomposition_l1(t2):
-    summands = fcx.grading_decomposition(t2, 1, 3)
-    assert [(s.morse_degree, s.t_power, s.dim) for s in summands] == [(1, 0, 2)]
-
-
-def test_grading_periodicity(t2):
-    a = fcx.grading_decomposition(t2, 0, 4)
-    b = fcx.grading_decomposition(t2, 2, 4)
-    assert [(s.morse_degree, s.dim) for s in a] == [(s.morse_degree, s.dim) for s in b]
-    assert [s.t_power + 1 for s in a] == [s.t_power for s in b]
-
-
 # -- folded homology -------------------------------------------------------------
 
 
@@ -123,74 +104,44 @@ def test_folded_homology_morse_only():
     assert hf == {0: 0, 1: 0}
 
 
-# -- star product -----------------------------------------------------------------
+# -- product tables -----------------------------------------------------------------
 
 
-def test_star_unit_acts_as_identity(t2):
-    unit = fcx.FilteredElement.make([(t2.chain_from_names("1"), 0)])
-    for name in ("1", "x1", "x2", "x1x2"):
-        b = fcx.FilteredElement.make([(t2.chain_from_names(name), 3)])
-        assert fcx.star_product(t2, unit, b) == b
+def test_assemble_accepts_higher_product_table(t2, t2_tables):
+    # m_1(x1, x2) = 1 has degree 1 + 1 - 2 = 0: assemble keeps it beside m_0,
+    # and the complex file carries both tables
+    i, j = t2.morse.position_of("x1"), t2.morse.position_of("x2")
+    unit = t2.morse.position_of("1")
+    fc = fcx.assemble(t2.morse, 2, {}, {0: t2_tables[0], 1: {(i, j): frozenset({unit})}})
+    data = serialize.complex_to_dict(fc)
+    assert data["products"]["0"] == serialize.complex_to_dict(t2)["products"]["0"]
+    assert data["products"]["1"] == [[i, j, unit]]
+    assert fc.product_rows(1)[i][j] == 1 << unit
+    assert serialize.complex_to_dict(serialize.complex_from_dict(data)) == data
 
 
-def test_star_preserves_homogeneous_degree(t2):
-    # x1 T^0 and x2 T^1 both have a well-defined total degree; so does x1*x2
-    a = fcx.FilteredElement.make([(t2.chain_from_names("x1"), 0)])
-    b = fcx.FilteredElement.make([(t2.chain_from_names("x2"), 1)])
-    assert a.homogeneous_degree(t2) == 1
-    assert b.homogeneous_degree(t2) == 3
-    out = fcx.star_product(t2, a, b)
-    assert out.homogeneous_degree(t2) == 4
-    mixed = fcx.FilteredElement.make([(t2.chain_from_names("x1"), 0),
-                                      (t2.chain_from_names("x2"), 1)])
-    assert mixed.homogeneous_degree(t2) is None
+def test_missing_product_table_reads_as_zero(t2):
+    # products given, but no m_0: every page product is zero
+    fc = fcx.assemble(t2.morse, 2, {1: t2.ops[1]}, {1: {}})
+    pages = sp.induced_page_product(sp.run_to_collapse(fc).pages, fc)
+    assert all(not any(map(any, table))
+               for page in pages for table in page.product.values())
+    assert any(page.product for page in pages)
 
 
-def test_star_filtration_additivity(t2):
-    a = fcx.FilteredElement.make([(t2.chain_from_names("x1"), 2)])
-    b = fcx.FilteredElement.make([(t2.chain_from_names("x2"), 3)])
-    out = fcx.star_product(t2, a, b)
-    assert out.filtration == 5
+def test_product_entry_of_wrong_degree_rejected(t2, t2_tables):
+    # m_0(x2, x1) lies in degree 2, not in the degree 1 of x2; of two such
+    # pairs the first one listed in the table is named
+    x1, x2 = t2.morse.position_of("x1"), t2.morse.position_of("x2")
+    m_0 = {(x2, x1): frozenset({x2}), (x1, x2): frozenset({x1})}
+    with pytest.raises(ShapeMismatch, match=r"^m_0\(x2, x1\) has entries of wrong degree$"):
+        fcx.assemble(t2.morse, 2, {}, {0: m_0})
 
 
-def test_star_many_filtrations(t2):
-    for pa in range(-2, 3):
-        for pb in range(-2, 3):
-            a = fcx.FilteredElement.make([(t2.chain_from_names("x1"), pa)])
-            b = fcx.FilteredElement.make([(t2.chain_from_names("x2"), pb)])
-            out = fcx.star_product(t2, a, b)
-            assert out.is_zero() or out.filtration >= pa + pb
-
-
-def test_star_requires_products():
-    fc = ring_complex(products=False)
-    a = fcx.FilteredElement.make([(fc.chain_from_names("x1"), 0)])
-    with pytest.raises(ProductsAbsent):
-        fcx.star_product(fc, a, a)
-
-
-def test_star_with_higher_table_carries_both_powers():
-    ring = ga.build_exterior(2)
-    fc0 = fcx.complex_from_ring(ring, 2, with_products=True)
-    # add m_1 nonzero on the top-degree pair: m_1(x1, x2) = 1 (degree 1+1-2=0)
-    products = {0: dict(fc0.products[0])}
-    i, j = fc0.morse.position_of("x1"), fc0.morse.position_of("x2")
-    unit_pos = fc0.morse.position_of("1")
-    products[1] = {(i, j): frozenset({unit_pos})}
-    fc = fcx.assemble(fc0.morse, 2, {}, products)
-    a = fcx.FilteredElement.make([(frozenset({i}), 0)])
-    b = fcx.FilteredElement.make([(frozenset({j}), 0)])
-    out = fcx.star_product(fc, a, b)
-    assert [(sorted(c), p) for c, p in out.terms] == \
-        [([fc.morse.position_of("x1x2")], 0), ([unit_pos], 1)]
-
-
-def test_product_table_bound_enforced():
-    ring = ga.build_exterior(2)
-    fc0 = fcx.complex_from_ring(ring, 2, with_products=True)
-    too_long = {0: fc0.products[0], 3: {}}  # bound is 2*2//2 = 2
+def test_product_table_bound_enforced(t2, t2_tables):
+    too_long = {0: t2_tables[0], 3: {}}  # bound is 2*2//2 = 2
     with pytest.raises(ShapeMismatch):
-        fcx.assemble(fc0.morse, 2, {}, too_long)
+        fcx.assemble(t2.morse, 2, {}, too_long)
 
 
 # -- product Leibniz ---------------------------------------------------------------
@@ -205,9 +156,9 @@ def test_leibniz_derivation_case(t2):
     assert fcx.check_product_leibniz(t2).ok
 
 
-def test_leibniz_corruption_reported(t2):
+def test_leibniz_corruption_reported(t2, t2_tables):
     # m_1(x1x2, x1) = x1: its op_1 image is the unit, which nothing balances
-    products = {0: dict(t2.products[0]), 1: {}}
+    products = {0: t2_tables[0], 1: {}}
     top = t2.morse.position_of("x1x2")
     x1 = t2.morse.position_of("x1")
     products[1][(top, x1)] = frozenset({x1})
@@ -222,7 +173,6 @@ def test_leibniz_corruption_reported(t2):
 
 
 def test_corpus_deterministic():
-    from floeralg import serialize
     a = fcx.random_valid_complex(11, (1, 2, 2, 1), 2)
     b = fcx.random_valid_complex(11, (1, 2, 2, 1), 2)
     assert serialize.canonical_json(serialize.complex_to_dict(a)) == \

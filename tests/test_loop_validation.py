@@ -106,6 +106,32 @@ def test_schema_fallback_keeps_jsonschema_verdict():
         serialize.loop_from_dict(MUTATIONS["bool leaf"](plain()))
 
 
+def test_first_defective_sample_is_named():
+    # each sample is checked for its shape, then for an entry too large for a
+    # float, then for a NaN or infinite entry; the first sample with any
+    # defect is named, with its first defect in that order
+    good = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    short = good[:1]
+    huge = [[[10 ** 400, 0.0], [0.0, 0.0]], good[1]]
+    nan = [[[float("nan"), 0.0], [0.0, 0.0]], good[1]]
+    huge_and_nan = [[[10 ** 400, float("inf")], [0.0, 0.0]], good[1]]
+    cases = [
+        ([good, nan, short], "sample 1 has a NaN or infinite entry"),
+        ([good, short, nan], "sample 1 is not an 2 x 2 frame"),
+        ([huge, good, short], "sample 0 has an entry too large for a float"),
+        ([good, nan, huge], "sample 1 has a NaN or infinite entry"),
+        ([good, huge_and_nan], "sample 1 has an entry too large for a float"),
+        ([short + [[[float("nan"), 0.0]]]], "sample 0 is not an 2 x 2 frame"),
+    ]
+    for samples, message in cases:
+        with pytest.raises(InputError) as exc:
+            serialize.loop_from_dict({"n": 2, "samples": samples})
+        assert str(exc.value) == message
+    # frames of one shape, but not the stated one
+    with pytest.raises(InputError, match="^sample 0 is not an 3 x 3 frame$"):
+        serialize.loop_from_dict({"n": 3, "samples": [good, good]})
+
+
 json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                         st.floats(allow_nan=True), st.text(max_size=2))
 json_values = st.recursive(

@@ -1,9 +1,11 @@
 """Bitmask product checks against the pair-by-pair chain algorithms.
 
-The two oracles below are the frozenset implementations the bitmask code
-replaced: the product-Leibniz check applies ``apply_operator`` and
-``apply_product`` to every generator pair, and the page-product builder
-round-trips representatives through chains. Reports and tables must agree
+The two oracles below are the frozenset algorithms the bitmask code
+replaced: the product-Leibniz check applies op_k and m_l to every generator
+pair as chains, and the page-product builder round-trips representatives
+through chains. They read op_k through ``fc.operator(k, m)`` and m_l from
+pair tables (built by the test, or read back from the serialized triples),
+never from the bitmask views they check. Reports and tables must agree
 exactly, witnesses included, on valid complexes and on seeded single-entry
 corruptions of m_0, m_1 and op_1.
 """
@@ -14,12 +16,58 @@ import pytest
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
+from floeralg import serialize
 from floeralg import spectral as sp
 from floeralg.errors import LeibnizFailure, LiftFailure
 from floeralg.f2linalg import F2Matrix
 
 
-def leibniz_oracle(fc):
+# -- frozenset chains --------------------------------------------------------
+
+
+def pair_tables(fc):
+    """m_l of fc as {l: {(i, j): frozenset of k}}, from the serialized triples."""
+    tables = {}
+    for key, triples in serialize.complex_to_dict(fc)["products"].items():
+        table = tables.setdefault(int(key), {})
+        for i, j, k in triples:
+            table[i, j] = table.get((i, j), frozenset()) | {k}
+    return tables
+
+
+def chain_to_vec(fc, chain, m):
+    positions = fc.morse.degree_positions(m)
+    return sum(1 << positions.index(g) for g in chain)
+
+
+def vec_to_chain(fc, vec, m):
+    return frozenset(g for p, g in enumerate(fc.morse.degree_positions(m))
+                     if (vec >> p) & 1)
+
+
+def apply_operator(fc, k, chain):
+    """op_k on a chain, degree by degree."""
+    out = frozenset()
+    for m in {fc.morse.generators[g].index for g in chain}:
+        t = m + 1 - k * fc.NL
+        if 0 <= t <= fc.dimL:
+            part = frozenset(g for g in chain if fc.morse.generators[g].index == m)
+            out ^= vec_to_chain(fc, fc.operator(k, m).mul_vec(chain_to_vec(fc, part, m)), t)
+    return out
+
+
+def apply_product(table, a, b):
+    out = frozenset()
+    for i in a:
+        for j in b:
+            out ^= table.get((i, j), frozenset())
+    return out
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def leibniz_oracle(fc, tables):
     gens = range(len(fc.morse.generators))
     entries = []
     for l in range(fc.products_bound + fc.nu + 1):
@@ -31,9 +79,10 @@ def leibniz_oracle(fc):
                 rhs: frozenset = frozenset()
                 for i in range(l + 1):
                     j = l - i
-                    lhs ^= fc.apply_operator(j, fc.apply_product(i, cx, cy))
-                    rhs ^= fc.apply_product(i, fc.apply_operator(j, cx), cy)
-                    rhs ^= fc.apply_product(i, cx, fc.apply_operator(j, cy))
+                    m_i = tables.get(i, {})
+                    lhs ^= apply_operator(fc, j, apply_product(m_i, cx, cy))
+                    rhs ^= apply_product(m_i, apply_operator(fc, j, cx), cy)
+                    rhs ^= apply_product(m_i, cx, apply_operator(fc, j, cy))
                 if lhs != rhs:
                     witness = (fc.morse.generators[x].name, fc.morse.generators[y].name)
                     break
@@ -43,7 +92,8 @@ def leibniz_oracle(fc):
     return fcx.LeibnizReport(tuple(entries))
 
 
-def page_tables_oracle(page, fc):
+def page_tables_oracle(page, fc, m_tables):
+    m_0 = m_tables.get(0, {})
     tables = {}
     for m1 in range(fc.dimL + 1):
         for m2 in range(fc.dimL + 1):
@@ -54,15 +104,16 @@ def page_tables_oracle(page, fc):
             for q1 in page.reps(m1):
                 row = []
                 for q2 in page.reps(m2):
-                    chain = fc.apply_product(0, fc.vec_to_chain(q1, m1),
-                                             fc.vec_to_chain(q2, m2))
+                    chain = apply_product(m_0, vec_to_chain(fc, q1, m1),
+                                          vec_to_chain(fc, q2, m2))
                     if mt > fc.dimL:
                         if chain:
                             raise LeibnizFailure("product escapes the grading")
                         row.append(0)
                         continue
+                    vec = chain_to_vec(fc, chain, mt)
                     try:
-                        row.append(page.class_coords(mt, fc.chain_to_vec(chain, mt)))
+                        row.append(page.class_coords(mt, vec))
                     except ValueError as exc:
                         raise LeibnizFailure("leaves the cycle space") from exc
                 table.append(row)
@@ -89,14 +140,17 @@ def build_ring(kind, n):
 
 
 def criterion_7_complexes():
+    """Ring complexes with their product tables."""
     for kind, n in CRITERION_7_RINGS:
         ring = build_ring(kind, n)
         for d in ga.enumerate_derivations(ring, -1):
-            yield fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+            fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+            yield fc, pair_tables(fc)
 
 
 def corrupted(seed):
-    """A ring complex of rank <= 4 with one entry of m_0, m_1 or op_1 flipped.
+    """A ring complex of rank <= 4 with one entry of m_0, m_1 or op_1 flipped,
+    and the product tables it was built from.
 
     Product corruptions keep the degree of m_l, so only the Leibniz identity
     can notice them; the complex is built without assemble's d^2 check.
@@ -109,7 +163,7 @@ def corrupted(seed):
     fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
     morse, NL = fc.morse, fc.NL
     ops = {k: dict(v) for k, v in fc.ops.items()}
-    products = {0: dict(fc.products[0])}
+    products = pair_tables(fc)
     target = seed % 3
     if target < 2:
         table = products.setdefault(target, {})
@@ -129,7 +183,7 @@ def corrupted(seed):
         flip = F2Matrix.from_entries(rows, cols, [(rng.randrange(rows), rng.randrange(cols))])
         ops.setdefault(1, {})
         ops[1][m] = ops[1].get(m, F2Matrix.zeros(rows, cols)) + flip
-    return fcx.FloerComplex(morse, NL, ops, products)
+    return fcx.FloerComplex(morse, NL, ops, products), products
 
 
 CORRUPTION_SEEDS = range(45)
@@ -139,23 +193,23 @@ CORRUPTION_SEEDS = range(45)
 
 
 def test_leibniz_matches_oracle_on_criterion_7_rings():
-    for fc in criterion_7_complexes():
-        assert fcx.check_product_leibniz(fc) == leibniz_oracle(fc)
+    for fc, tables in criterion_7_complexes():
+        assert fcx.check_product_leibniz(fc) == leibniz_oracle(fc, tables)
 
 
 def test_leibniz_matches_oracle_on_t2_and_mixed_boundary(t2, mixed_boundary):
     for fc in (t2, mixed_boundary):
         report = fcx.check_product_leibniz(fc)
         assert report.ok
-        assert report == leibniz_oracle(fc)
+        assert report == leibniz_oracle(fc, pair_tables(fc))
 
 
 def test_leibniz_matches_oracle_on_corruptions():
     failing = 0
     for seed in CORRUPTION_SEEDS:
-        fc = corrupted(seed)
+        fc, tables = corrupted(seed)
         report = fcx.check_product_leibniz(fc)
-        assert report == leibniz_oracle(fc), seed
+        assert report == leibniz_oracle(fc, tables), seed
         failing += not report.ok
     assert failing >= len(CORRUPTION_SEEDS) // 3  # the corruptions are seen
 
@@ -163,22 +217,24 @@ def test_leibniz_matches_oracle_on_corruptions():
 # -- page products ---------------------------------------------------------------
 
 
-def assert_page_tables_match(fc):
+def assert_page_tables_match(fc, tables):
     try:
         pages = sp.run_to_collapse(fc, paranoid=False).pages
     except LiftFailure:
         return 0
     for page in pages:
         assert outcome(sp._page_product_tables, page, fc) == \
-            outcome(page_tables_oracle, page, fc)
+            outcome(page_tables_oracle, page, fc, tables)
     return len(pages)
 
 
 def test_page_tables_match_oracle(t2, mixed_boundary):
-    pages = sum(assert_page_tables_match(fc) for fc in criterion_7_complexes())
-    pages += assert_page_tables_match(t2) + assert_page_tables_match(mixed_boundary)
+    pages = sum(assert_page_tables_match(fc, tables)
+                for fc, tables in criterion_7_complexes())
+    for fc in (t2, mixed_boundary):
+        pages += assert_page_tables_match(fc, pair_tables(fc))
     for seed in CORRUPTION_SEEDS:
-        pages += assert_page_tables_match(corrupted(seed))
+        pages += assert_page_tables_match(*corrupted(seed))
     assert pages > 0
 
 
@@ -186,18 +242,20 @@ def test_product_vec_matches_chain_product(t2, mixed_boundary):
     # page representatives of ring complexes are mostly single generators,
     # so multiply random sums of generators as well
     rng = random.Random(5)
-    complexes = [t2, mixed_boundary] + [corrupted(seed) for seed in range(0, 45, 3)]
-    for fc in complexes:
+    complexes = [(fc, pair_tables(fc)) for fc in (t2, mixed_boundary)] + \
+        [corrupted(seed) for seed in range(0, 45, 3)]
+    for fc, tables in complexes:
+        m_0 = tables.get(0, {})
         for m1 in range(fc.dimL + 1):
             for m2 in range(fc.dimL + 1):
                 mt = m1 + m2
                 for _ in range(8):
                     v1 = rng.getrandbits(fc.morse.dim_at(m1))
                     v2 = rng.getrandbits(fc.morse.dim_at(m2))
-                    chain = fc.apply_product(0, fc.vec_to_chain(v1, m1),
-                                             fc.vec_to_chain(v2, m2))
+                    chain = apply_product(m_0, vec_to_chain(fc, v1, m1),
+                                          vec_to_chain(fc, v2, m2))
                     expected = 0 if not chain else \
-                        None if mt > fc.dimL else fc.chain_to_vec(chain, mt)
+                        None if mt > fc.dimL else chain_to_vec(fc, chain, mt)
                     assert fc.product_vec(m1, v1, m2, v2) == expected
 
 

@@ -72,7 +72,7 @@ def test_t2_delta1_kernel_structure(t2):
     d1 = p1.delta_matrix(1)
     ker = f2.kernel(d1)
     assert ker.dim == 1
-    x2_vec = t2.chain_to_vec(t2.chain_from_names("x2"), 1)
+    x2_vec = t2.chain_to_vec(frozenset({t2.morse.position_of("x2")}), 1)
     assert ker.contains(x2_vec)
 
 
@@ -238,26 +238,26 @@ def test_products_absent_raises():
         sp.induced_page_product(sp.run_to_collapse(fc).pages, fc)
 
 
-def test_e0_product_is_m0(t2):
+def test_e0_product_is_m0(t2, t2_tables):
     pages = sp.induced_page_product(sp.run_to_collapse(t2).pages, t2)
     p0 = pages[0]
     for (m1, m2), table in p0.product.items():
         for i, gi in enumerate(t2.morse.degree_positions(m1)):
             for j, gj in enumerate(t2.morse.degree_positions(m2)):
-                prod = t2.apply_product(0, frozenset({gi}), frozenset({gj}))
+                prod = t2_tables[0].get((gi, gj), frozenset())
                 mt = m1 + m2
                 expected = t2.chain_to_vec(prod, mt) if mt <= t2.dimL else 0
                 assert table[i][j] == expected
 
 
-def test_e1_product_equals_cup_table(t2):
+def test_e1_product_equals_cup_table(t2, t2_tables):
     pages = sp.induced_page_product(sp.run_to_collapse(t2).pages, t2)
     p1 = pages[1]
     # perfect Morse: page-1 representatives are the standard basis
     for (m1, m2), table in p1.product.items():
         for i, gi in enumerate(t2.morse.degree_positions(m1)):
             for j, gj in enumerate(t2.morse.degree_positions(m2)):
-                prod = t2.apply_product(0, frozenset({gi}), frozenset({gj}))
+                prod = t2_tables[0].get((gi, gj), frozenset())
                 mt = m1 + m2
                 expected = t2.chain_to_vec(prod, mt) if mt <= t2.dimL else 0
                 assert table[i][j] == expected
@@ -268,7 +268,7 @@ def test_unit_class_is_identity_on_pages(t2):
     for page in pages:
         if page.dim(0) == 0:
             continue
-        unit_vec = t2.chain_to_vec(t2.chain_from_names("1"), 0)
+        unit_vec = t2.chain_to_vec(frozenset({t2.morse.position_of("1")}), 0)
         unit_coords = page.class_coords(0, unit_vec)
         for m in range(t2.dimL + 1):
             table = page.product.get((0, m))
@@ -310,8 +310,8 @@ def test_rep_independence_nonvacuous(mixed_boundary):
     assert report.ok
 
 
-def test_inconsistent_product_tables_rejected(t2):
-    products = {0: dict(t2.products[0]), 1: {}}
+def test_inconsistent_product_tables_rejected(t2, t2_tables):
+    products = {0: t2_tables[0], 1: {}}
     top = t2.morse.position_of("x1x2")
     x1 = t2.morse.position_of("x1")
     products[1][(top, x1)] = frozenset({x1})

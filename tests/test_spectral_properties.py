@@ -1,0 +1,100 @@
+"""Property tests: spectral pages of census complexes, chain bitmasks, m_0.
+
+Census complexes are small (at most four degrees of at most three
+generators); ring complexes are the exterior and truncated rings of rank at
+most 3 and 4 with a shift -1 derivation, so each example runs in
+milliseconds.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from floeralg import floercomplex as fcx
+from floeralg import gradedalg as ga
+from floeralg import spectral as sp
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def census_complexes(draw):
+    dims = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    NL = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**16))
+    return fcx.random_complex_census(seed, dims, NL)
+
+
+@st.composite
+def ring_complexes(draw):
+    ring = draw(st.sampled_from([ga.build_exterior(2), ga.build_exterior(3),
+                                 ga.build_truncated_poly(2),
+                                 ga.build_truncated_poly(4)]))
+    d = draw(st.sampled_from(ga.enumerate_derivations(ring, -1)))
+    return ring, fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
+
+
+@SETTINGS
+@given(census_complexes())
+def test_page_dims_never_grow(census):
+    fc, _ = census
+    pages = sp.run_to_collapse(fc).pages
+    for before, after in zip(pages, pages[1:]):
+        assert all(b >= a for b, a in zip(before.dims(), after.dims()))
+
+
+@SETTINGS
+@given(census_complexes())
+def test_every_delta_squares_to_zero(census):
+    fc, _ = census
+    for page in sp.run_to_collapse(fc).pages:
+        shift = 1 - page.r * fc.NL
+        for m in range(fc.dimL + 1):
+            t = m + shift
+            if 0 <= t <= fc.dimL:
+                assert (page.delta_matrix(t) @ page.delta_matrix(m)).is_zero()
+
+
+@SETTINGS
+@given(census_complexes())
+def test_limit_page_matches_folded_and_window(census):
+    fc, expected = census
+    report = sp.check_convergence(sp.run_to_collapse(fc))
+    assert report.ok
+    for v in report.residues:
+        assert v.einf == v.folded == v.window == expected[v.residue]
+
+
+@SETTINGS
+@given(census_complexes(), st.data())
+def test_chain_and_vector_round_trip(census, data):
+    fc, _ = census
+    m = data.draw(st.integers(0, fc.dimL))
+    positions = fc.morse.degree_positions(m)
+    vec = data.draw(st.integers(0, (1 << len(positions)) - 1))
+    chain = fc.vec_to_chain(vec, m)
+    assert chain == {g for p, g in enumerate(positions) if (vec >> p) & 1}
+    assert fc.chain_to_vec(chain, m) == vec
+
+
+@SETTINGS
+@given(ring_complexes(), st.data())
+def test_product_vec_matches_ring_product(ring_complex, data):
+    ring, fc = ring_complex
+    # m_0 is the ring multiplication, taken pair by pair through the ring
+    ring_index = {fc.morse.position_of(b.name): i for i, b in enumerate(ring.basis)}
+    position = {i: p for p, i in ring_index.items()}
+    m1, m2 = data.draw(st.integers(0, fc.dimL)), data.draw(st.integers(0, fc.dimL))
+    v1 = data.draw(st.integers(0, (1 << fc.morse.dim_at(m1)) - 1))
+    v2 = data.draw(st.integers(0, (1 << fc.morse.dim_at(m2)) - 1))
+    a = [ring_index[g] for g in fc.vec_to_chain(v1, m1)]
+    b = [ring_index[g] for g in fc.vec_to_chain(v2, m2)]
+    prod = frozenset()
+    for i in a:
+        for j in b:
+            prod ^= ring.basis_mul(i, j)
+    mt = m1 + m2
+    if mt > fc.dimL:
+        expected = None if prod else 0
+    else:
+        expected = fc.chain_to_vec(frozenset(position[k] for k in prod), mt)
+    assert fc.product_vec(m1, v1, m2, v2) == expected
