@@ -104,7 +104,7 @@ def cmd_ss_run(complex_file, paranoid, verbose_pages, fmt):
     convergence against the folded homology and the window oracle."""
     fc = serialize.complex_from_dict(serialize.load_json(complex_file))
     result = spectral.run_to_collapse(fc, paranoid=paranoid)
-    report = spectral.check_convergence(result)
+    report = spectral.check_convergence(result, fc.d2_report)
     data = {
         "nu": fc.nu,
         "NL": fc.NL,
@@ -299,9 +299,10 @@ def cmd_corpus(seed, count, dims, nl, out, paranoid, fmt):
         path = os.path.join(out, f"complex_{item_seed:06d}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize.canonical_json(serialize.complex_to_dict(fc)))
-        d2_ok = fcx.check_d_squared(fc).ok
+        d2 = fc.d2_report  # assemble's check, run once per complex
+        d2_ok = d2.ok
         collapse = spectral.run_to_collapse(fc, paranoid=paranoid)
-        conv = spectral.check_convergence(collapse)
+        conv = spectral.check_convergence(collapse, d2)
         census_ok = {v.residue: v.folded for v in conv.residues} == expected
         dims1, deltas1 = spectral.e1_oracle(fc)
         page1 = collapse.pages[1]

@@ -29,6 +29,10 @@ class NotDegreeOneGenerated(InputError):
     """Ring is not generated by its unit and degree-1 part."""
 
 
+class RingAxiomFailure(InputError):
+    """Ring breaks the unit law or associativity on a degree-1 triple."""
+
+
 class NotApplicable(InputError):
     """Precondition of a lemma or driver does not hold for these arguments."""
 

@@ -8,6 +8,13 @@ immutable, which the higher layers rely on.
 Matrices act on column vectors: ``m.mul_vec(x)`` computes ``m @ x``.
 Subspaces are canonicalized to reduced row echelon form so that equality
 of subspaces is payload equality.
+
+Each matrix is eliminated at most once: ``rank``, ``kernel``, ``solve``,
+``solve_many`` and ``inverse`` all read one :class:`Elimination` record,
+the reduced row echelon form of ``[m | I]``, computed on first use and kept
+on the matrix. A right-hand side then costs one pass over the transform
+rows, not a fresh elimination (the "factor once, solve many" idea of PLE
+decomposition, Albrecht, Bard and Pernet, arXiv 1111.6549).
 """
 
 from __future__ import annotations
@@ -137,12 +144,44 @@ class F2Matrix:
     def inverse(self) -> "F2Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [r | (1 << (n + i)) for i, r in enumerate(self.bits)]
-        red, pivots = _rref_ints(aug, 2 * n, pivot_limit=n)
-        if len(pivots) != n:
+        rec = _elimination(self)
+        if len(rec.pivots) != self.rows:
             raise ValueError("matrix is singular over F2")
-        return F2Matrix(n, n, tuple(red[i] >> n for i in range(n)))
+        # rref of an invertible matrix is I, so T m = I
+        return F2Matrix(self.rows, self.rows, rec.transform)
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """Reduced row echelon form of ``[m | I]`` with pivots searched in m only.
+
+    ``pivots`` are the pivot columns of m, ascending; ``reduced`` holds the
+    nonzero rows of rref(m), one per pivot; ``transform`` holds the rows of
+    the invertible T with T m = rref(m), each an int over the rows of m.
+    Rows of T past ``len(pivots)`` span the left kernel of m.
+    """
+
+    pivots: tuple[int, ...]
+    reduced: tuple[int, ...]
+    transform: tuple[int, ...]
+
+
+def _elimination(m: F2Matrix) -> Elimination:
+    """The elimination record of m, computed on first use and kept on m.
+
+    It lives in the instance dict, outside the dataclass fields, so it
+    takes no part in ``==``, ``hash`` or ``repr``.
+    """
+    rec = m.__dict__.get("_elimination")
+    if rec is None:
+        n = m.cols
+        aug = [r | (1 << (n + i)) for i, r in enumerate(m.bits)]
+        red, pivots = _rref_ints(aug, n + m.rows, pivot_limit=n)
+        mask = _pad_mask(n)
+        rec = Elimination(tuple(pivots), tuple(r & mask for r in red[:len(pivots)]),
+                          tuple(r >> n for r in red))
+        m.__dict__["_elimination"] = rec
+    return rec
 
 
 def _rref_ints(row_ints: Sequence[int], cols: int, pivot_limit: Optional[int] = None
@@ -174,8 +213,7 @@ def _rref_ints(row_ints: Sequence[int], cols: int, pivot_limit: Optional[int] = 
 
 def rank(m: F2Matrix) -> int:
     """Row rank over F2 by Gaussian elimination."""
-    _, pivots = _rref_ints(m.bits, m.cols)
-    return len(pivots)
+    return len(_elimination(m).pivots)
 
 
 @dataclass(frozen=True)
@@ -254,18 +292,35 @@ class Subspace:
 
 def kernel(m: F2Matrix) -> Subspace:
     """Null space {v : m @ v = 0} as a canonical Subspace of F2^cols."""
-    red, pivots = _rref_ints(m.bits, m.cols)
-    pivot_set = set(pivots)
+    rec = _elimination(m)
+    pivot_set = set(rec.pivots)
     gens = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
         v = 1 << free
-        for i, p in enumerate(pivots):
-            if red[i] & (1 << free):
+        for row, p in zip(rec.reduced, rec.pivots):
+            if row & (1 << free):
                 v |= 1 << p
         gens.append(v)
     return Subspace.from_vectors(m.cols, gens)
+
+
+def _echelon_insert(pivots: dict[int, int], v: int) -> int:
+    """Reduce v against an echelon pivot map and store what is left.
+
+    ``pivots`` maps the lowest set bit of each stored vector to that vector.
+    Returns the reduced v, which is zero iff v already lay in their span;
+    a nonzero result has just been stored.
+    """
+    while v:
+        low = v & -v
+        p = pivots.get(low)
+        if p is None:
+            pivots[low] = v
+            return v
+        v ^= p
+    return 0
 
 
 def image(m: F2Matrix) -> Subspace:
@@ -278,19 +333,33 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
 
     The particular solution is canonical: free variables are zero.
     """
-    if b & ~_pad_mask(m.rows):
-        raise ValueError("rhs has bits beyond rows")
-    aug = [r | (((b >> i) & 1) << m.cols) for i, r in enumerate(m.bits)]
-    red, pivots = _rref_ints(aug, m.cols + 1, pivot_limit=m.cols)
-    x = 0
-    for i, p in enumerate(pivots):
-        if red[i] >> m.cols:
-            x |= 1 << p
-    # rows beyond the pivots must have zero rhs, else inconsistent
-    for i in range(len(pivots), m.rows):
-        if red[i]:
-            return None
-    return x
+    return solve_many(m, (b,))[0]
+
+
+def solve_many(m: F2Matrix, bs: Iterable[int]) -> list[Optional[int]]:
+    """``solve(m, b)`` for each b, all read off one elimination of m.
+
+    With T m = rref(m), m x = b iff rref(m) x = T b: the system is
+    consistent iff T b vanishes past the rank, and then x has bit p_i set
+    iff bit i of T b is, for the pivot columns p_i.
+    """
+    rec = _elimination(m)
+    r = len(rec.pivots)
+    lead, rest = rec.transform[:r], rec.transform[r:]
+    mask = _pad_mask(m.rows)
+    out: list[Optional[int]] = []
+    for b in bs:
+        if b & ~mask:
+            raise ValueError("rhs has bits beyond rows")
+        if any((t & b).bit_count() & 1 for t in rest):
+            out.append(None)
+            continue
+        x = 0
+        for t, p in zip(lead, rec.pivots):
+            if (t & b).bit_count() & 1:
+                x |= 1 << p
+        out.append(x)
+    return out
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,9 @@ class FloerComplex:
         self.products: Optional[dict[int, tuple[tuple[int, ...], ...]]] = None
         if products is not None:
             self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
+        # the d^2 = 0 report of assemble, for callers that report it or
+        # pass it to folded_homology instead of checking again
+        self.d2_report: Optional[D2Report] = None
         self._op_images: dict[int, tuple[int, ...]] = {}
         self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
 
@@ -285,6 +288,7 @@ def assemble(morse: MorseComplex, NL: int,
         l, name = report.first_failure
         raise NotADifferential(f"convolution identity fails at l={l}, witness "
                                f"generator {name}")
+    fc.d2_report = report
     return fc
 
 
@@ -334,14 +338,17 @@ def check_d_squared(fc: FloerComplex) -> D2Report:
     return D2Report(tuple(entries))
 
 
-def folded_homology(fc: FloerComplex) -> dict[int, int]:
+def folded_homology(fc: FloerComplex, d2: Optional[D2Report] = None
+                    ) -> dict[int, int]:
     """F2 dimensions of the homology of the fold, one per residue mod NL.
 
     The fold groups Morse degrees by residue; the total operator sum is a
     differential on it, and its homology at residue ``l`` equals the
     homology of the full Laurent complex in any degree congruent to ``l``.
+    That needs d^2 = 0: ``d2`` is the ``check_d_squared`` report of this
+    complex when the caller already has it, else it is computed here.
     """
-    report = check_d_squared(fc)
+    report = d2 if d2 is not None else check_d_squared(fc)
     if not report.ok:
         l, name = report.first_failure
         raise NotADifferential(f"convolution identity fails at l={l}, witness "

@@ -3,12 +3,22 @@
 Ring elements are ``frozenset[int]`` of basis indices (an F2 sum of basis
 elements); addition is symmetric difference. Multiplication is an explicit
 structure table over the named basis, which keeps everything exact and
-makes equality of maps payload equality.
+makes equality of maps payload equality. Internally the table is also read
+as bitmask rows, bit k of ``rows[i][j]`` meaning e_k occurs in e_i e_j.
 
 The module also houses the degree-shift vanishing argument: on a ring
 generated in degree one, every Leibniz derivation lowering degree by two or
 more kills the generators (their image degree is negative) and therefore,
 since the kernel of a derivation is a subring, kills everything.
+
+Derivations are only defined here on rings that meet three hypotheses:
+generation by the unit and the degree-1 part, the two-sided unit law, and
+associativity on triples (g, b, c) with g of degree 1. Every derivation
+entry point (``derivation_from_generator_values``, ``iter_derivations``,
+``check_leibniz``, ``vanishing_lemma``) checks them once per ring through
+:meth:`GradedRing.require_leibniz_hypotheses` and raises
+``NotDegreeOneGenerated`` or ``RingAxiomFailure``, both input errors that
+the CLI reports with exit 2.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .errors import (
     NotApplicable,
     NotDegreeOneGenerated,
     NotShiftMinusOne,
+    RingAxiomFailure,
     SizeLimit,
     ZeroDerivation,
 )
@@ -63,13 +74,19 @@ class GradedRing:
                 raise ValueError("negative basis degree")
             self._by_degree.setdefault(b.degree, ())
             self._by_degree[b.degree] += (i,)
+        # position of each basis index inside its degree, per degree
+        self._positions = {d: {g: p for p, g in enumerate(idx)}
+                           for d, idx in self._by_degree.items()}
+        self._units = [1 << k for k in range(len(self.basis))]
         self._name_index = {b.name: i for i, b in enumerate(self.basis)}
         if len(self._name_index) != len(self.basis):
             raise ValueError("duplicate basis names")
+        degree = [b.degree for b in self.basis]
         for (i, j), prod in self.mult.items():
-            d = self.basis[i].degree + self.basis[j].degree
-            if any(self.basis[k].degree != d for k in prod):
-                raise ValueError("product table is not degree-additive")
+            d = degree[i] + degree[j]
+            for k in prod:
+                if degree[k] != d:
+                    raise ValueError("product table is not degree-additive")
 
     # -- structure ---------------------------------------------------------
 
@@ -124,8 +141,7 @@ class GradedRing:
 
     def vector_of(self, elt: Element, degree: int) -> int:
         """Coordinates of a homogeneous element in its degree slot."""
-        idx = self.degree_basis(degree)
-        pos = {g: p for p, g in enumerate(idx)}
+        pos = self._positions.get(degree, {})
         v = 0
         for i in elt:
             if i not in pos:
@@ -136,6 +152,48 @@ class GradedRing:
     def element_of(self, vec: int, degree: int) -> Element:
         idx = self.degree_basis(degree)
         return frozenset(idx[p] for p in range(len(idx)) if (vec >> p) & 1)
+
+    def _local(self, mask: int, degree: int) -> int:
+        """Coordinates in the degree slot of a bitmask over basis indices."""
+        pos = self._positions.get(degree, {})
+        v = 0
+        while mask:
+            low = mask & -mask
+            v |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+        return v
+
+    def _entry(self, i: int, j: int) -> int:
+        """e_i e_j as a bitmask over basis indices, read from ``mult``.
+
+        A one-element product is the shared int ``self._units[k]``, so the
+        table holds one object per basis element and two equal entries are
+        usually the same object; a repeated index counts once, as in
+        ``basis_mul``.
+        """
+        prod = self.mult.get((i, j), ())
+        if len(prod) == 1:
+            return self._units[prod[0]]
+        mask = 0
+        for k in prod:
+            mask |= 1 << k
+        return mask
+
+    def _rows(self) -> list[dict[int, int]]:
+        """The table as bitmask rows: ``rows[i][j]`` is e_i e_j, zeros omitted.
+
+        Built on first use and cached.
+        """
+        rows = self.__dict__.get("_table_rows")
+        if rows is None:
+            rows = [{} for _ in self.basis]
+            for (i, j), prod in self.mult.items():
+                if len(prod) == 1:
+                    rows[i][j] = self._units[prod[0]]
+                elif prod:
+                    rows[i][j] = self._entry(i, j)
+            self.__dict__["_table_rows"] = rows
+        return rows
 
     # -- verification ---------------------------------------------------------
 
@@ -155,36 +213,101 @@ class GradedRing:
         dims = self.dims_by_degree()
         if dims.get(0, 0) != 1:
             return False
-        prev: list[Element] = [frozenset({g}) for g in self.degree_basis(1)]
+        gens = self.degree_basis(1)
+        prev = [1 << g for g in gens]  # spans degree d - 1, as basis bitmasks
         for d in sorted(dims):
             if d < 2:
                 continue
-            target = len(self.degree_basis(d))
-            # echelon insertion with early exit once the degree is spanned
+            # echelon insertion with early exit once the degree is spanned;
+            # the kept products span what their reductions span, and stay sparse
             pivots: dict[int, int] = {}
-            basis_elems: list[Element] = []
-            for g in self.degree_basis(1):
-                for elt in prev:
-                    p = self.mul(frozenset({g}), elt)
-                    if not p:
-                        continue
-                    v = self.vector_of(p, d)
-                    while v:
-                        low = v & -v
-                        if low not in pivots:
+            spanning: list[int] = []
+            for g in gens:
+                for f in prev:
+                    p = 0
+                    while f:
+                        low = f & -f
+                        p ^= self._entry(g, low.bit_length() - 1)
+                        f ^= low
+                    if f2linalg._echelon_insert(pivots, p):
+                        spanning.append(p)
+                        if len(pivots) == dims[d]:
                             break
-                        v ^= pivots[low]
-                    if v:
-                        pivots[v & -v] = v
-                        basis_elems.append(self.element_of(v, d))
-                        if len(pivots) == target:
-                            break
-                if len(pivots) == target:
+                if len(pivots) == dims[d]:
                     break
-            if len(pivots) != target:
+            if len(pivots) != dims[d]:
                 return False
-            prev = basis_elems
+            prev = spanning
         return True
+
+    def require_leibniz_hypotheses(self) -> None:
+        """Raise unless the ring meets the hypotheses of the derivation code.
+
+        The hypotheses are generation by the unit and the degree-1 part
+        (else ``NotDegreeOneGenerated``), the unit law 1 b = b = b 1 on
+        every basis element and associativity (g b) c = g (b c) on every
+        triple with g of degree 1 (else ``RingAxiomFailure``, naming the
+        first failure). The first failure is the unit law at the lowest
+        basis index, else the triple lowest in the order (g, b, c).
+
+        Together they give full associativity, by induction on the degree
+        of a in (a b) c = a (b c): degree 0 is a multiple of the unit, and
+        for a = g a' the checked triples and the induction give
+        ((g a') b) c = (g (a' b)) c = g ((a' b) c) = g (a' (b c)) = (g a') (b c);
+        a sum of such a is handled by linearity. ``check_leibniz`` relies on
+        that.
+
+        Checked once per ring and cached, over the nonzero table entries
+        as bitmask rows: for each degree-1 g, the row of g b is compared
+        with g applied to each entry of the row of b, O(n_1 nnz) for n_1
+        generators and nnz nonzero entries.
+        """
+        if not self.is_degree_one_generated():
+            raise NotDegreeOneGenerated(f"{self.label} is not generated in degree 1")
+        if "_axiom_failure" not in self.__dict__:
+            self.__dict__["_axiom_failure"] = self._first_axiom_failure()
+        if self.__dict__["_axiom_failure"] is not None:
+            raise RingAxiomFailure(self.__dict__["_axiom_failure"])
+
+    def _first_axiom_failure(self) -> Optional[str]:
+        rows, units = self._rows(), self._units
+        names = [b.name for b in self.basis]
+        one = rows[self.unit]
+        for i, name in enumerate(names):
+            if one.get(i, 0) != units[i] or rows[i].get(self.unit, 0) != units[i]:
+                return (f"{self.label} breaks the unit law at {name}: "
+                        f"{names[self.unit]} is not a two-sided unit")
+
+        for g in self.degree_basis(1):
+            row_g = rows[g]
+            g_unit = [row_g.get(k, 0) for k in range(len(names))]  # g e_k
+            for b, row_b in enumerate(rows):
+                gb = row_g.get(b, 0)
+                if not gb:
+                    left = {}
+                elif gb is units[gb.bit_length() - 1]:
+                    left = rows[gb.bit_length() - 1]
+                else:
+                    acc: dict[int, int] = {}
+                    for k in range(gb.bit_length()):
+                        if (gb >> k) & 1:
+                            for c, v in rows[k].items():
+                                acc[c] = acc.get(c, 0) ^ v
+                    left = {c: v for c, v in acc.items() if v}
+                right = {}
+                for c, v in row_b.items():
+                    # one-element masks are shared objects: an O(1) identity test
+                    k = v.bit_length() - 1
+                    w = g_unit[k] if v is units[k] else _mask_mul(rows, units[g], v)
+                    if w:
+                        right[c] = w
+                if left != right:
+                    c = min(c for c in left.keys() | right.keys()
+                            if left.get(c, 0) != right.get(c, 0))
+                    return (f"{self.label} is not associative: "
+                            f"({names[g]} {names[b]}) {names[c]} != "
+                            f"{names[g]} ({names[b]} {names[c]})")
+        return None
 
     def _product_preimages(self, d: int
                            ) -> tuple[tuple[tuple[int, int], ...], tuple[Optional[int], ...]]:
@@ -193,22 +316,20 @@ class GradedRing:
         Returns the pairs (g, f), g of degree 1 and f of degree d - 1, and for
         each basis element of degree d the coordinates over those pairs of
         one preimage under (g, f) -> g f, None when there is none. Depends
-        on the ring only, so it is computed once per degree and cached.
+        on the ring only, so it is computed once per degree and cached; all
+        the right-hand sides share one elimination.
         """
         cache = self.__dict__.setdefault("_preimage_cache", {})
         cached = cache.get(d)
         if cached is None:
+            rows = self._rows()
             pair_cols = tuple((g, f) for g in self.degree_basis(1)
                               for f in self.degree_basis(d - 1))
-            col_vecs = [self.vector_of(self.basis_mul(g, f), d)
-                        if self.basis_mul(g, f) else 0 for g, f in pair_cols]
+            col_vecs = [self._local(rows[g].get(f, 0), d) for g, f in pair_cols]
             tgt = len(self.degree_basis(d))
-            mu = f2linalg.F2Matrix.from_entries(
-                tgt, len(pair_cols),
-                [(r, c) for c, v in enumerate(col_vecs) for r in range(tgt)
-                 if (v >> r) & 1])
-            cached = cache[d] = (pair_cols, tuple(f2linalg.solve(mu, 1 << p)
-                                                  for p in range(tgt)))
+            mu = f2linalg.F2Matrix.from_row_ints(col_vecs, tgt).transpose()
+            cached = cache[d] = (pair_cols, tuple(
+                f2linalg.solve_many(mu, [1 << p for p in range(tgt)])))
         return cached
 
     def check_unit(self) -> bool:
@@ -220,14 +341,6 @@ class GradedRing:
     def check_commutative(self) -> bool:
         return all(self.basis_mul(i, j) == self.basis_mul(j, i)
                    for i in range(self.dim) for j in range(i, self.dim))
-
-    def check_associative(self) -> bool:
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            left = self.mul(self.basis_mul(i, j), frozenset({k}))
-            right = self.mul(frozenset({i}), self.basis_mul(j, k))
-            if left != right:
-                return False
-        return True
 
     def __repr__(self):
         return f"GradedRing({self.label}, dim={self.dim})"
@@ -322,6 +435,21 @@ class Derivation:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.maps.values())
 
+    def _images(self) -> list[int]:
+        """d(e_i) as a bitmask over basis indices, for every basis index i."""
+        out = [0] * self.ring.dim
+        for deg in self.ring.degrees():
+            tgt = self.ring.degree_basis(deg + self.shift)
+            cols = self.matrix(deg).transpose().bits
+            for i, col in zip(self.ring.degree_basis(deg), cols):
+                mask = 0
+                while col:
+                    low = col & -col
+                    mask |= 1 << tgt[low.bit_length() - 1]
+                    col ^= low
+                out[i] = mask
+        return out
+
     def generator_values(self) -> dict[str, tuple[str, ...]]:
         """Values on the degree-1 basis, keyed and listed by name."""
         return {self.ring.basis[g].name: self.ring.names_of(self.apply(frozenset({g})))
@@ -339,18 +467,60 @@ class Derivation:
                      tuple(self.matrix(d) for d in self.ring.degrees())))
 
 
+def _mask_mul(rows: Sequence[Mapping[int, int]], a: int, b: int) -> int:
+    """Product of two bitmask elements through the table rows."""
+    out = 0
+    while a:
+        low = a & -a
+        row = rows[low.bit_length() - 1]
+        rest = b
+        while rest:
+            low_b = rest & -rest
+            out ^= row.get(low_b.bit_length() - 1, 0)
+            rest ^= low_b
+        a ^= low
+    return out
+
+
+def _mask_apply(images: Sequence[int], a: int) -> int:
+    """A linear map given by its basis images, applied to a bitmask element."""
+    out = 0
+    while a:
+        low = a & -a
+        out ^= images[low.bit_length() - 1]
+        a ^= low
+    return out
+
+
 def check_leibniz(d: Derivation) -> bool:
-    """True iff d(ab) = d(a)b + a d(b) on every basis pair."""
+    """True iff d(ab) = d(a) b + a d(b) for all ring elements a and b.
+
+    Checks d(1) = 0 and the pairs (g, b), g a degree-1 basis element and b
+    any basis element, after ``require_leibniz_hypotheses``. On such a ring
+    this is equivalent to the identity on all basis pairs. Both sides are
+    linear in a and in b, so induct on the degree of a basis element a:
+
+    - degree 0: a is the unit, and d(1 b) = d(b) = d(1) b + 1 d(b) by the
+      unit law and d(1) = 0;
+    - degree k > 0: a is a sum of products g a', a' of degree k - 1, by
+      degree-one generation, and with full associativity
+
+          d((g a') b) = d(g (a' b)) = d(g) (a' b) + g d(a' b)     [pair (g, a' b)]
+                      = d(g) (a' b) + g (d(a') b + a' d(b))         [induction]
+                      = (d(g) a' + g d(a')) b + (g a') d(b)
+                      = d(g a') b + (g a') d(b).                    [pair (g, a')]
+    """
     ring = d.ring
-    d_of = [d.apply(frozenset({i})) for i in range(ring.dim)]
-    for i in range(ring.dim):
-        ei = frozenset({i})
-        di = d_of[i]
-        for j in range(ring.dim):
-            lhs: Element = frozenset()
-            for k in ring.basis_mul(i, j):
-                lhs ^= d_of[k]
-            rhs = ring.mul(di, frozenset({j})) ^ ring.mul(ei, d_of[j])
+    ring.require_leibniz_hypotheses()
+    rows, units = ring._rows(), ring._units
+    images = d._images()
+    if images[ring.unit]:
+        return False
+    for g in ring.degree_basis(1):
+        row_g, dg = rows[g], images[g]
+        for b in range(ring.dim):
+            lhs = _mask_apply(images, row_g.get(b, 0))
+            rhs = _mask_mul(rows, dg, units[b]) ^ _mask_mul(rows, units[g], images[b])
             if lhs != rhs:
                 return False
     return True
@@ -366,55 +536,46 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
     extension is verified against all ring relations; an extension that
     contradicts a relation raises InconsistentExtension.
     """
-    if not ring.is_degree_one_generated():
-        raise NotDegreeOneGenerated(f"{ring.label} is not generated in degree 1")
+    ring.require_leibniz_hypotheses()
     gens = ring.degree_basis(1)
     target_dim = len(ring.degree_basis(1 + shift))
-    value_elts: dict[int, Element] = {}
+    images = [0] * ring.dim  # d(e_i) as bitmasks; d(1) = 0
     for g in gens:
         v = _as_element(values.get(g, ZERO))
         if v and (1 + shift < 0 or target_dim == 0):
             raise ValueError("generator value assigned in an unoccupied degree")
         if v and any(ring.basis[i].degree != 1 + shift for i in v):
             raise ValueError("generator value has wrong degree")
-        value_elts[g] = v
+        for i in v:
+            images[g] |= 1 << i
 
-    deriv_on: dict[int, Element] = {ring.unit: ZERO}
-    deriv_on.update(value_elts)
-    maps: dict[int, f2linalg.F2Matrix] = {}
+    def matrix_for(degree: int) -> f2linalg.F2Matrix:
+        cols = [ring._local(images[i], degree + shift) for i in ring.degree_basis(degree)]
+        return f2linalg.F2Matrix.from_row_ints(
+            cols, len(ring.degree_basis(degree + shift))).transpose()
 
-    def matrix_for(degree: int, images: Sequence[Element]) -> f2linalg.F2Matrix:
-        tgt = len(ring.degree_basis(degree + shift))
-        rows_by_col = [ring.vector_of(img, degree + shift) if img else 0 for img in images]
-        entries = [(r, c) for c, v in enumerate(rows_by_col)
-                   for r in range(tgt) if (v >> r) & 1]
-        return f2linalg.F2Matrix.from_entries(tgt, len(images), entries)
+    maps = {0: matrix_for(0)}
+    if gens:
+        maps[1] = matrix_for(1)
 
-    maps[0] = matrix_for(0, [ZERO])
-    if ring.degree_basis(1):
-        maps[1] = matrix_for(1, [value_elts[g] for g in gens])
-
+    rows, units = ring._rows(), ring._units
     for d in sorted(ring.degrees()):
         if d < 2:
             continue
         pair_cols, preimages = ring._product_preimages(d)
-        images = []
         for e, coords in zip(ring.degree_basis(d), preimages):
             if coords is None:
                 raise NotDegreeOneGenerated(
                     f"degree {d} element not reachable from degree-1 products")
-            img: Element = frozenset()
-            m = coords
-            while m:
-                low = m & -m
+            img = 0
+            while coords:
+                low = coords & -coords
                 g, f = pair_cols[low.bit_length() - 1]
-                img ^= ring.mul(deriv_on[g], frozenset({f}))
-                img ^= ring.mul(frozenset({g}), deriv_on[f])
-                m ^= low
-            images.append(img)
-        for e, img in zip(ring.degree_basis(d), images):
-            deriv_on[e] = img
-        maps[d] = matrix_for(d, images)
+                img ^= _mask_mul(rows, images[g], units[f])
+                img ^= _mask_mul(rows, units[g], images[f])
+                coords ^= low
+            images[e] = img
+        maps[d] = matrix_for(d)
 
     result = Derivation(ring, shift, maps)
     if not check_leibniz(result):
@@ -430,8 +591,7 @@ def iter_derivations(ring: GradedRing, shift: int):
     coordinate vectors; assignments whose Leibniz extension contradicts a
     relation are skipped.
     """
-    if not ring.is_degree_one_generated():
-        raise NotDegreeOneGenerated(f"{ring.label} is not generated in degree 1")
+    ring.require_leibniz_hypotheses()
     gens = ring.degree_basis(1)
     target = ring.degree_basis(1 + shift) if 1 + shift >= 0 else ()
     t = len(target)
@@ -509,8 +669,7 @@ def vanishing_lemma(ring: GradedRing, shift: int) -> VanishingCertificate:
     Requires the ring to be generated in degree one and the shift to be at
     most -2, so each generator lands in a negative (hence zero) degree.
     """
-    if not ring.is_degree_one_generated():
-        raise NotDegreeOneGenerated(f"{ring.label} is not generated in degree 1")
+    ring.require_leibniz_hypotheses()
     if shift > -2:
         raise NotApplicable(f"shift {shift} > -2: derivations need not vanish")
     fates = tuple(

@@ -60,8 +60,62 @@ def ring_to_dict(ring: GradedRing) -> dict:
     }
 
 
+def _plain_ring(data: Any) -> bool:
+    """True only for data that ``ring.schema.json`` accepts; needs no jsonschema.
+
+    As in ``_plain_loop``, ``type(x) is int`` is a JSON Schema integer (a
+    bool is not), and each clause implies the schema keywords it names:
+
+    - a dict whose keys are exactly {basis, unit, mult}: ``type: object``,
+      ``required`` and ``additionalProperties: false``;
+    - basis a non-empty list: ``type: array`` and ``minItems: 1``;
+    - every basis item a dict with keys exactly {name, degree}: its
+      ``type: object``, ``required`` and ``additionalProperties: false``;
+    - name a non-empty str: ``type: string`` and ``minLength: 1`` (both
+      count code points);
+    - degree and unit ints >= 0: ``type: integer`` and ``minimum: 0``;
+    - mult a list: ``type: array``;
+    - every mult entry a list of three items: ``type: array``,
+      ``minItems: 3``, ``maxItems: 3`` and ``items: false`` past the prefix;
+    - its first two items ints >= 0 and its third a list of ints >= 0:
+      ``prefixItems``, with the nested ``items`` of the third.
+
+    The converse fails (a degree of 2.0 is a JSON Schema integer), so False
+    only means "ask jsonschema".
+    """
+    if type(data) is not dict or data.keys() != {"basis", "unit", "mult"}:
+        return False
+    basis, unit, mult = data["basis"], data["unit"], data["mult"]
+    if type(basis) is not list or not basis or type(unit) is not int or unit < 0:
+        return False
+    for b in basis:
+        if (type(b) is not dict or b.keys() != {"name", "degree"}
+                or type(b["name"]) is not str or not b["name"]
+                or type(b["degree"]) is not int or b["degree"] < 0):
+            return False
+    if type(mult) is not list:
+        return False
+    for entry in mult:
+        if type(entry) is not list or len(entry) != 3:
+            return False
+        i, j, ks = entry
+        if (type(i) is not int or i < 0 or type(j) is not int or j < 0
+                or type(ks) is not list):
+            return False
+        if any(type(k) is not int or k < 0 for k in ks):
+            return False
+    return True
+
+
 def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
-    validate_against_schema(data, "ring")
+    """Ring from its JSON form, checked against ``ring.schema.json``.
+
+    Besides the schema, indices must be in range, a pair (i, j) may not be
+    given outputs twice, and an entry may not list an output index twice:
+    a repeat is rejected, not cancelled mod 2.
+    """
+    if not _plain_ring(data):
+        validate_against_schema(data, "ring")
     basis = [BasisElement(b["name"], b["degree"]) for b in data["basis"]]
     dim = len(basis)
     if not (0 <= data["unit"] < dim):
@@ -73,6 +127,8 @@ def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
             raise InputError(f"mult entry {entry} has out-of-range indices")
         if (i, j) in mult:
             raise InputError(f"duplicate mult entry for pair ({i}, {j})")
+        if len(set(ks)) != len(ks):
+            raise InputError(f"mult entry {entry} lists an output index twice")
         if ks:
             mult[(i, j)] = tuple(sorted(ks))
     try:

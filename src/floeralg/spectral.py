@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import f2linalg
 from .errors import LeibnizFailure, LiftFailure, ProductsAbsent
 from .f2linalg import F2Matrix, QuotientMap, Subspace
-from .floercomplex import FloerComplex, check_product_leibniz, folded_homology
+from .floercomplex import D2Report, FloerComplex, check_product_leibniz, folded_homology
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,21 @@ class PageDegree:
     z_basis: tuple[ZGen, ...]
     b_span: tuple[BGen, ...]
     quotient: QuotientMap
+
+    # Each matrix is built once per degree, so every vector solved against
+    # it reads one elimination.
+
+    @cached_property
+    def z_matrix(self) -> F2Matrix:
+        """The Z-basis vectors as columns."""
+        return _column_matrix([g.vec for g in self.z_basis],
+                              self.quotient.sup.ambient_dim)
+
+    @cached_property
+    def b_matrix(self) -> F2Matrix:
+        """The boundary spanning vectors as columns."""
+        return _column_matrix([b.vec for b in self.b_span],
+                              self.quotient.sup.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -136,10 +152,9 @@ def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> tuple[int, ...]:
                  for s in range(depth))
 
 
-def _resolve_in_z(deg: PageDegree, m_dim: int, vec: int) -> tuple[int, ...]:
+def _resolve_in_z(deg: PageDegree, vec: int) -> tuple[int, ...]:
     """Tail of a vector of the Z-span, combined linearly from the basis tails."""
-    zmat = _column_matrix([g.vec for g in deg.z_basis], m_dim)
-    coeff = f2linalg.solve(zmat, vec)
+    coeff = f2linalg.solve(deg.z_matrix, vec)
     if coeff is None:
         raise LiftFailure("vector claimed in Z-span has no expression there")
     depth = len(deg.z_basis[0].tail) if deg.z_basis else 0
@@ -176,7 +191,7 @@ def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
         tgt_dim = data[t].quotient.dim if t_in_range else 0
         cols = []
         for q in data[m].quotient.reps.basis:
-            tail = _resolve_in_z(data[m], fc.morse.dim_at(m), q)
+            tail = _resolve_in_z(data[m], q)
             obs = _obstruction(fc, r, m, q, tail)
             if not t_in_range:
                 if obs:
@@ -221,7 +236,7 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
         freedom = _tail_freedom(fc, m, max(r - 1, 0))
         for idx, q in enumerate(data[m].quotient.reps.basis):
             q2 = q ^ (data[m].b_span[0].vec if data[m].b_span else 0)
-            tail = _resolve_in_z(data[m], fc.morse.dim_at(m), q2)
+            tail = _resolve_in_z(data[m], q2)
             if freedom:
                 tail = tuple(a ^ b for a, b in zip(tail, freedom))
             obs = _obstruction(fc, r, m, q2, tail)
@@ -284,9 +299,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
             if r >= 1:
                 tail = tail + [0]  # slot for y_r
             if tgt is not None and obs:
-                bmat = _column_matrix([b.vec for b in tgt.b_span],
-                                      fc.morse.dim_at(t))
-                coeff = f2linalg.solve(bmat, obs)
+                coeff = f2linalg.solve(tgt.b_matrix, obs)
                 if coeff is None:
                     raise LiftFailure(f"obstruction at degree {m} is not a "
                                       f"boundary despite vanishing class")
@@ -309,13 +322,11 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                 chain = (g.vec,) + g.tail + (0,) if r >= 1 else (g.vec,)
                 incoming.append(BGen(o, chain))
 
-        kept: list[BGen] = []
-        span = Subspace.zero(m_dim)
-        for cand in shifted + incoming:
-            grown = span.sum(Subspace.from_vectors(m_dim, [cand.vec]))
-            if grown.dim > span.dim:
-                kept.append(cand)
-                span = grown
+        # keep each candidate outside the span of those kept before it
+        pivots: dict[int, int] = {}
+        kept = [cand for cand in shifted + incoming
+                if f2linalg._echelon_insert(pivots, cand.vec)]
+        span = Subspace.from_vectors(m_dim, [b.vec for b in kept])
 
         z_space = Subspace.from_vectors(m_dim, [g.vec for g in new_z])
         if z_space.dim != len(new_z):
@@ -447,15 +458,17 @@ class ConvergenceReport:
         return all(v.ok for v in self.residues)
 
 
-def check_convergence(collapse: CollapseResult) -> ConvergenceReport:
+def check_convergence(collapse: CollapseResult, d2: Optional[D2Report] = None
+                      ) -> ConvergenceReport:
     """Compare E_infinity, folded homology and the window oracle per residue.
 
     E_infinity comes from the finished ``collapse``; both oracles recompute
-    from the complex alone.
+    from the complex alone, the folded one taking the complex's
+    ``check_d_squared`` report ``d2`` when the caller has it.
     """
     fc = collapse.pages[-1].fc
     einf = collapse.einf_residue_dims()
-    folded = folded_homology(fc)
+    folded = folded_homology(fc, d2)
     window = window_homology_dims(fc)
     return ConvergenceReport(tuple(
         ResidueVerdict(r, einf[r], folded[r], window[r]) for r in range(fc.NL)

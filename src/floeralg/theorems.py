@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HypothesisFailure, NotDegreeOneGenerated
+from .errors import HypothesisFailure
 from .gradedalg import (
     GradedRing,
     TopClassWitness,
@@ -140,11 +140,15 @@ def audin_torus(n: int, NL: int, displaceable: bool = True) -> AudinVerdict:
 
 def audin_general(ring: GradedRing, NL: int, displaceable: bool = True
                   ) -> AudinVerdict:
-    """Same induction on an arbitrary ring generated in degree one."""
+    """Same induction on an arbitrary ring generated in degree one.
+
+    The ring must meet ``GradedRing.require_leibniz_hypotheses`` (degree-one
+    generation, the unit law, associativity on degree-1 triples), which
+    raises an input error otherwise.
+    """
     if NL < 2:
         raise HypothesisFailure("minimal Maslov number must be >= 2")
-    if not ring.is_degree_one_generated():
-        raise NotDegreeOneGenerated(f"{ring.label} is not generated in degree 1")
+    ring.require_leibniz_hypotheses()
     return _vanishing_induction(ring, NL, displaceable, None, ())
 
 

@@ -245,6 +245,45 @@ def test_derivations_forced_zero():
     assert d["count"] == 1 and d["nonzero"] == 0
 
 
+def _ring_file(tmp_path, names, mult):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"basis": [{"name": n, "degree": d} for n, d in names],
+                                "unit": 0, "mult": mult}))
+    return str(path)
+
+
+# 1 a = 0 but a 1 = a; and F2[a]/(a^4) without a^2 a = a^3, so (a a) a != a (a a)
+BROKEN_RINGS = {
+    "non-unital": ([("1", 0), ("a", 1)], [[0, 0, [0]], [1, 0, [1]]],
+                   "ring breaks the unit law at a: 1 is not a two-sided unit"),
+    "non-associative": (
+        [("1", 0), ("a", 1), ("a^2", 2), ("a^3", 3)],
+        [[i, j, [i + j]] for i in range(4) for j in range(4)
+         if i + j <= 3 and (i, j) != (2, 1)],
+        "ring is not associative: (a a) a != a (a a)"),
+}
+
+
+@pytest.mark.parametrize("ring", BROKEN_RINGS)
+@pytest.mark.parametrize("args", [
+    ("derivations", "enumerate", "--shift", "-1"),
+    ("audin", "ring", "--maslov", "2", "--displaceable"),
+])
+def test_ring_axiom_failure_exit_2(tmp_path, ring, args):
+    names, mult, message = BROKEN_RINGS[ring]
+    r = run_cli(*args, "--ring-file", _ring_file(tmp_path, names, mult))
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_repeated_mult_output_index_exit_2(tmp_path):
+    # [0, 1, [1, 1]] is 1 a = a + a = 0 if read mod 2; it is rejected instead
+    path = _ring_file(tmp_path, [("1", 0), ("a", 1)],
+                      [[0, 0, [0]], [0, 1, [1, 1]], [1, 0, [1]]])
+    r = run_cli("derivations", "enumerate", "--ring-file", path, "--shift", "-1")
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == "error: mult entry [0, 1, [1, 1]] lists an output index twice\n"
+
+
 # -- maslov ---------------------------------------------------------------------
 
 
@@ -313,6 +352,20 @@ def test_corpus_all_pass(tmp_path):
     d = json.loads(r.stdout)
     assert d["passed"] == 8 and not d["failed_seeds"]
     assert len(list(out.glob("complex_*.json"))) == 8
+
+
+def test_corpus_checks_d_squared_once_per_complex(tmp_path, monkeypatch):
+    # assemble checks d^2 = 0; the corpus verdict and the folded homology
+    # oracle reuse that report
+    from floeralg import floercomplex as fcx
+
+    checked = []
+    check = fcx.check_d_squared
+    monkeypatch.setattr(fcx, "check_d_squared", lambda fc: checked.append(fc) or check(fc))
+    r = run_cli("corpus", "--seed", "42", "--count", "3", "--dims", "1,2,2,1",
+                "--maslov", "2", "--out", str(tmp_path / "corpus"))
+    assert r.exit_code == 0 and json.loads(r.stdout)["passed"] == 3
+    assert len(checked) == len({id(fc) for fc in checked}) == 3
 
 
 def test_corpus_empty(tmp_path):

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kernel_oracle, rank_oracle, solve_oracle
 
 from floeralg import f2linalg as f2
 
@@ -72,3 +73,42 @@ def test_dense_and_entries_round_trip(m):
     assert entries == sorted(entries)
     assert f2.F2Matrix.from_entries(m.rows, m.cols, entries) == m
     assert all(r >> m.cols == 0 for r in m.bits)
+
+
+# -- one elimination record per matrix -------------------------------------------
+
+
+@st.composite
+def systems(draw, max_dim=MAX_DIM):
+    """A matrix (0 x n and n x 0 shapes included) and right-hand sides for it,
+    some in its column span and some arbitrary, so often inconsistent."""
+    m = draw(matrices(max_dim=max_dim))
+    xs = draw(st.lists(st.integers(0, (1 << m.cols) - 1), max_size=4))
+    others = draw(st.lists(st.integers(0, (1 << m.rows) - 1), max_size=4))
+    bs = [m.mul_vec(x) for x in xs] + others
+    return m, draw(st.permutations(bs))
+
+
+@given(systems())
+def test_solve_many_matches_one_elimination_per_rhs(system):
+    m, bs = system
+    assert f2.solve_many(m, bs) == [solve_oracle(m, b) for b in bs]
+    assert [f2.solve(m, b) for b in bs] == [solve_oracle(m, b) for b in bs]
+
+
+@given(matrices())
+def test_rank_and_kernel_match_the_oracle_elimination(m):
+    assert f2.rank(m) == rank_oracle(m)
+    assert f2.kernel(m) == kernel_oracle(m)
+    # the cached record takes no part in equality, hashing or repr
+    fresh = f2.F2Matrix.from_row_ints(list(m.bits), m.cols)
+    assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+
+
+@given(matrices(cols=0), matrices(rows=0))
+def test_solve_many_on_empty_shapes(tall, wide):
+    # n x 0: only b = 0 is solvable; 0 x n: b = 0 always is, with x = 0
+    assert f2.solve_many(tall, [0, (1 << tall.rows) - 1]) == \
+        [0, None if tall.rows else 0]
+    assert f2.solve_many(wide, [0]) == [0]
+    assert f2.solve_many(wide, []) == []

@@ -7,6 +7,8 @@ import pytest
 
 from floeralg import f2linalg as f2
 from floeralg import gradedalg as ga
+from oracles import check_associative
+
 from floeralg.errors import (
     InconsistentExtension,
     NotApplicable,
@@ -82,7 +84,7 @@ def test_ring_axioms_small():
     for ring in (ga.build_exterior(3), ga.build_truncated_poly(5)):
         assert ring.check_unit()
         assert ring.check_commutative()
-        assert ring.check_associative()
+        assert check_associative(ring)
 
 
 # -- cup -------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
 from floeralg import spectral as sp
+from floeralg.f2linalg import Subspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -52,6 +53,17 @@ def test_every_delta_squares_to_zero(census):
             t = m + shift
             if 0 <= t <= fc.dimL:
                 assert (page.delta_matrix(t) @ page.delta_matrix(m)).is_zero()
+
+
+@SETTINGS
+@given(census_complexes())
+def test_boundary_spanning_vectors_are_independent(census):
+    fc, _ = census
+    for page in sp.run_to_collapse(fc).pages:
+        for m, deg in page.data.items():
+            vecs = [b.vec for b in deg.b_span]
+            assert Subspace.from_vectors(fc.morse.dim_at(m), vecs).dim == len(vecs)
+            assert deg.quotient.sub == Subspace.from_vectors(fc.morse.dim_at(m), vecs)
 
 
 @SETTINGS
