@@ -3,13 +3,21 @@
 All dumps use sorted keys and fixed array orderings so repeated runs are
 byte-identical; global generator coordinates always refer to the canonical
 generator order (sorted by (index, name)), which loaders enforce.
+
+Each loader first asks a jsonschema-free predicate (``_plain_loop``,
+``_plain_ring``, ``_plain_complex``) that is sufficient for its schema, so a
+well-formed file never imports jsonschema; any other data is validated, and
+a rejection carries jsonschema's ``best_match`` message. Every number in the
+ring and complex schemas is an integer, which JSON Schema takes to include
+integral floats such as 2.0; such data is read with each float as an int,
+so it loads exactly as the same file written with ints.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import InputError, ShapeMismatch
 from .f2linalg import F2Matrix
@@ -42,6 +50,30 @@ def validate_against_schema(data: Any, name: str) -> None:
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise InputError(f"{name} JSON invalid at {path}: {error.message}") from error
+
+
+def _schema_integers(data: Any, name: str) -> Any:
+    """``data`` checked against a schema whose every number is an integer,
+    then copied with each float (necessarily integral) read as an int."""
+    validate_against_schema(data, name)
+
+    def ints(node):
+        if isinstance(node, float):
+            return int(node)
+        if isinstance(node, list):
+            return [ints(x) for x in node]
+        if isinstance(node, dict):
+            return {k: ints(v) for k, v in node.items()}
+        return node
+    return ints(data)
+
+
+def _naturals(rows: Iterable[list]) -> bool:
+    """Whether every item of every row is an int >= 0: ``type: integer`` (a
+    bool is an int to Python but not to JSON Schema, hence ``type`` and not
+    ``isinstance``) and ``minimum: 0``. One pass over all rows, not one per
+    row, as this is most of the cost of a plain file's check."""
+    return all(type(x) is int and x >= 0 for row in rows for x in row)
 
 
 def canonical_json(data: Any) -> str:
@@ -77,8 +109,9 @@ def _plain_ring(data: Any) -> bool:
     - mult a list: ``type: array``;
     - every mult entry a list of three items: ``type: array``,
       ``minItems: 3``, ``maxItems: 3`` and ``items: false`` past the prefix;
-    - its first two items ints >= 0 and its third a list of ints >= 0:
-      ``prefixItems``, with the nested ``items`` of the third.
+    - its first two items ints >= 0 and its third a list of ints >= 0
+      (``_naturals``): ``prefixItems``, with the nested ``items`` of the
+      third.
 
     The converse fails (a degree of 2.0 is a JSON Schema integer), so False
     only means "ask jsonschema".
@@ -93,18 +126,10 @@ def _plain_ring(data: Any) -> bool:
                 or type(b["name"]) is not str or not b["name"]
                 or type(b["degree"]) is not int or b["degree"] < 0):
             return False
-    if type(mult) is not list:
-        return False
-    for entry in mult:
-        if type(entry) is not list or len(entry) != 3:
-            return False
-        i, j, ks = entry
-        if (type(i) is not int or i < 0 or type(j) is not int or j < 0
-                or type(ks) is not list):
-            return False
-        if any(type(k) is not int or k < 0 for k in ks):
-            return False
-    return True
+    return (type(mult) is list
+            and all(type(e) is list and len(e) == 3 and type(e[2]) is list
+                    for e in mult)
+            and _naturals(e[:2] for e in mult) and _naturals(e[2] for e in mult))
 
 
 def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
@@ -115,7 +140,7 @@ def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
     a repeat is rejected, not cancelled mod 2.
     """
     if not _plain_ring(data):
-        validate_against_schema(data, "ring")
+        data = _schema_integers(data, "ring")
     basis = [BasisElement(b["name"], b["degree"]) for b in data["basis"]]
     dim = len(basis)
     if not (0 <= data["unit"] < dim):
@@ -174,8 +199,82 @@ def complex_to_dict(fc: FloerComplex) -> dict:
     return out
 
 
+_COMPLEX_KEYS = {"dimL", "NL", "generators", "operators"}
+
+
+def _plain_complex(data: Any) -> bool:
+    """True only for data that ``complex.schema.json`` accepts; needs no
+    jsonschema.
+
+    As in ``_plain_loop``, ``type(x) is int`` is a JSON Schema integer (a
+    bool is not), and each clause implies the schema keywords it names:
+
+    - a dict whose keys are {dimL, NL, generators, operators}, optionally
+      with products: ``type: object``, ``required`` and
+      ``additionalProperties: false``;
+    - dimL an int >= 0 and NL an int >= 2: ``type: integer`` with
+      ``minimum: 0`` and ``minimum: 2``;
+    - generators a list: ``type: array``;
+    - every generator a dict with keys exactly {name, index}: its
+      ``type: object``, ``required`` and ``additionalProperties: false``;
+    - name a non-empty str: ``type: string`` and ``minLength: 1`` (both
+      count code points);
+    - index an int >= 0: ``type: integer`` and ``minimum: 0``;
+    - operators and products dicts: ``type: object``;
+    - every key a non-empty str of ASCII digits: it matches ``^[0-9]+$``,
+      so ``additionalProperties: false`` passes it (``isdigit`` alone would
+      pass '²'; the pattern, searched with ``$``, also matches "1\\n",
+      which is left to jsonschema);
+    - every value a list of lists of two (operators) or three (products)
+      ints >= 0 (``_naturals``): that pattern's ``type: array``, and its
+      ``items`` with ``type: array``, ``minItems``, ``maxItems``,
+      ``items: false`` past the prefix and ``prefixItems``.
+
+    The converse fails (dimL = 2.0 is a JSON Schema integer), so False only
+    means "ask jsonschema".
+    """
+    if type(data) is not dict or data.keys() - {"products"} != _COMPLEX_KEYS:
+        return False
+    dimL, NL, gens = data["dimL"], data["NL"], data["generators"]
+    if (type(dimL) is not int or dimL < 0 or type(NL) is not int or NL < 2
+            or type(gens) is not list):
+        return False
+    for g in gens:
+        if (type(g) is not dict or g.keys() != {"name", "index"}
+                or type(g["name"]) is not str or not g["name"]
+                or type(g["index"]) is not int or g["index"] < 0):
+            return False
+    for table, width in ((data["operators"], 2), (data.get("products", {}), 3)):
+        if type(table) is not dict:
+            return False
+        for key, entries in table.items():
+            if (type(key) is not str or not (key.isascii() and key.isdigit())
+                    or type(entries) is not list
+                    or not all(type(e) is list and len(e) == width for e in entries)
+                    or not _naturals(entries)):
+                return False
+    return True
+
+
+def _table_index(key: str, seen: dict[int, str], what: str) -> int:
+    """The k a table key names; two keys may not name the same k."""
+    k = int(key)
+    if k in seen:
+        raise InputError(f"{what} keys {seen[k]!r} and {key!r} both name k = {k}")
+    seen[k] = key
+    return k
+
+
 def complex_from_dict(data: dict) -> FloerComplex:
-    validate_against_schema(data, "complex")
+    """Complex from its JSON form, checked against ``complex.schema.json``.
+
+    Besides the schema, generators must be in canonical order, entries in
+    range and of the right degree shift, a table may not list an entry
+    twice, and two operator (or product) keys may not name the same k, as
+    "1" and "01" do: either repeat is rejected, not cancelled mod 2.
+    """
+    if not _plain_complex(data):
+        data = _schema_integers(data, "complex")
     dimL, NL = data["dimL"], data["NL"]
     gens = [Generator(g["name"], g["index"]) for g in data["generators"]]
     canonical = sorted(gens, key=lambda g: (g.index, g.name))
@@ -191,8 +290,9 @@ def complex_from_dict(data: dict) -> FloerComplex:
 
     op_tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
     boundary_entries: dict[int, list[tuple[int, int]]] = {}
+    op_keys: dict[int, str] = {}
     for key, entries in data["operators"].items():
-        k = int(key)
+        k = _table_index(key, op_keys, "operator")
         seen = set()
         for row, col in entries:
             if row >= len(gens) or col >= len(gens):
@@ -226,7 +326,9 @@ def complex_from_dict(data: dict) -> FloerComplex:
     products = None
     if "products" in data:
         products = {}
+        product_keys: dict[int, str] = {}
         for key, triples in data["products"].items():
+            l = _table_index(key, product_keys, "product")
             table: dict[tuple[int, int], list[int]] = {}
             seen = set()
             for i, j, k in triples:
@@ -237,7 +339,7 @@ def complex_from_dict(data: dict) -> FloerComplex:
                                      f"({i}, {j}, {k}) twice")
                 seen.add((i, j, k))
                 table.setdefault((i, j), []).append(k)
-            products[int(key)] = table
+            products[l] = table
 
     return assemble(morse, NL, ops, products)
 

@@ -47,7 +47,7 @@ def loaded_after(imports):
 
 def test_import_isolation(tmp_path):
     # the exact F2 core needs no numpy; jsonschema loads only to validate a
-    # file, and a plain loop file is checked without it
+    # file, and a plain loop or complex file is checked without it
     assert "numpy" not in loaded_after(
         "from floeralg import f2linalg, gradedalg, floercomplex, spectral, theorems")
     assert "jsonschema" not in loaded_after("import floeralg.cli")
@@ -57,6 +57,14 @@ def test_import_isolation(tmp_path):
            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
            f"    main.main(args=['maslov', 'index', {str(path)!r}], standalone_mode=False)\n"
            "assert '\"index\": 1' in out.getvalue()")
+    assert "jsonschema" not in loaded_after(run)
+    # ss run ends in sys.exit even on success
+    run = ("import contextlib, io\nfrom floeralg.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+           "        contextlib.suppress(SystemExit):\n"
+           f"    main.main(args=['ss', 'run', {str(GOLDEN / 't2_complex.json')!r}],"
+           " standalone_mode=False)\n"
+           f"assert out.getvalue() == {golden('ss_run_t2.json')!r}")
     assert "jsonschema" not in loaded_after(run)
 
 
@@ -174,6 +182,22 @@ def test_ss_run_rejects_duplicate_entries(tmp_path):
     r = run_cli("ss", "run", str(path))
     assert r.exit_code == 2
     assert "twice" in r.stderr
+
+
+@pytest.mark.parametrize("table, key, copy", [
+    ("operators", "01", "1"), ("operators", "00", "0"), ("products", "00", "0")])
+def test_ss_run_rejects_keys_naming_the_same_k(tmp_path, table, key, copy):
+    # "1" and "01" both name op_1; their entries must not be merged (a copy
+    # of op_1 under "01" would cancel it mod 2)
+    data = json.loads(golden("t2_complex.json"))
+    data[table][key] = data[table][copy]
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(data))
+    r = run_cli("ss", "run", str(path))
+    what = table[:-1]
+    k = int(copy)
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: {what} keys {copy!r} and {key!r} both name k = {k}\n"
 
 
 def test_complex_file_round_trip():

@@ -115,6 +115,22 @@ def test_cli_reports_the_schema_message(tmp_path, name):
     assert r.stderr == f"error: ring JSON invalid at {where}: {error.message}\n"
 
 
+@pytest.mark.parametrize("name", sorted(SCHEMA_VALID))
+def test_schema_valid_mutation_runs_as_its_int_twin(tmp_path, name):
+    # stdout, stderr and exit code match the same file written with ints
+    text = json.dumps(MUTATIONS[name](plain()))
+    twin = json.dumps(json.loads(text, parse_float=lambda s: int(float(s))))
+    assert "." in text and "." not in twin
+    runs = []
+    for content in (text, twin):
+        path = tmp_path / "ring.json"
+        path.write_text(content)
+        r = CliRunner().invoke(main, ["derivations", "enumerate", "--shift", "-1",
+                                      "--ring-file", str(path)])
+        runs.append((r.exit_code, r.stdout, r.stderr))
+    assert runs[0] == runs[1]
+
+
 def test_plain_rings_take_the_fast_path(tmp_path):
     rings = [ga.build_exterior(n) for n in (1, 3)] + [ga.build_truncated_poly(4)]
     for ring in rings:
