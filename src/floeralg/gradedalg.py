@@ -123,11 +123,6 @@ class GradedRing:
     def names_of(self, elt: Element) -> tuple[str, ...]:
         return tuple(self.basis[i].name for i in sorted(elt))
 
-    def degree_of(self, elt: Element) -> Optional[int]:
-        """Degree of a homogeneous element, None for 0 or mixed degrees."""
-        degs = {self.basis[i].degree for i in elt}
-        return degs.pop() if len(degs) == 1 else None
-
     def basis_mul(self, i: int, j: int) -> Element:
         return frozenset(self.mult.get((i, j), ()))
 
@@ -331,16 +326,6 @@ class GradedRing:
             cached = cache[d] = (pair_cols, tuple(
                 f2linalg.solve_many(mu, [1 << p for p in range(tgt)])))
         return cached
-
-    def check_unit(self) -> bool:
-        one = self.one()
-        return all(self.mul(one, frozenset({i})) == frozenset({i})
-                   and self.mul(frozenset({i}), one) == frozenset({i})
-                   for i in range(self.dim))
-
-    def check_commutative(self) -> bool:
-        return all(self.basis_mul(i, j) == self.basis_mul(j, i)
-                   for i in range(self.dim) for j in range(i, self.dim))
 
     def __repr__(self):
         return f"GradedRing({self.label}, dim={self.dim})"

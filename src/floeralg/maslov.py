@@ -16,6 +16,12 @@ A positive real factor changes neither the subspace nor that phase, so each
 frame is first divided by its largest entry, which keeps the rank and Gram
 checks finite at any scale.
 
+numpy is imported inside each function that uses it, so importing this
+module loads no numpy; the first Maslov computation (such as `maslov index`)
+does. `floeralg.cli` still imports this module with every other layer,
+because the benchmark's tracer (`perfbench/tracing.py`) finds each layer in
+`sys.modules` after `import floeralg.cli`.
+
 Orientation convention: counterclockwise winding of the determinant square
 counts +1. The rotating-line loop diag(e^(i*pi*t), 1, ..., 1), t in [0, 1),
 has index +1 in every ambient dimension.
@@ -26,9 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     BasepointMismatch,
@@ -40,6 +44,9 @@ from .errors import (
 LAGRANGIAN_TOL = 1e-9
 STEP_GUARD = math.pi / 2
 WINDING_TOL = 1e-6
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,8 @@ class LagrangianLoop:
 
     @classmethod
     def from_frames(cls, frames: Iterable[np.ndarray]) -> "LagrangianLoop":
+        import numpy as np
+
         mats = []
         n = None
         for f in frames:
@@ -79,6 +88,8 @@ class LagrangianLoop:
 
 
 def _real_stack(stack: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.concatenate([stack.real, stack.imag], axis=-2)
 
 
@@ -88,6 +99,8 @@ def _checked_stack(frames, where: str = "sample {}") -> np.ndarray:
     Raises for the first bad frame in order, DegenerateFrame before
     NotLagrangian; ``where`` names frame k as ``where.format(k)``.
     """
+    import numpy as np
+
     stack = np.stack(frames).astype(np.complex128, copy=False)
     # a positive real factor per frame, applied to the real and imaginary
     # parts: unlike |z| and complex division, this neither overflows nor
@@ -114,6 +127,8 @@ def _checked_stack(frames, where: str = "sample {}") -> np.ndarray:
 
 def _det_squared(stack: np.ndarray) -> np.ndarray:
     """det(U)^2 per checked frame: the squared phase of det A (module docstring)."""
+    import numpy as np
+
     sign, _ = np.linalg.slogdet(stack)
     return sign ** 2
 
@@ -136,6 +151,8 @@ def maslov_index(loop: LagrangianLoop) -> MaslovIndex:
     beyond pi/2 is rejected as undersampled rather than silently rounded.
     The accumulated total must be an integer multiple of 2*pi within 1e-6.
     """
+    import numpy as np
+
     d = _det_squared(_checked_stack(loop.samples))
     steps = np.angle(np.roll(d, -1) / d)
     over = np.abs(steps) >= STEP_GUARD
@@ -157,6 +174,8 @@ def maslov_index(loop: LagrangianLoop) -> MaslovIndex:
 
 
 def _same_subspace(a: np.ndarray, b: np.ndarray, tol: float = LAGRANGIAN_TOL) -> bool:
+    import numpy as np
+
     q, _ = np.linalg.qr(_real_stack(_checked_stack([a, b], where="frame")))
     pa, pb = q @ q.swapaxes(1, 2)
     return bool(np.abs(pa - pb).max() <= math.sqrt(tol))
@@ -183,6 +202,8 @@ def rotating_loop(n: int, samples: int, turns: int = 1, factor: int = 0
     e^(i*pi) maps a real line to itself, so the loop closes after half a
     turn of the frame while det^2 makes `turns` full turns.
     """
+    import numpy as np
+
     if not (0 <= factor < n):
         raise ValueError("factor index out of range")
     frames = []
@@ -194,4 +215,6 @@ def rotating_loop(n: int, samples: int, turns: int = 1, factor: int = 0
 
 
 def constant_loop(n: int, samples: int = 4) -> LagrangianLoop:
+    import numpy as np
+
     return LagrangianLoop.from_frames([np.eye(n, dtype=np.complex128)] * samples)

@@ -16,7 +16,6 @@ so it loads exactly as the same file written with ints.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from typing import Any, Iterable
 
 from .errors import InputError, ShapeMismatch
@@ -31,7 +30,10 @@ _VALIDATORS: dict[str, Any] = {}
 def _validator(name: str):
     """Validator for a bundled schema, built and checked once per name."""
     if name not in _VALIDATORS:
-        import jsonschema  # only needed once a file is validated
+        # both only needed once a file is validated
+        from importlib import resources
+
+        import jsonschema
 
         text = resources.files("floeralg.schemas").joinpath(f"{name}.schema.json") \
             .read_text(encoding="utf-8")
@@ -257,8 +259,17 @@ def _plain_complex(data: Any) -> bool:
 
 
 def _table_index(key: str, seen: dict[int, str], what: str) -> int:
-    """The k a table key names; two keys may not name the same k."""
-    k = int(key)
+    """The k a table key names; two keys may not name the same k.
+
+    The key is read without its leading zeros, so no number of them hits
+    the int-from-str digit limit; a value still beyond it is an input error.
+    """
+    digits = key.strip().lstrip("0") or "0"  # the schema allows a final "\n"
+    try:
+        k = int(digits)
+    except ValueError as exc:
+        raise InputError(f"{what} key of {len(digits)} significant digits is "
+                         f"too long to read") from exc
     if k in seen:
         raise InputError(f"{what} keys {seen[k]!r} and {key!r} both name k = {k}")
     seen[k] = key
@@ -282,6 +293,7 @@ def complex_from_dict(data: dict) -> FloerComplex:
         raise InputError("generators must be listed in canonical order, "
                          "sorted by (index, name)")
     morse = MorseComplex(gens, dimL)
+    nu = (dimL + 1) // NL
     positions = {m: morse.degree_positions(m) for m in range(dimL + 1)}
     local = {}
     for m, ps in positions.items():
@@ -293,6 +305,9 @@ def complex_from_dict(data: dict) -> FloerComplex:
     op_keys: dict[int, str] = {}
     for key, entries in data["operators"].items():
         k = _table_index(key, op_keys, "operator")
+        if entries and k > nu:
+            # no entry fits, and 1 - k * NL may be too long to print
+            raise ShapeMismatch(f"operator index {k} outside 1..nu={nu}")
         seen = set()
         for row, col in entries:
             if row >= len(gens) or col >= len(gens):

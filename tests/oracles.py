@@ -44,6 +44,20 @@ def kernel_oracle(m):
     return f2.Subspace.from_vectors(m.cols, gens)
 
 
+def check_unit(ring):
+    """1 e_i == e_i == e_i 1 for every basis element."""
+    one = ring.one()
+    return all(ring.mul(one, frozenset({i})) == frozenset({i})
+               and ring.mul(frozenset({i}), one) == frozenset({i})
+               for i in range(ring.dim))
+
+
+def check_commutative(ring):
+    """e_i e_j == e_j e_i on every basis pair."""
+    return all(ring.basis_mul(i, j) == ring.basis_mul(j, i)
+               for i in range(ring.dim) for j in range(i, ring.dim))
+
+
 def check_associative(ring):
     """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple."""
     for i, j, k in itertools.product(range(ring.dim), repeat=3):

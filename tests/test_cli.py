@@ -36,13 +36,28 @@ def golden(name):
 
 
 def loaded_after(imports):
-    """Which of numpy and jsonschema a fresh interpreter holds after ``imports``."""
+    """Which of numpy, jsonschema and floeralg.maslov a fresh interpreter
+    holds after ``imports``."""
     code = (f"import sys\n{imports}\n"
-            "print(*(m for m in ('numpy', 'jsonschema') if m in sys.modules))")
+            "print(*(m for m in ('numpy', 'jsonschema', 'floeralg.maslov')"
+            " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(floeralg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     return proc.stdout.split()
+
+
+def in_process(args, stdout):
+    """Code that runs ``floeralg *args`` in the interpreter it is run in and
+    asserts its stdout and an exit code of 0."""
+    return ("import contextlib, io\nfrom floeralg.cli import main\n"
+            "code = 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    try:\n"
+            f"        main.main(args={list(args)!r}, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            f"assert (code, out.getvalue()) == (0, {stdout!r})\n")
 
 
 def test_import_isolation(tmp_path):
@@ -50,22 +65,29 @@ def test_import_isolation(tmp_path):
     # file, and a plain loop or complex file is checked without it
     assert "numpy" not in loaded_after(
         "from floeralg import f2linalg, gradedalg, floercomplex, spectral, theorems")
-    assert "jsonschema" not in loaded_after("import floeralg.cli")
+    # numpy loads on the first Maslov computation, not with floeralg.maslov,
+    # which the CLI imports with every other layer
+    assert loaded_after("import floeralg.cli") == ["floeralg.maslov"]
     path = tmp_path / "loop.json"
     path.write_text(serialize.canonical_json(serialize.loop_to_dict(mv.rotating_loop(2, 64))))
-    run = ("import contextlib, io\nfrom floeralg.cli import main\n"
-           "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-           f"    main.main(args=['maslov', 'index', {str(path)!r}], standalone_mode=False)\n"
-           "assert '\"index\": 1' in out.getvalue()")
-    assert "jsonschema" not in loaded_after(run)
-    # ss run ends in sys.exit even on success
-    run = ("import contextlib, io\nfrom floeralg.cli import main\n"
-           "with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
-           "        contextlib.suppress(SystemExit):\n"
-           f"    main.main(args=['ss', 'run', {str(GOLDEN / 't2_complex.json')!r}],"
-           " standalone_mode=False)\n"
-           f"assert out.getvalue() == {golden('ss_run_t2.json')!r}")
-    assert "jsonschema" not in loaded_after(run)
+    maslov = ("maslov", "index", str(path))
+    expected = run_cli(*maslov)
+    assert (expected.exit_code, json.loads(expected.stdout)["index"]) == (0, 1)
+    assert loaded_after(in_process(maslov, expected.stdout)) == ["numpy", "floeralg.maslov"]
+    # no command but maslov index loads numpy, nor do plain files jsonschema
+    corpus = ("corpus", "--seed", "1", "--count", "1", "--dims", "1,2,1",
+              "--maslov", "2", "--out", str(tmp_path / "corpus"))
+    expected = run_cli(*corpus)
+    assert (expected.exit_code, json.loads(expected.stdout)["passed"]) == (0, 1)
+    for args, stdout in (
+            (("ss", "run", str(GOLDEN / "t2_complex.json")), golden("ss_run_t2.json")),
+            (("ring", "rp", "--n", "3"), golden("ring_rp_3.json")),
+            (("audin", "torus", "--n", "3", "--maslov", "4", "--displaceable"),
+             golden("audin_torus_3_4.json")),
+            (corpus, expected.stdout),
+            (("derivations", "enumerate", "--kind", "torus", "--n", "2", "--shift", "-1"),
+             golden("derivations_torus_2_m1.json"))):
+        assert loaded_after(in_process(args, stdout)) == ["floeralg.maslov"], args
 
 
 # -- ring ------------------------------------------------------------------

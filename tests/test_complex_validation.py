@@ -161,6 +161,47 @@ def test_schema_valid_mutation_reads_as_the_plain_file(tmp_path, name):
     assert (r.exit_code, r.stdout, r.stderr) == (0, expected, "")
 
 
+# -- long table keys ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("table,key", [("operators", "1"), ("products", "0")])
+def test_zero_padded_long_key_reads_as_the_plain_file(tmp_path, table, key):
+    # 4,401 digits, past int()'s default limit, but only the last one counts
+    data = _rename(plain(), table, key, "0" * 4400 + key)
+    assert serialize._plain_complex(data)
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    r = CliRunner().invoke(main, ["ss", "run", str(path)])
+    expected = (GOLDEN / "ss_run_t2.json").read_text(encoding="utf-8")
+    assert (r.exit_code, r.stdout, r.stderr) == (0, expected, "")
+
+
+@pytest.mark.parametrize("table,what", [("operators", "operator"),
+                                        ("products", "product")])
+@pytest.mark.parametrize("entries", [[], "copy"])
+def test_key_too_long_to_read_exits_2(tmp_path, table, what, entries):
+    data = plain()
+    first = next(iter(data[table].values()))
+    data[table]["0" * 10 + "1" * 4400] = first if entries == "copy" else entries
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    r = CliRunner().invoke(main, ["ss", "run", str(path)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == (f"error: {what} key of 4400 significant digits is too "
+                        f"long to read\n")
+
+
+def test_operator_key_beyond_nu_exits_2_before_its_shift_is_printed(tmp_path):
+    # 1 - k * NL has 4,301 digits here, too many for str()
+    data = plain()
+    data["operators"]["9" * 4300] = [[0, 1]]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    r = CliRunner().invoke(main, ["ss", "run", str(path)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: operator index {'9' * 4300} outside 1..nu=1\n"
+
+
 def _census(seed, dims, nl):
     return serialize.complex_to_dict(fcx.random_complex_census(seed, dims, nl)[0])
 
