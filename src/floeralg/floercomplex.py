@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import f2linalg
 from .errors import (
@@ -119,7 +119,7 @@ class FloerComplex:
             self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
         # the d^2 = 0 report of assemble, for callers that report it or
         # pass it to folded_homology instead of checking again
-        self.d2_report: Optional[D2Report] = None
+        self.d2_report: Optional[IdentityReport] = None
         self._op_images: dict[int, tuple[int, ...]] = {}
         self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
 
@@ -293,27 +293,31 @@ def assemble(morse: MorseComplex, NL: int,
 
 
 @dataclass(frozen=True)
-class D2Entry:
+class IdentityEntry:
+    """The verdict on one identity of index l, with the first failure's
+    witness: a generator name for d^2 = 0, a generator pair for product
+    Leibniz."""
+
     l: int
     ok: bool
-    witness: Optional[str]
+    witness: Union[str, tuple[str, str], None]
 
 
 @dataclass(frozen=True)
-class D2Report:
-    entries: tuple[D2Entry, ...]
+class IdentityReport:
+    entries: tuple[IdentityEntry, ...]
 
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
     @property
-    def first_failure(self) -> tuple[int, str]:
+    def first_failure(self) -> tuple[int, Union[str, tuple[str, str]]]:
         e = next(e for e in self.entries if not e.ok)
         return e.l, e.witness
 
 
-def check_d_squared(fc: FloerComplex) -> D2Report:
+def check_d_squared(fc: FloerComplex) -> IdentityReport:
     """Per-l verdicts for the convolution identities sum(op_i op_j) = 0."""
     entries = []
     for l in range(2 * fc.nu + 1):
@@ -334,11 +338,11 @@ def check_d_squared(fc: FloerComplex) -> D2Report:
                            if any(acc.get(r, c) for r in range(acc.rows)))
                 witness = fc.morse.generators[fc.morse.degree_positions(m)[col]].name
                 break
-        entries.append(D2Entry(l, witness is None, witness))
-    return D2Report(tuple(entries))
+        entries.append(IdentityEntry(l, witness is None, witness))
+    return IdentityReport(tuple(entries))
 
 
-def folded_homology(fc: FloerComplex, d2: Optional[D2Report] = None
+def folded_homology(fc: FloerComplex, d2: Optional[IdentityReport] = None
                     ) -> dict[int, int]:
     """F2 dimensions of the homology of the fold, one per residue mod NL.
 
@@ -382,28 +386,7 @@ def folded_homology(fc: FloerComplex, d2: Optional[D2Report] = None
     return {r: sizes[r] - ranks[r] - ranks[(r - 1) % N] for r in range(N)}
 
 
-@dataclass(frozen=True)
-class LeibnizEntry:
-    l: int
-    ok: bool
-    witness: Optional[tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class LeibnizReport:
-    entries: tuple[LeibnizEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def first_failure(self) -> tuple[int, tuple[str, str]]:
-        e = next(e for e in self.entries if not e.ok)
-        return e.l, e.witness
-
-
-def check_product_leibniz(fc: FloerComplex) -> LeibnizReport:
+def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
     """Convolution Leibniz identity, per index l and per generator pair.
 
     For every l and every generator pair (x, y), summed over i + j = l,
@@ -436,8 +419,8 @@ def check_product_leibniz(fc: FloerComplex) -> LeibnizReport:
                 splits.append((nonzero[i], images))
         pair = _first_leibniz_failure(splits, len(gens))
         witness = None if pair is None else (gens[pair[0]].name, gens[pair[1]].name)
-        entries.append(LeibnizEntry(l, witness is None, witness))
-    return LeibnizReport(tuple(entries))
+        entries.append(IdentityEntry(l, witness is None, witness))
+    return IdentityReport(tuple(entries))
 
 
 def _first_leibniz_failure(splits, n: int) -> Optional[tuple[int, int]]:
@@ -635,11 +618,14 @@ def complex_from_ring(ring: GradedRing, NL: int,
 
     def op_matrices(d: Derivation) -> dict[int, F2Matrix]:
         table: dict[int, list[tuple[int, int]]] = {}
-        for g in range(ring.dim):
+        for g, img in enumerate(d.images):
             m = ring.basis[g].degree
-            for h in d.apply(frozenset({g})):
+            while img:
+                low = img & -img
+                h = low.bit_length() - 1
                 t = ring.basis[h].degree
                 table.setdefault(m, []).append((local[t][cpos[h]], local[m][cpos[g]]))
+                img ^= low
         return {m: F2Matrix.from_entries(morse.dim_at(m + d.shift),
                                          morse.dim_at(m), pairs)
                 for m, pairs in table.items()}

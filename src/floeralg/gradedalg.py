@@ -1,10 +1,13 @@
 """Finite-dimensional graded F2 algebras, cup products and Leibniz derivations.
 
 Ring elements are ``frozenset[int]`` of basis indices (an F2 sum of basis
-elements); addition is symmetric difference. Multiplication is an explicit
-structure table over the named basis, which keeps everything exact and
-makes equality of maps payload equality. Internally the table is also read
-as bitmask rows, bit k of ``rows[i][j]`` meaning e_k occurs in e_i e_j.
+elements) at the public API: ``one``, ``element``, ``mul``, ``names_of`` and
+``Derivation.apply`` take and return them, and addition is symmetric
+difference. Multiplication is an explicit structure table over the named
+basis, which keeps everything exact. The ring checks and the derivation
+code work on bitmasks over basis indices instead: the table is read as
+bitmask rows, bit k of ``rows[i][j]`` meaning e_k occurs in e_i e_j, and a
+derivation is stored once, as the bitmask image of each basis element.
 
 The module also houses the degree-shift vanishing argument: on a ring
 generated in degree one, every Leibniz derivation lowering degree by two or
@@ -40,8 +43,6 @@ from .errors import (
 
 Element = frozenset  # frozenset[int]: F2 combination of basis indices
 
-ZERO: Element = frozenset()
-
 MAX_EXTERIOR_GENERATORS = 12
 MAX_ENUMERATION_ASSIGNMENTS = 1 << 24
 
@@ -69,11 +70,13 @@ class GradedRing:
         if not (0 <= unit < len(self.basis)) or self.basis[unit].degree != 0:
             raise ValueError("unit must be a degree-0 basis element")
         self._by_degree: dict[int, tuple[int, ...]] = {}
+        self._degree_masks: dict[int, int] = {}  # degree -> its basis as a bitmask
         for i, b in enumerate(self.basis):
             if b.degree < 0:
                 raise ValueError("negative basis degree")
             self._by_degree.setdefault(b.degree, ())
             self._by_degree[b.degree] += (i,)
+            self._degree_masks[b.degree] = self._degree_masks.get(b.degree, 0) | 1 << i
         # position of each basis index inside its degree, per degree
         self._positions = {d: {g: p for p, g in enumerate(idx)}
                            for d, idx in self._by_degree.items()}
@@ -133,20 +136,6 @@ class GradedRing:
             for j in b:
                 out ^= self.basis_mul(i, j)
         return out
-
-    def vector_of(self, elt: Element, degree: int) -> int:
-        """Coordinates of a homogeneous element in its degree slot."""
-        pos = self._positions.get(degree, {})
-        v = 0
-        for i in elt:
-            if i not in pos:
-                raise ValueError("element has support outside the degree")
-            v |= 1 << pos[i]
-        return v
-
-    def element_of(self, vec: int, degree: int) -> Element:
-        idx = self.degree_basis(degree)
-        return frozenset(idx[p] for p in range(len(idx)) if (vec >> p) & 1)
 
     def _local(self, mask: int, degree: int) -> int:
         """Coordinates in the degree slot of a bitmask over basis indices."""
@@ -331,10 +320,6 @@ class GradedRing:
         return f"GradedRing({self.label}, dim={self.dim})"
 
 
-def _as_element(e) -> Element:
-    return e if isinstance(e, frozenset) else frozenset(e)
-
-
 def build_exterior(n: int) -> GradedRing:
     """Exterior algebra on n degree-1 generators over F2.
 
@@ -380,76 +365,49 @@ def build_truncated_poly(n: int) -> GradedRing:
     return GradedRing(basis, unit=0, mult=mult, label=f"truncated_poly_{n}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Derivation:
-    """Degree-shifting F2-linear map stored as one matrix per degree.
+    """Degree-shifting F2-linear map, stored as the image of each basis element.
 
-    Maps are full per-degree matrices even when the map is determined by
-    generator values, so arbitrary non-Leibniz linear maps can be
-    represented and rejected by ``check_leibniz``.
+    ``images[i]`` is d(e_i) as a bitmask over basis indices. Any tuple of
+    images, one per basis element and each homogeneous of degree
+    deg(e_i) + shift, is a linear map, so maps that break the Leibniz rule
+    can be represented too, and ``check_leibniz`` rejects them. Equality and
+    hashing are those of (ring, shift, images), and rings compare by identity.
     """
 
     ring: GradedRing
     shift: int
-    maps: dict[int, f2linalg.F2Matrix]
+    images: tuple[int, ...]
 
     def __post_init__(self):
-        for d, m in self.maps.items():
-            src = len(self.ring.degree_basis(d))
-            tgt = len(self.ring.degree_basis(d + self.shift))
-            if (m.rows, m.cols) != (tgt, src):
-                raise ValueError(f"map at degree {d} has shape {(m.rows, m.cols)}, "
-                                 f"expected {(tgt, src)}")
-
-    def matrix(self, d: int) -> f2linalg.F2Matrix:
-        src = len(self.ring.degree_basis(d))
-        tgt = len(self.ring.degree_basis(d + self.shift))
-        return self.maps.get(d, f2linalg.F2Matrix.zeros(tgt, src))
+        ring = self.ring
+        if len(self.images) != ring.dim:
+            raise ValueError(f"{len(self.images)} images for a ring of "
+                             f"dimension {ring.dim}")
+        for b, img in zip(ring.basis, self.images):
+            if img & ~ring._degree_masks.get(b.degree + self.shift, 0):
+                raise ValueError(f"image of {b.name} is not of degree "
+                                 f"{b.degree + self.shift}")
 
     def apply(self, elt: Element) -> Element:
-        out: Element = frozenset()
-        by_degree: dict[int, list[int]] = {}
+        mask = 0
         for i in elt:
-            by_degree.setdefault(self.ring.basis[i].degree, []).append(i)
-        for d, idxs in by_degree.items():
-            vec = self.ring.vector_of(frozenset(idxs), d)
-            img = self.matrix(d).mul_vec(vec)
-            out ^= self.ring.element_of(img, d + self.shift)
-        return out
+            mask |= 1 << i
+        return _element_of_mask(_mask_apply(self.images, mask))
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.maps.values())
-
-    def _images(self) -> list[int]:
-        """d(e_i) as a bitmask over basis indices, for every basis index i."""
-        out = [0] * self.ring.dim
-        for deg in self.ring.degrees():
-            tgt = self.ring.degree_basis(deg + self.shift)
-            cols = self.matrix(deg).transpose().bits
-            for i, col in zip(self.ring.degree_basis(deg), cols):
-                mask = 0
-                while col:
-                    low = col & -col
-                    mask |= 1 << tgt[low.bit_length() - 1]
-                    col ^= low
-                out[i] = mask
-        return out
+        return not any(self.images)
 
     def generator_values(self) -> dict[str, tuple[str, ...]]:
         """Values on the degree-1 basis, keyed and listed by name."""
-        return {self.ring.basis[g].name: self.ring.names_of(self.apply(frozenset({g})))
+        return {self.ring.basis[g].name:
+                self.ring.names_of(_element_of_mask(self.images[g]))
                 for g in self.ring.degree_basis(1)}
 
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        if self.ring is not other.ring or self.shift != other.shift:
-            return False
-        return all(self.matrix(d) == other.matrix(d) for d in self.ring.degrees())
 
-    def __hash__(self):
-        return hash((id(self.ring), self.shift,
-                     tuple(self.matrix(d) for d in self.ring.degrees())))
+def _element_of_mask(mask: int) -> Element:
+    return frozenset(k for k in range(mask.bit_length()) if (mask >> k) & 1)
 
 
 def _mask_mul(rows: Sequence[Mapping[int, int]], a: int, b: int) -> int:
@@ -498,7 +456,7 @@ def check_leibniz(d: Derivation) -> bool:
     ring = d.ring
     ring.require_leibniz_hypotheses()
     rows, units = ring._rows(), ring._units
-    images = d._images()
+    images = d.images
     if images[ring.unit]:
         return False
     for g in ring.degree_basis(1):
@@ -522,26 +480,13 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
     contradicts a relation raises InconsistentExtension.
     """
     ring.require_leibniz_hypotheses()
-    gens = ring.degree_basis(1)
-    target_dim = len(ring.degree_basis(1 + shift))
+    target = ring._degree_masks.get(1 + shift, 0)
     images = [0] * ring.dim  # d(e_i) as bitmasks; d(1) = 0
-    for g in gens:
-        v = _as_element(values.get(g, ZERO))
-        if v and (1 + shift < 0 or target_dim == 0):
-            raise ValueError("generator value assigned in an unoccupied degree")
-        if v and any(ring.basis[i].degree != 1 + shift for i in v):
+    for g in ring.degree_basis(1):
+        for i in values.get(g, ()):
+            images[g] |= 1 << i  # OR: a repeated index counts once
+        if images[g] & ~target:
             raise ValueError("generator value has wrong degree")
-        for i in v:
-            images[g] |= 1 << i
-
-    def matrix_for(degree: int) -> f2linalg.F2Matrix:
-        cols = [ring._local(images[i], degree + shift) for i in ring.degree_basis(degree)]
-        return f2linalg.F2Matrix.from_row_ints(
-            cols, len(ring.degree_basis(degree + shift))).transpose()
-
-    maps = {0: matrix_for(0)}
-    if gens:
-        maps[1] = matrix_for(1)
 
     rows, units = ring._rows(), ring._units
     for d in sorted(ring.degrees()):
@@ -560,9 +505,8 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
                 img ^= _mask_mul(rows, units[g], images[f])
                 coords ^= low
             images[e] = img
-        maps[d] = matrix_for(d)
 
-    result = Derivation(ring, shift, maps)
+    result = Derivation(ring, shift, tuple(images))
     if not check_leibniz(result):
         raise InconsistentExtension(
             "Leibniz extension of the generator values contradicts a ring relation")

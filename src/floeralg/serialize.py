@@ -455,5 +455,7 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, undecodable bytes and numbers past
+        # int's digit limit; RecursionError, arrays or objects nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc

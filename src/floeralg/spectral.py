@@ -29,7 +29,7 @@ from typing import Optional
 from . import f2linalg
 from .errors import LeibnizFailure, LiftFailure, ProductsAbsent
 from .f2linalg import F2Matrix, QuotientMap, Subspace
-from .floercomplex import D2Report, FloerComplex, check_product_leibniz, folded_homology
+from .floercomplex import FloerComplex, IdentityReport, check_product_leibniz, folded_homology
 
 
 @dataclass(frozen=True)
@@ -458,7 +458,7 @@ class ConvergenceReport:
         return all(v.ok for v in self.residues)
 
 
-def check_convergence(collapse: CollapseResult, d2: Optional[D2Report] = None
+def check_convergence(collapse: CollapseResult, d2: Optional[IdentityReport] = None
                       ) -> ConvergenceReport:
     """Compare E_infinity, folded homology and the window oracle per residue.
 

@@ -202,6 +202,22 @@ def test_operator_key_beyond_nu_exits_2_before_its_shift_is_printed(tmp_path):
     assert r.stderr == f"error: operator index {'9' * 4300} outside 1..nu=1\n"
 
 
+@pytest.mark.parametrize("text", [
+    # a number past int()'s 4,300-digit limit, arrays nested too deep to parse
+    # and bytes that are not UTF-8
+    json.dumps(dict(plain(), NL="LONG")).replace('"LONG"', "2" * 4400).encode(),
+    b"[" * 200_000,
+    b"\xff\xfe{",
+], ids=["long number", "deep nesting", "not utf-8"])
+def test_unparsable_json_exits_2(tmp_path, text):
+    path = tmp_path / "complex.json"
+    path.write_bytes(text)
+    r = CliRunner().invoke(main, ["ss", "run", str(path)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"error: {path} is not valid JSON: ")
+    assert r.stderr.count("\n") == 1
+
+
 def _census(seed, dims, nl):
     return serialize.complex_to_dict(fcx.random_complex_census(seed, dims, nl)[0])
 

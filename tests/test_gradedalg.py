@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 
-from floeralg import f2linalg as f2
 from floeralg import gradedalg as ga
 from oracles import check_associative, check_commutative, check_unit
 
@@ -130,12 +129,36 @@ def test_check_leibniz_accepts_constructions(ext3):
 
 
 def test_check_leibniz_rejects_non_derivation(ext2):
-    bad = ga.Derivation(ext2, -1, {
-        0: f2.F2Matrix.zeros(0, 1),
-        1: f2.F2Matrix.zeros(1, 2),
-        2: f2.F2Matrix.from_dense([[0], [1]]),  # x1x2 -> x2, generators -> 0
-    })
+    images = [0] * ext2.dim
+    images[ext2.index_of("x1x2")] = 1 << ext2.index_of("x2")  # generators -> 0
+    bad = ga.Derivation(ext2, -1, tuple(images))
     assert not ga.check_leibniz(bad)
+
+
+def test_derivation_rejects_inhomogeneous_or_missing_images(ext2):
+    images = [0] * ext2.dim
+    images[ext2.index_of("x1")] = 1 << ext2.index_of("x2")  # degree 1, not 0
+    with pytest.raises(ValueError, match="^image of x1 is not of degree 0$"):
+        ga.Derivation(ext2, -1, tuple(images))
+    images[ext2.index_of("x1")] = 1 << ext2.dim  # no basis element at all
+    with pytest.raises(ValueError, match="^image of x1 is not of degree 0$"):
+        ga.Derivation(ext2, -1, tuple(images))
+    for images in ((0,) * (ext2.dim - 1), (0,) * (ext2.dim + 1)):
+        with pytest.raises(ValueError, match="images for a ring of dimension 4$"):
+            ga.Derivation(ext2, -1, images)
+
+
+def test_derivation_equality_is_by_ring_shift_and_images(ext2):
+    x1, x2 = ext2.index_of("x1"), ext2.index_of("x2")
+    a = ga.derivation_from_generator_values(ext2, -1, {x1: ext2.one()})
+    b = ga.derivation_from_generator_values(ext2, -1, {x1: ext2.one(), x2: frozenset()})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ga.Derivation(ext2, -1, (0,) * ext2.dim)
+    rebuilt = ga.build_exterior(2)
+    assert ga.Derivation(rebuilt, -1, a.images) != a
+    # a repeated index counts once, as in a frozenset
+    assert ga.derivation_from_generator_values(
+        ext2, -1, {x1: [ext2.unit, ext2.unit]}) == a
 
 
 def test_derivation_kernel_is_subring():

@@ -92,6 +92,20 @@ def test_cli_reports_the_schema_message(tmp_path, name):
     assert r.stderr == f"error: loop JSON invalid at {where}: {error.message}\n"
 
 
+@pytest.mark.parametrize("text", [
+    # a number past int()'s 4,300-digit limit, and arrays nested too deep to parse
+    json.dumps(dict(plain(), n="LONG")).replace('"LONG"', "2" * 4400),
+    "[" * 200_000,
+], ids=["long number", "deep nesting"])
+def test_unparsable_json_exits_2(tmp_path, text):
+    path = tmp_path / "loop.json"
+    path.write_text(text)
+    r = CliRunner().invoke(main, ["maslov", "index", str(path)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"error: {path} is not valid JSON: ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_plain_loops_take_the_fast_path():
     for n, frames in ((1, 1), (2, 5), (4, 3)):
         data = plain(n, frames)

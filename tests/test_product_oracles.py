@@ -88,8 +88,8 @@ def leibniz_oracle(fc, tables):
                     break
             if witness:
                 break
-        entries.append(fcx.LeibnizEntry(l, witness is None, witness))
-    return fcx.LeibnizReport(tuple(entries))
+        entries.append(fcx.IdentityEntry(l, witness is None, witness))
+    return fcx.IdentityReport(tuple(entries))
 
 
 def page_tables_oracle(page, fc, m_tables):

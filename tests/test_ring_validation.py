@@ -131,6 +131,21 @@ def test_schema_valid_mutation_runs_as_its_int_twin(tmp_path, name):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("text", [
+    # a number past int()'s 4,300-digit limit, and arrays nested too deep to parse
+    json.dumps(dict(plain(), unit="LONG")).replace('"LONG"', "2" * 4400),
+    "[" * 200_000,
+], ids=["long number", "deep nesting"])
+def test_unparsable_json_exits_2(tmp_path, text):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    r = CliRunner().invoke(main, ["derivations", "enumerate", "--ring-file", str(path),
+                                  "--shift", "-1"])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"error: {path} is not valid JSON: ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_plain_rings_take_the_fast_path(tmp_path):
     rings = [ga.build_exterior(n) for n in (1, 3)] + [ga.build_truncated_poly(4)]
     for ring in rings:
