@@ -272,7 +272,8 @@ def cmd_maslov_index(loop_file, fmt):
 
 @main.command("corpus")
 @click.option("--seed", type=int, required=True, help="base seed")
-@click.option("--count", type=int, required=True, help="number of complexes")
+@click.option("--count", type=click.IntRange(min=0), required=True,
+              help="number of complexes")
 @click.option("--dims", required=True,
               help="comma-separated Morse-degree dimensions, e.g. 1,2,2,1")
 @click.option("--maslov", "nl", type=int, required=True, help="minimal Maslov number")
@@ -291,14 +292,20 @@ def cmd_corpus(seed, count, dims, nl, out, paranoid, fmt):
         dim_list = tuple(int(x) for x in dims.split(","))
     except ValueError:
         raise click.UsageError(f"cannot parse --dims {dims!r}")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc.strerror}")
     items = []
     for i in range(count):
         item_seed = seed + i
         fc, expected = fcx.random_complex_census(item_seed, dim_list, nl)
         path = os.path.join(out, f"complex_{item_seed:06d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize.canonical_json(serialize.complex_to_dict(fc)))
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(serialize.canonical_json(serialize.complex_to_dict(fc)))
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}")
         d2 = fc.d2_report  # assemble's check, run once per complex
         d2_ok = d2.ok
         collapse = spectral.run_to_collapse(fc, paranoid=paranoid)

@@ -249,9 +249,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple((b & -b).bit_length() - 1 for b in self.basis)
-
     def reduce(self, v: int) -> int:
         """Canonical coset representative of ``v`` modulo this subspace."""
         for b in self.basis:
@@ -385,12 +382,6 @@ class QuotientMap:
     def coords(self, v: int) -> int:
         """Coordinates of [v] in the representative basis (v must lie in sup)."""
         return self.reps.coords(self.sub.reduce(v))
-
-    def rep(self, coords: int) -> int:
-        v = 0
-        for i in _bits_of(coords):
-            v ^= self.reps.basis[i]
-        return v
 
 
 def quotient_map(sub: Subspace, sup: Subspace) -> QuotientMap:

@@ -481,6 +481,8 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     second return value gives the folded homology dims predicted by the
     pairing bookkeeping: one class per unpaired generator.
     """
+    if any(d < 0 for d in dims):
+        raise ShapeMismatch(f"negative dimension in {tuple(dims)}")
     if sum(dims) > MAX_TOTAL_DIM:
         raise ShapeMismatch(f"total dimension {sum(dims)} exceeds {MAX_TOTAL_DIM}")
     if NL < 2:
@@ -587,12 +589,6 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     return fc, expected
 
 
-def random_valid_complex(seed: int, dims: Sequence[int], NL: int) -> FloerComplex:
-    """Deterministic pseudo-random complex with a valid differential."""
-    fc, _ = random_complex_census(seed, dims, NL)
-    return fc
-
-
 def complex_from_ring(ring: GradedRing, NL: int,
                       derivation: Optional[Derivation] = None,
                       boundary: Optional[Derivation] = None,
@@ -645,7 +641,7 @@ def complex_from_ring(ring: GradedRing, NL: int,
 
     products = None
     if with_products:
-        products = {0: {(cpos[i], cpos[j]): [cpos[k] for k in prod]
-                        for (i, j), prod in ring.mult.items()}}
+        products = {0: {(cpos[i], cpos[j]): [cpos[k] for k in f2linalg._bits_of(ks)]
+                        for i, row in enumerate(ring.rows) for j, ks in row.items()}}
 
     return assemble(morse, NL, op_tables, products)

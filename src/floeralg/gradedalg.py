@@ -1,13 +1,14 @@
 """Finite-dimensional graded F2 algebras, cup products and Leibniz derivations.
 
-Ring elements are ``frozenset[int]`` of basis indices (an F2 sum of basis
-elements) at the public API: ``one``, ``element``, ``mul``, ``names_of`` and
-``Derivation.apply`` take and return them, and addition is symmetric
-difference. Multiplication is an explicit structure table over the named
-basis, which keeps everything exact. The ring checks and the derivation
-code work on bitmasks over basis indices instead: the table is read as
-bitmask rows, bit k of ``rows[i][j]`` meaning e_k occurs in e_i e_j, and a
-derivation is stored once, as the bitmask image of each basis element.
+Multiplication is an explicit structure table over the named basis, which
+keeps everything exact. The table is stored once, as bitmask rows: bit k of
+``rows[i][j]`` means e_k occurs in e_i e_j. A derivation is stored once too,
+as the bitmask image of each basis element, and the ring checks and the
+derivation code work on such bitmasks over basis indices. Ring elements are
+``frozenset[int]`` of basis indices (an F2 sum of basis elements) only at
+the public API: ``one``, ``element``, ``mul``, ``names_of`` and
+``Derivation.apply`` take and return them, converting to and from bitmasks,
+and addition is symmetric difference.
 
 The module also houses the degree-shift vanishing argument: on a ring
 generated in degree one, every Leibniz derivation lowering degree by two or
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import f2linalg
 from .errors import (
@@ -56,16 +57,19 @@ class BasisElement:
 class GradedRing:
     """Graded F2 algebra with named basis and multiplication table.
 
-    ``mult`` maps a pair of basis indices to the sorted tuple of basis
-    indices of their product; absent pairs multiply to zero.
+    ``mult`` is constructor input only: it maps a pair of basis indices to
+    the basis indices of their product (any iterable; a repeated index counts
+    once), and absent pairs multiply to zero. The table is kept as ``rows``:
+    ``rows[i][j]`` is e_i e_j as a bitmask over basis indices, zero products
+    omitted, and a one-element product is the shared int ``_units[k]``, so
+    two equal entries are usually the same object.
     """
 
     def __init__(self, basis: Sequence[BasisElement], unit: int,
-                 mult: Mapping[tuple[int, int], tuple[int, ...]],
+                 mult: Mapping[tuple[int, int], Iterable[int]],
                  label: str = "ring"):
         self.basis = tuple(basis)
         self.unit = unit
-        self.mult = dict(mult)
         self.label = label
         if not (0 <= unit < len(self.basis)) or self.basis[unit].degree != 0:
             raise ValueError("unit must be a degree-0 basis element")
@@ -80,16 +84,21 @@ class GradedRing:
         # position of each basis index inside its degree, per degree
         self._positions = {d: {g: p for p, g in enumerate(idx)}
                            for d, idx in self._by_degree.items()}
-        self._units = [1 << k for k in range(len(self.basis))]
+        self._units = units = [1 << k for k in range(len(self.basis))]
         self._name_index = {b.name: i for i, b in enumerate(self.basis)}
         if len(self._name_index) != len(self.basis):
             raise ValueError("duplicate basis names")
         degree = [b.degree for b in self.basis]
-        for (i, j), prod in self.mult.items():
+        self.rows = rows = [{} for _ in self.basis]
+        for (i, j), prod in mult.items():
             d = degree[i] + degree[j]
+            mask = 0
             for k in prod:
                 if degree[k] != d:
                     raise ValueError("product table is not degree-additive")
+                mask = mask | units[k] if mask else units[k]  # OR, sharing units
+            if mask:
+                rows[i][j] = mask
 
     # -- structure ---------------------------------------------------------
 
@@ -126,16 +135,12 @@ class GradedRing:
     def names_of(self, elt: Element) -> tuple[str, ...]:
         return tuple(self.basis[i].name for i in sorted(elt))
 
-    def basis_mul(self, i: int, j: int) -> Element:
-        return frozenset(self.mult.get((i, j), ()))
-
     def mul(self, a: Element, b: Element) -> Element:
         """Bilinear extension of the structure table (the cup product)."""
-        out = frozenset()
-        for i in a:
-            for j in b:
-                out ^= self.basis_mul(i, j)
-        return out
+        return _element_of_mask(_mask_mul(self.rows, _mask_of(a), _mask_of(b)))
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.basis[k].name for k in f2linalg._bits_of(mask))
 
     def _local(self, mask: int, degree: int) -> int:
         """Coordinates in the degree slot of a bitmask over basis indices."""
@@ -146,38 +151,6 @@ class GradedRing:
             v |= 1 << pos[low.bit_length() - 1]
             mask ^= low
         return v
-
-    def _entry(self, i: int, j: int) -> int:
-        """e_i e_j as a bitmask over basis indices, read from ``mult``.
-
-        A one-element product is the shared int ``self._units[k]``, so the
-        table holds one object per basis element and two equal entries are
-        usually the same object; a repeated index counts once, as in
-        ``basis_mul``.
-        """
-        prod = self.mult.get((i, j), ())
-        if len(prod) == 1:
-            return self._units[prod[0]]
-        mask = 0
-        for k in prod:
-            mask |= 1 << k
-        return mask
-
-    def _rows(self) -> list[dict[int, int]]:
-        """The table as bitmask rows: ``rows[i][j]`` is e_i e_j, zeros omitted.
-
-        Built on first use and cached.
-        """
-        rows = self.__dict__.get("_table_rows")
-        if rows is None:
-            rows = [{} for _ in self.basis]
-            for (i, j), prod in self.mult.items():
-                if len(prod) == 1:
-                    rows[i][j] = self._units[prod[0]]
-                elif prod:
-                    rows[i][j] = self._entry(i, j)
-            self.__dict__["_table_rows"] = rows
-        return rows
 
     # -- verification ---------------------------------------------------------
 
@@ -208,11 +181,7 @@ class GradedRing:
             spanning: list[int] = []
             for g in gens:
                 for f in prev:
-                    p = 0
-                    while f:
-                        low = f & -f
-                        p ^= self._entry(g, low.bit_length() - 1)
-                        f ^= low
+                    p = _mask_mul(self.rows, self._units[g], f)
                     if f2linalg._echelon_insert(pivots, p):
                         spanning.append(p)
                         if len(pivots) == dims[d]:
@@ -254,7 +223,7 @@ class GradedRing:
             raise RingAxiomFailure(self.__dict__["_axiom_failure"])
 
     def _first_axiom_failure(self) -> Optional[str]:
-        rows, units = self._rows(), self._units
+        rows, units = self.rows, self._units
         names = [b.name for b in self.basis]
         one = rows[self.unit]
         for i, name in enumerate(names):
@@ -273,10 +242,9 @@ class GradedRing:
                     left = rows[gb.bit_length() - 1]
                 else:
                     acc: dict[int, int] = {}
-                    for k in range(gb.bit_length()):
-                        if (gb >> k) & 1:
-                            for c, v in rows[k].items():
-                                acc[c] = acc.get(c, 0) ^ v
+                    for k in f2linalg._bits_of(gb):
+                        for c, v in rows[k].items():
+                            acc[c] = acc.get(c, 0) ^ v
                     left = {c: v for c, v in acc.items() if v}
                 right = {}
                 for c, v in row_b.items():
@@ -306,7 +274,7 @@ class GradedRing:
         cache = self.__dict__.setdefault("_preimage_cache", {})
         cached = cache.get(d)
         if cached is None:
-            rows = self._rows()
+            rows = self.rows
             pair_cols = tuple((g, f) for g in self.degree_basis(1)
                               for f in self.degree_basis(d - 1))
             col_vecs = [self._local(rows[g].get(f, 0), d) for g, f in pair_cols]
@@ -391,23 +359,26 @@ class Derivation:
                                  f"{b.degree + self.shift}")
 
     def apply(self, elt: Element) -> Element:
-        mask = 0
-        for i in elt:
-            mask |= 1 << i
-        return _element_of_mask(_mask_apply(self.images, mask))
+        return _element_of_mask(_mask_apply(self.images, _mask_of(elt)))
 
     def is_zero(self) -> bool:
         return not any(self.images)
 
     def generator_values(self) -> dict[str, tuple[str, ...]]:
         """Values on the degree-1 basis, keyed and listed by name."""
-        return {self.ring.basis[g].name:
-                self.ring.names_of(_element_of_mask(self.images[g]))
+        return {self.ring.basis[g].name: self.ring._names(self.images[g])
                 for g in self.ring.degree_basis(1)}
 
 
+def _mask_of(elt: Element) -> int:
+    mask = 0
+    for i in elt:
+        mask |= 1 << i
+    return mask
+
+
 def _element_of_mask(mask: int) -> Element:
-    return frozenset(k for k in range(mask.bit_length()) if (mask >> k) & 1)
+    return frozenset(f2linalg._bits_of(mask))
 
 
 def _mask_mul(rows: Sequence[Mapping[int, int]], a: int, b: int) -> int:
@@ -455,7 +426,7 @@ def check_leibniz(d: Derivation) -> bool:
     """
     ring = d.ring
     ring.require_leibniz_hypotheses()
-    rows, units = ring._rows(), ring._units
+    rows, units = ring.rows, ring._units
     images = d.images
     if images[ring.unit]:
         return False
@@ -488,7 +459,7 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
         if images[g] & ~target:
             raise ValueError("generator value has wrong degree")
 
-    rows, units = ring._rows(), ring._units
+    rows, units = ring.rows, ring._units
     for d in sorted(ring.degrees()):
         if d < 2:
             continue
@@ -664,23 +635,24 @@ def top_class_nonvanishing(d: Derivation) -> TopClassWitness:
     if d.shift != -1:
         raise NotShiftMinusOne(f"derivation shift is {d.shift}, expected -1")
     gens = ring.degree_basis(1)
-    lead = next((g for g in gens if d.apply(frozenset({g})) == ring.one()), None)
+    rows, units, images = ring.rows, ring._units, d.images
+    lead = next((g for g in gens if images[g] == units[ring.unit]), None)
     if lead is None:
         raise ZeroDerivation("derivation vanishes on every degree-1 generator")
     order = (lead,) + tuple(g for g in gens if g != lead)
-    y: Element = ring.one()
+    y = units[ring.unit]
     for g in order[1:]:
-        y = ring.mul(y, frozenset({g}))
-    top = ring.mul(frozenset({lead}), y)
+        y = _mask_mul(rows, y, units[g])
+    top = _mask_mul(rows, units[lead], y)
     if not top:
         raise ValueError("generator product vanishes; not an exterior top class")
-    d_top = d.apply(top)
-    identity = ring.mul(frozenset({lead}), d_top) == top
+    d_top = _mask_apply(images, top)
+    identity = _mask_mul(rows, units[lead], d_top) == top
     return TopClassWitness(
         generator_order=tuple(ring.basis[g].name for g in order),
-        y=ring.names_of(y),
-        top_class=ring.names_of(top),
-        d_top=ring.names_of(d_top),
+        y=ring._names(y),
+        top_class=ring._names(top),
+        d_top=ring._names(d_top),
         identity_holds=identity,
         d_top_nonzero=bool(d_top),
     )

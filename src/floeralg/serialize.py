@@ -19,7 +19,7 @@ import json
 from typing import Any, Iterable
 
 from .errors import InputError, ShapeMismatch
-from .f2linalg import F2Matrix
+from .f2linalg import F2Matrix, _bits_of
 from .floercomplex import FloerComplex, Generator, MorseComplex, assemble
 from .gradedalg import BasisElement, GradedRing
 from .maslov import LagrangianLoop
@@ -90,7 +90,8 @@ def ring_to_dict(ring: GradedRing) -> dict:
     return {
         "basis": [{"name": b.name, "degree": b.degree} for b in ring.basis],
         "unit": ring.unit,
-        "mult": [[i, j, sorted(ks)] for (i, j), ks in sorted(ring.mult.items())],
+        "mult": [[i, j, list(_bits_of(ks))] for i, row in enumerate(ring.rows)
+                 for j, ks in sorted(row.items())],
     }
 
 
@@ -156,8 +157,7 @@ def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
             raise InputError(f"duplicate mult entry for pair ({i}, {j})")
         if len(set(ks)) != len(ks):
             raise InputError(f"mult entry {entry} lists an output index twice")
-        if ks:
-            mult[(i, j)] = tuple(sorted(ks))
+        mult[(i, j)] = ks
     try:
         return GradedRing(basis, data["unit"], mult, label=label)
     except ValueError as exc:

@@ -360,10 +360,6 @@ class CollapseResult:
     pages: tuple[SpectralPage, ...]
     einf_dims: dict[int, int]
 
-    @property
-    def collapse_index(self) -> int:
-        return self.pages[-1].r
-
     def einf_residue_dims(self) -> dict[int, int]:
         fc = self.pages[-1].fc
         out = {r: 0 for r in range(fc.NL)}

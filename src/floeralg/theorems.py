@@ -200,8 +200,7 @@ def maslov_two_disc_argument(n: int) -> MaslovTwoReport:
     if exhaustive:
         derivs = [d for d in enumerate_derivations(ring, -1) if not d.is_zero()]
     else:
-        canonical = {g: (ring.one() if i == 0 else frozenset())
-                     for i, g in enumerate(ring.degree_basis(1))}
+        canonical = {ring.degree_basis(1)[0]: frozenset({ring.unit})}  # x1 -> 1, rest -> 0
         derivs = [derivation_from_generator_values(ring, -1, canonical)]
     witnesses = tuple(top_class_nonvanishing(d) for d in derivs)
     return MaslovTwoReport(

@@ -298,7 +298,8 @@ def _ring_file(tmp_path, names, mult):
     return str(path)
 
 
-# 1 a = 0 but a 1 = a; and F2[a]/(a^4) without a^2 a = a^3, so (a a) a != a (a a)
+# 1 a = 0 but a 1 = a; F2[a]/(a^4) without a^2 a = a^3, so (a a) a != a (a a);
+# and 1 a = 1, a degree-1 product in degree 0
 BROKEN_RINGS = {
     "non-unital": ([("1", 0), ("a", 1)], [[0, 0, [0]], [1, 0, [1]]],
                    "ring breaks the unit law at a: 1 is not a two-sided unit"),
@@ -307,6 +308,8 @@ BROKEN_RINGS = {
         [[i, j, [i + j]] for i in range(4) for j in range(4)
          if i + j <= 3 and (i, j) != (2, 1)],
         "ring is not associative: (a a) a != a (a a)"),
+    "non-degree-additive": ([("1", 0), ("a", 1)], [[0, 0, [0]], [0, 1, [0]], [1, 0, [1]]],
+                            "product table is not degree-additive"),
 }
 
 
@@ -328,6 +331,18 @@ def test_repeated_mult_output_index_exit_2(tmp_path):
     r = run_cli("derivations", "enumerate", "--ring-file", path, "--shift", "-1")
     assert (r.exit_code, r.stdout) == (2, "")
     assert r.stderr == "error: mult entry [0, 1, [1, 1]] lists an output index twice\n"
+
+
+@pytest.mark.parametrize("mult", [
+    [[0, 0, [0]], [0, 1, []], [0, 1, [1]], [1, 0, [1]]],
+    [[0, 0, [0]], [0, 1, [1]], [0, 1, []], [1, 0, [1]]],
+], ids=["empty first", "empty second"])
+def test_duplicate_pair_exit_2_whatever_the_order(tmp_path, mult):
+    # an empty entry still names its pair, so a second entry for it is a duplicate
+    path = _ring_file(tmp_path, [("1", 0), ("a", 1)], mult)
+    r = run_cli("derivations", "enumerate", "--ring-file", path, "--shift", "-1")
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == "error: duplicate mult entry for pair (0, 1)\n"
 
 
 # -- maslov ---------------------------------------------------------------------
@@ -419,6 +434,41 @@ def test_corpus_empty(tmp_path):
                 "--maslov", "2", "--out", str(tmp_path / "c"))
     assert r.exit_code == 0
     assert json.loads(r.stdout)["count"] == 0
+
+
+def _one_error_line(r):
+    """Exit 2 with exactly one error line on stderr and nothing on stdout."""
+    errors = [line for line in r.stderr.splitlines() if line.lower().startswith("error")]
+    return r.exit_code == 2 and r.stdout == "" and len(errors) == 1
+
+
+def test_corpus_negative_dimension_exit_2(tmp_path):
+    r = run_cli("corpus", "--seed", "1", "--count", "1", "--dims", "1,-1,1",
+                "--maslov", "2", "--out", str(tmp_path / "c"))
+    assert _one_error_line(r)
+    assert r.stderr == "error: negative dimension in (1, -1, 1)\n"
+
+
+def test_corpus_out_is_a_file_exit_2(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    r = run_cli("corpus", "--seed", "1", "--count", "1", "--dims", "1,2,1",
+                "--maslov", "2", "--out", str(out))
+    assert _one_error_line(r)
+    assert r.stderr.startswith(f"error: cannot create output directory {out}: ")
+    # a complex file that cannot be written is an input error too
+    (tmp_path / "c" / "complex_000001.json").mkdir(parents=True)
+    r = run_cli("corpus", "--seed", "1", "--count", "1", "--dims", "1,2,1",
+                "--maslov", "2", "--out", str(tmp_path / "c"))
+    assert _one_error_line(r)
+    assert r.stderr.startswith(f"error: cannot write {tmp_path / 'c' / 'complex_000001.json'}: ")
+
+
+def test_corpus_negative_count_is_a_usage_error(tmp_path):
+    r = run_cli("corpus", "--seed", "1", "--count", "-1", "--dims", "1,2,1",
+                "--maslov", "2", "--out", str(tmp_path / "c"))
+    assert _one_error_line(r)
+    assert "Invalid value for '--count'" in r.stderr
 
 
 def test_corpus_files_reload_and_revalidate(tmp_path):

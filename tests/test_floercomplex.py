@@ -173,15 +173,15 @@ def test_leibniz_corruption_reported(t2, t2_tables):
 
 
 def test_corpus_deterministic():
-    a = fcx.random_valid_complex(11, (1, 2, 2, 1), 2)
-    b = fcx.random_valid_complex(11, (1, 2, 2, 1), 2)
+    a = fcx.random_complex_census(11, (1, 2, 2, 1), 2)[0]
+    b = fcx.random_complex_census(11, (1, 2, 2, 1), 2)[0]
     assert serialize.canonical_json(serialize.complex_to_dict(a)) == \
         serialize.canonical_json(serialize.complex_to_dict(b))
 
 
 def test_corpus_all_valid():
     for seed in range(25):
-        fc = fcx.random_valid_complex(seed, (1, 2, 2, 1), 2)
+        fc = fcx.random_complex_census(seed, (1, 2, 2, 1), 2)[0]
         assert fcx.check_d_squared(fc).ok
 
 
@@ -202,4 +202,4 @@ def test_folded_dims_invariant_under_change_of_basis():
 
 def test_corpus_size_limit():
     with pytest.raises(ShapeMismatch):
-        fcx.random_valid_complex(1, (40, 40), 2)
+        fcx.random_complex_census(1, (40, 40), 2)

@@ -86,6 +86,26 @@ def test_ring_axioms_small():
         assert check_associative(ring)
 
 
+def test_table_entry_repeating_an_index_counts_it_once():
+    basis = [ga.BasisElement("1", 0), ga.BasisElement("a", 1)]
+    ring = ga.GradedRing(basis, 0, {(0, 0): (0,), (0, 1): (1, 1), (1, 0): iter([1])})
+    a = ring.element("a")
+    assert ring.mul(ring.one(), a) == ring.mul(a, ring.one()) == a
+
+
+def test_non_degree_additive_table_raises():
+    basis = [ga.BasisElement("1", 0), ga.BasisElement("a", 1)]
+    with pytest.raises(ValueError, match="not degree-additive"):
+        ga.GradedRing(basis, 0, {(0, 0): (0,), (0, 1): (0,)})
+
+
+def test_table_rows_omit_zeros_and_share_one_element_products():
+    ring = ga.build_exterior(4)
+    entries = [(i, j, m) for i, row in enumerate(ring.rows) for j, m in row.items()]
+    assert len(entries) == 3 ** 4  # one per pair of disjoint monomials
+    assert all(m is ring._units[m.bit_length() - 1] for _, _, m in entries)
+
+
 # -- cup -------------------------------------------------------------------
 
 

@@ -146,6 +146,15 @@ def test_unparsable_json_exits_2(tmp_path, text):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("data", [
+    json.loads((Path(__file__).parent / "golden" / name).read_text(encoding="utf-8"))
+    for name in ("ring_rp_3.json", "ring_torus_2.json")
+] + [serialize.ring_to_dict(ga.build_exterior(n)) for n in range(1, 7)]
+  + [serialize.ring_to_dict(ga.build_truncated_poly(n)) for n in range(1, 9)])
+def test_ring_dict_round_trip(data):
+    assert serialize.ring_to_dict(serialize.ring_from_dict(data)) == data
+
+
 def test_plain_rings_take_the_fast_path(tmp_path):
     rings = [ga.build_exterior(n) for n in (1, 3)] + [ga.build_truncated_poly(4)]
     for ring in rings:

@@ -15,7 +15,7 @@ def corpus(seeds=range(8), dims_list=((1, 2, 2, 1), (2, 2, 2), (1, 3, 3, 1),
     for NL in nls:
         for seed in seeds:
             for dims in dims_list:
-                yield fcx.random_valid_complex(seed * 37 + NL, dims, NL)
+                yield fcx.random_complex_census(seed * 37 + NL, dims, NL)[0]
 
 
 def all_operator_families(dims, NL):
@@ -78,7 +78,7 @@ def test_t2_delta1_kernel_structure(t2):
 
 def test_t2_collapse_and_convergence(t2):
     res = sp.run_to_collapse(t2)
-    assert res.collapse_index == 2
+    assert res.pages[-1].r == 2
     assert res.einf_residue_dims() == {0: 0, 1: 0}
     report = sp.check_convergence(res)
     assert report.ok
@@ -104,7 +104,7 @@ def test_nu_zero_when_nl_large():
     fc = fcx.assemble(morse, 4, {})  # NL > dimL + 1 -> nu = 0
     assert fc.nu == 0
     res = sp.run_to_collapse(fc)
-    assert res.collapse_index == 1
+    assert res.pages[-1].r == 1
     dims1, _ = sp.e1_oracle(fc)
     assert {m: res.pages[1].dim(m) for m in range(3)} == dims1
 
