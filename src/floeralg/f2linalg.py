@@ -15,6 +15,11 @@ the reduced row echelon form of ``[m | I]``, computed on first use and kept
 on the matrix. A right-hand side then costs one pass over the transform
 rows, not a fresh elimination (the "factor once, solve many" idea of PLE
 decomposition, Albrecht, Bard and Pernet, arXiv 1111.6549).
+
+Every layer combines stored vectors by a coefficient bitmask through
+``_combine(vectors, coeffs)``, the XOR of ``vectors[i]`` over the set bits i
+of ``coeffs``, and decodes bitmasks through ``_bits_of``. Both are
+per-vector helpers and stay private, so the layer tracer leaves them alone.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ def _bits_of(x: int) -> Iterable[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def _combine(vectors: Sequence[int], coeffs: int) -> int:
+    """XOR of ``vectors[i]`` over the set bits i of ``coeffs``."""
+    acc = 0
+    while coeffs:
+        low = coeffs & -coeffs
+        acc ^= vectors[low.bit_length() - 1]
+        coeffs ^= low
+    return acc
 
 
 @dataclass(frozen=True)
@@ -116,13 +131,8 @@ class F2Matrix:
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in F2 matrix product")
-        out = []
-        for r in self.bits:
-            acc = 0
-            for k in _bits_of(r):
-                acc ^= other.bits[k]
-            out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
+        return F2Matrix(self.rows, other.cols,
+                        tuple(_combine(other.bits, r) for r in self.bits))
 
     def mul_vec(self, x: int) -> int:
         """Matrix-vector product ``self @ x`` with ``x`` over the columns."""
@@ -275,11 +285,7 @@ class Subspace:
 
     def vectors(self) -> Iterable[int]:
         """All 2^dim elements (small subspaces only; test use)."""
-        for mask in range(1 << self.dim):
-            v = 0
-            for i in _bits_of(mask):
-                v ^= self.basis[i]
-            yield v
+        return (_combine(self.basis, mask) for mask in range(1 << self.dim))
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

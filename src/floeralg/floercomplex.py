@@ -156,7 +156,7 @@ class FloerComplex:
 
     def vec_to_chain(self, vec: int, m: int) -> frozenset:
         off = self._degree_offset(m)
-        return frozenset(p + off for p in range(vec.bit_length()) if (vec >> p) & 1)
+        return frozenset(p + off for p in f2linalg._bits_of(vec))
 
     def operator_images(self, k: int) -> tuple[int, ...]:
         """op_k(g) for every generator g, as chain bitmasks.
@@ -195,19 +195,10 @@ class FloerComplex:
         case for a nonzero product beyond dimL).
         """
         rows = self.product_rows(0)
-        o1 = self._degree_offset(m1)
-        o2 = self._degree_offset(m2)
+        b = v2 << self._degree_offset(m2)
         out = 0
-        a = v1
-        while a:
-            low = a & -a
-            row = rows[o1 + low.bit_length() - 1]
-            b = v2
-            while b:
-                low_b = b & -b
-                out ^= row[o2 + low_b.bit_length() - 1]
-                b ^= low_b
-            a ^= low
+        for x in f2linalg._bits_of(v1 << self._degree_offset(m1)):
+            out ^= f2linalg._combine(rows[x], b)
         mt = m1 + m2
         if mt > self.dimL:
             return None if out else 0
@@ -334,8 +325,7 @@ def check_d_squared(fc: FloerComplex) -> IdentityReport:
                     continue
                 acc = acc + fc.operator(i, mid) @ fc.operator(j, m)
             if not acc.is_zero():
-                col = next(c for c in range(acc.cols)
-                           if any(acc.get(r, c) for r in range(acc.rows)))
+                col = min(next(f2linalg._bits_of(row)) for row in acc.bits if row)
                 witness = fc.morse.generators[fc.morse.degree_positions(m)[col]].name
                 break
         entries.append(IdentityEntry(l, witness is None, witness))
@@ -431,24 +421,11 @@ def _first_leibniz_failure(splits, n: int) -> Optional[tuple[int, int]]:
         diff = [0] * n
         for rows, images in splits:
             row = rows[x]
-            ox = images[x]  # sum over x' in op_j x of M_i^x'
-            while ox:
-                low = ox & -ox
-                diff = [a ^ b for a, b in zip(diff, rows[low.bit_length() - 1])]
-                ox ^= low
+            for xp in f2linalg._bits_of(images[x]):  # sum over x' in op_j x of M_i^x'
+                diff = [a ^ b for a, b in zip(diff, rows[xp])]
             for y in range(n):
-                acc = 0
-                v = row[y]  # op_j(m_i(x, y))
-                while v:
-                    low = v & -v
-                    acc ^= images[low.bit_length() - 1]
-                    v ^= low
-                w = images[y]  # m_i(x, op_j y)
-                while w:
-                    low = w & -w
-                    acc ^= row[low.bit_length() - 1]
-                    w ^= low
-                diff[y] ^= acc
+                # op_j(m_i(x, y)) + m_i(x, op_j y)
+                diff[y] ^= f2linalg._combine(images, row[y]) ^ f2linalg._combine(row, images[y])
         for y in range(n):
             if diff[y]:
                 return x, y
@@ -616,12 +593,9 @@ def complex_from_ring(ring: GradedRing, NL: int,
         table: dict[int, list[tuple[int, int]]] = {}
         for g, img in enumerate(d.images):
             m = ring.basis[g].degree
-            while img:
-                low = img & -img
-                h = low.bit_length() - 1
+            for h in f2linalg._bits_of(img):
                 t = ring.basis[h].degree
                 table.setdefault(m, []).append((local[t][cpos[h]], local[m][cpos[g]]))
-                img ^= low
         return {m: F2Matrix.from_entries(morse.dim_at(m + d.shift),
                                          morse.dim_at(m), pairs)
                 for m, pairs in table.items()}

@@ -6,9 +6,9 @@ keeps everything exact. The table is stored once, as bitmask rows: bit k of
 as the bitmask image of each basis element, and the ring checks and the
 derivation code work on such bitmasks over basis indices. Ring elements are
 ``frozenset[int]`` of basis indices (an F2 sum of basis elements) only at
-the public API: ``one``, ``element``, ``mul``, ``names_of`` and
-``Derivation.apply`` take and return them, converting to and from bitmasks,
-and addition is symmetric difference.
+the public API: ``one``, ``element``, ``mul`` and ``Derivation.apply`` take
+and return them, converting to and from bitmasks, and addition is symmetric
+difference.
 
 The module also houses the degree-shift vanishing argument: on a ring
 generated in degree one, every Leibniz derivation lowering degree by two or
@@ -45,6 +45,8 @@ from .errors import (
 Element = frozenset  # frozenset[int]: F2 combination of basis indices
 
 MAX_EXTERIOR_GENERATORS = 12
+# F2[a]/(a^(n+1)) has (n+1)^2/2 table entries; `ring rp --n 1000` prints 31 MB
+MAX_TRUNCATED_DEGREE = 1000
 MAX_ENUMERATION_ASSIGNMENTS = 1 << 24
 
 
@@ -132,9 +134,6 @@ class GradedRing:
             out ^= frozenset({self.index_of(n)})
         return out
 
-    def names_of(self, elt: Element) -> tuple[str, ...]:
-        return tuple(self.basis[i].name for i in sorted(elt))
-
     def mul(self, a: Element, b: Element) -> Element:
         """Bilinear extension of the structure table (the cup product)."""
         return _element_of_mask(_mask_mul(self.rows, _mask_of(a), _mask_of(b)))
@@ -145,12 +144,7 @@ class GradedRing:
     def _local(self, mask: int, degree: int) -> int:
         """Coordinates in the degree slot of a bitmask over basis indices."""
         pos = self._positions.get(degree, {})
-        v = 0
-        while mask:
-            low = mask & -mask
-            v |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        return v
+        return sum(1 << pos[k] for k in f2linalg._bits_of(mask))
 
     # -- verification ---------------------------------------------------------
 
@@ -300,12 +294,12 @@ def build_exterior(n: int) -> GradedRing:
     masks = sorted(
         (sum(1 << g for g in c)
          for k in range(n + 1) for c in itertools.combinations(range(n), k)),
-        key=lambda m: (m.bit_count(), [g for g in range(n) if (m >> g) & 1]),
+        key=lambda m: (m.bit_count(), list(f2linalg._bits_of(m))),
     )
     index = {m: i for i, m in enumerate(masks)}
 
     def name(m: int) -> str:
-        return "1" if not m else "".join(f"x{g + 1}" for g in range(n) if (m >> g) & 1)
+        return "1" if not m else "".join(f"x{g + 1}" for g in f2linalg._bits_of(m))
 
     basis = [BasisElement(name(m), m.bit_count()) for m in masks]
     full = (1 << n) - 1
@@ -327,6 +321,9 @@ def build_truncated_poly(n: int) -> GradedRing:
     """F2[a]/(a^(n+1)) with deg(a) = 1: the mod-2 cohomology ring of RP^n."""
     if n < 1:
         raise SizeLimit(f"truncated polynomial ring supported for n >= 1, got {n}")
+    if n > MAX_TRUNCATED_DEGREE:
+        raise SizeLimit(f"truncated polynomial ring supported for n <= "
+                        f"{MAX_TRUNCATED_DEGREE}, got {n}")
     basis = [BasisElement("1" if i == 0 else ("a" if i == 1 else f"a^{i}"), i)
              for i in range(n + 1)]
     mult = {(i, j): (i + j,) for i in range(n + 1) for j in range(n + 1) if i + j <= n}
@@ -359,7 +356,7 @@ class Derivation:
                                  f"{b.degree + self.shift}")
 
     def apply(self, elt: Element) -> Element:
-        return _element_of_mask(_mask_apply(self.images, _mask_of(elt)))
+        return _element_of_mask(f2linalg._combine(self.images, _mask_of(elt)))
 
     def is_zero(self) -> bool:
         return not any(self.images)
@@ -396,16 +393,6 @@ def _mask_mul(rows: Sequence[Mapping[int, int]], a: int, b: int) -> int:
     return out
 
 
-def _mask_apply(images: Sequence[int], a: int) -> int:
-    """A linear map given by its basis images, applied to a bitmask element."""
-    out = 0
-    while a:
-        low = a & -a
-        out ^= images[low.bit_length() - 1]
-        a ^= low
-    return out
-
-
 def check_leibniz(d: Derivation) -> bool:
     """True iff d(ab) = d(a) b + a d(b) for all ring elements a and b.
 
@@ -433,7 +420,7 @@ def check_leibniz(d: Derivation) -> bool:
     for g in ring.degree_basis(1):
         row_g, dg = rows[g], images[g]
         for b in range(ring.dim):
-            lhs = _mask_apply(images, row_g.get(b, 0))
+            lhs = f2linalg._combine(images, row_g.get(b, 0))
             rhs = _mask_mul(rows, dg, units[b]) ^ _mask_mul(rows, units[g], images[b])
             if lhs != rhs:
                 return False
@@ -469,12 +456,10 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
                 raise NotDegreeOneGenerated(
                     f"degree {d} element not reachable from degree-1 products")
             img = 0
-            while coords:
-                low = coords & -coords
-                g, f = pair_cols[low.bit_length() - 1]
+            for p in f2linalg._bits_of(coords):
+                g, f = pair_cols[p]
                 img ^= _mask_mul(rows, images[g], units[f])
                 img ^= _mask_mul(rows, units[g], images[f])
-                coords ^= low
             images[e] = img
 
     result = Derivation(ring, shift, tuple(images))
@@ -503,7 +488,7 @@ def iter_derivations(ring: GradedRing, shift: int):
         values = {}
         for p, g in enumerate(gens):
             chunk = (assignment >> (p * t)) & ((1 << t) - 1)
-            values[g] = frozenset(target[q] for q in range(t) if (chunk >> q) & 1)
+            values[g] = frozenset(target[q] for q in f2linalg._bits_of(chunk))
         try:
             yield derivation_from_generator_values(ring, shift, values)
         except InconsistentExtension:
@@ -646,7 +631,7 @@ def top_class_nonvanishing(d: Derivation) -> TopClassWitness:
     top = _mask_mul(rows, units[lead], y)
     if not top:
         raise ValueError("generator product vanishes; not an exterior top class")
-    d_top = _mask_apply(images, top)
+    d_top = f2linalg._combine(images, top)
     identity = _mask_mul(rows, units[lead], d_top) == top
     return TopClassWitness(
         generator_order=tuple(ring.basis[g].name for g in order),

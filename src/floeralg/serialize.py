@@ -195,7 +195,7 @@ def complex_to_dict(fc: FloerComplex) -> dict:
         out["products"] = {
             str(l): [[i, j, k] for i, row in enumerate(fc.products[l])
                      for j, bits in enumerate(row)
-                     for k in range(bits.bit_length()) if (bits >> k) & 1]
+                     for k in _bits_of(bits)]
             for l in sorted(fc.products)
         }
     return out

@@ -13,6 +13,11 @@ o_r = sum_{k=1..r} op_k y_(r-k). Spanning vectors of B_r(m) carry antecedent
 chains w_0..w_(r-1) with b = sum_{i+k=r-1} op_k w_i, which is exactly what
 is needed to repair a tail when extending a cycle one page deeper.
 
+Each page degree stores the obstruction of every Z generator, computed once
+when the degree is built; it is linear in the cycle and its tail, so the
+page differential and the next page turn combine the stored ones. The
+paranoid second lift recomputes its obstructions from perturbed tails.
+
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
 checked per residue against the folded homology and against a truncated
@@ -48,9 +53,11 @@ class BGen:
 
 @dataclass(frozen=True)
 class PageDegree:
+    """One degree of page r; ``obs[i]`` is the page-r obstruction of ``z_basis[i]``."""
     z_basis: tuple[ZGen, ...]
     b_span: tuple[BGen, ...]
     quotient: QuotientMap
+    obs: tuple[int, ...]
 
     # Each matrix is built once per degree, so every vector solved against
     # it reads one elimination.
@@ -157,16 +164,8 @@ def _resolve_in_z(deg: PageDegree, vec: int) -> tuple[int, ...]:
     coeff = f2linalg.solve(deg.z_matrix, vec)
     if coeff is None:
         raise LiftFailure("vector claimed in Z-span has no expression there")
-    depth = len(deg.z_basis[0].tail) if deg.z_basis else 0
-    tail = [0] * depth
-    c = coeff
-    while c:
-        low = c & -c
-        g = deg.z_basis[low.bit_length() - 1]
-        for s in range(depth):
-            tail[s] ^= g.tail[s]
-        c ^= low
-    return tuple(tail)
+    slots = zip(*(g.tail for g in deg.z_basis))  # y_s of every basis element, per s
+    return tuple(f2linalg._combine(slot, coeff) for slot in slots)
 
 
 def page0(fc: FloerComplex) -> SpectralPage:
@@ -177,22 +176,35 @@ def page0(fc: FloerComplex) -> SpectralPage:
         z = tuple(ZGen(1 << i, ()) for i in range(n))
         zsp = Subspace.full(n)
         bsp = Subspace.zero(n)
-        data[m] = PageDegree(z, (), f2linalg.quotient_map(bsp, zsp))
+        obs = tuple(_obstruction(fc, 0, m, g.vec, g.tail) for g in z)
+        data[m] = PageDegree(z, (), f2linalg.quotient_map(bsp, zsp), obs)
     delta = _compute_delta(fc, 0, data)
     return SpectralPage(fc, 0, data, delta)
 
 
 def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
                    ) -> dict[int, F2Matrix]:
+    """delta_r on every degree, from the stored obstructions.
+
+    The obstruction o_r(x; y_1..y_(r-1)) = sum_{k=1..r} op_k y_(r-k) (op_0 x
+    for r = 0) is linear in the cycle x and its tail jointly. A
+    representative q = sum c_i g_i.vec of the Z-span has the tail
+    sum c_i g_i.tail, so o_r(q) = sum c_i o_r(g_i): the combination of
+    ``deg.obs`` by c. The c of all representatives of a degree are read off
+    one elimination of its Z matrix.
+    """
     delta: dict[int, F2Matrix] = {}
     for m in range(fc.dimL + 1):
         t = m + 1 - r * fc.NL
         t_in_range = 0 <= t <= fc.dimL
         tgt_dim = data[t].quotient.dim if t_in_range else 0
+        deg = data[m]
+        reps = deg.quotient.reps.basis
         cols = []
-        for q in data[m].quotient.reps.basis:
-            tail = _resolve_in_z(data[m], q)
-            obs = _obstruction(fc, r, m, q, tail)
+        for c in f2linalg.solve_many(deg.z_matrix, reps) if reps else ():
+            if c is None:
+                raise LiftFailure("vector claimed in Z-span has no expression there")
+            obs = f2linalg._combine(deg.obs, c)
             if not t_in_range:
                 if obs:
                     raise LiftFailure(f"page {r} differential escapes the grading "
@@ -227,13 +239,15 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
 
     Representatives are perturbed by a boundary generator and tails by a
     homogeneous zig-zag solution, which covers both choices the canonical
-    computation makes.
+    computation makes. Each obstruction is recomputed from its perturbed
+    tail, not combined from the stored ``obs``, so a wrong stored one shows.
     """
     for m in range(fc.dimL + 1):
         t = m + 1 - r * fc.NL
         if not (0 <= t <= fc.dimL) or data[m].quotient.dim == 0:
             continue
         freedom = _tail_freedom(fc, m, max(r - 1, 0))
+        expected_cols = delta[m].transpose().bits
         for idx, q in enumerate(data[m].quotient.reps.basis):
             q2 = q ^ (data[m].b_span[0].vec if data[m].b_span else 0)
             tail = _resolve_in_z(data[m], q2)
@@ -244,12 +258,7 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
                 coords = data[t].quotient.coords(obs)
             except ValueError as exc:
                 raise LiftFailure("second lift left the cycle space") from exc
-            expected = 0
-            col = delta[m]
-            for row in range(col.rows):
-                if col.get(row, idx):
-                    expected |= 1 << row
-            if coords != expected:
+            if coords != expected_cols[idx]:
                 raise LiftFailure(f"page {r} differential depends on the lift "
                                   f"at degree {m}")
 
@@ -266,15 +275,14 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         t = m + 1 - r * N
         tgt = page.data[t] if 0 <= t <= fc.dimL else None
 
-        obs_vecs = [_obstruction(fc, r, m, g.vec, g.tail) for g in deg.z_basis]
         if tgt is None:
-            if any(obs_vecs):
+            if any(deg.obs):
                 raise LiftFailure(f"obstruction escapes the grading range at "
                                   f"degree {m}")
             coeff_kernel = Subspace.full(len(deg.z_basis))
         else:
             cols = []
-            for o in obs_vecs:
+            for o in deg.obs:
                 try:
                     cols.append(tgt.quotient.coords(o))
                 except ValueError as exc:
@@ -282,34 +290,22 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                                       f"leaves the cycle space") from exc
             coeff_kernel = f2linalg.kernel(_column_matrix(cols, tgt.quotient.dim))
 
+        z_vecs = [g.vec for g in deg.z_basis]
+        z_tails = list(zip(*(g.tail for g in deg.z_basis)))
         new_z = []
         for combo in coeff_kernel.basis:
-            vec = 0
-            tail = [0] * max(r - 1, 0)
-            obs = 0
-            c = combo
-            while c:
-                low = c & -c
-                g = deg.z_basis[low.bit_length() - 1]
-                vec ^= g.vec
-                for s in range(r - 1):
-                    tail[s] ^= g.tail[s]
-                obs ^= obs_vecs[low.bit_length() - 1]
-                c ^= low
+            vec = f2linalg._combine(z_vecs, combo)
+            tail = [f2linalg._combine(slot, combo) for slot in z_tails]
+            obs = f2linalg._combine(deg.obs, combo)
             if r >= 1:
-                tail = tail + [0]  # slot for y_r
+                tail.append(0)  # slot for y_r
             if tgt is not None and obs:
                 coeff = f2linalg.solve(tgt.b_matrix, obs)
                 if coeff is None:
                     raise LiftFailure(f"obstruction at degree {m} is not a "
                                       f"boundary despite vanishing class")
-                cc = coeff
-                while cc:
-                    low = cc & -cc
-                    chain = tgt.b_span[low.bit_length() - 1].chain
-                    for s in range(1, r + 1):
-                        tail[s - 1] ^= chain[s - 1]
-                    cc ^= low
+                for s in range(r):
+                    tail[s] ^= f2linalg._combine([b.chain[s] for b in tgt.b_span], coeff)
             new_z.append(ZGen(vec, tuple(tail)))
 
         shifted = [BGen(b.vec, (0,) + b.chain) for b in deg.b_span]
@@ -317,8 +313,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         incoming = []
         if 0 <= sigma <= fc.dimL:
             sdeg = page.data[sigma]
-            for g in sdeg.z_basis:
-                o = _obstruction(fc, r, sigma, g.vec, g.tail)
+            for g, o in zip(sdeg.z_basis, sdeg.obs):
                 chain = (g.vec,) + g.tail + (0,) if r >= 1 else (g.vec,)
                 incoming.append(BGen(o, chain))
 
@@ -347,7 +342,8 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         if quot.dim > page.dim(m):
             raise LiftFailure(f"page dimensions increased at degree {m}")
 
-        new_data[m] = PageDegree(tuple(new_z), tuple(kept), quot)
+        obs = tuple(_obstruction(fc, r + 1, m, g.vec, g.tail) for g in new_z)
+        new_data[m] = PageDegree(tuple(new_z), tuple(kept), quot, obs)
 
     delta = _compute_delta(fc, r + 1, new_data)
     if paranoid:
@@ -387,15 +383,14 @@ def run_to_collapse(fc: FloerComplex, paranoid: bool = True) -> CollapseResult:
     return CollapseResult(tuple(pages), einf)
 
 
-def window_homology_dims(fc: FloerComplex, window: Optional[int] = None
-                         ) -> dict[int, int]:
+def window_homology_dims(fc: FloerComplex) -> dict[int, int]:
     """Truncated-window oracle: honest bigraded homology in middle degrees.
 
-    Builds the Laurent complex over T-powers in [-W, W] and computes the
-    homology of total degrees 0..NL-1, which are far enough from the window
-    boundary that no chain, boundary or image is truncated.
+    Builds the Laurent complex over T-powers in [-W, W], W = 2 nu + 2, and
+    computes the homology of total degrees 0..NL-1, which are far enough
+    from the window boundary that no chain, boundary or image is truncated.
     """
-    W = window if window is not None else 2 * fc.nu + 2
+    W = 2 * fc.nu + 2
     N = fc.NL
 
     def blocks(l: int) -> list[tuple[int, int]]:
@@ -584,26 +579,15 @@ def _page_leibniz(page: SpectralPage, fc: FloerComplex, tables) -> None:
     r = page.r
     N = fc.NL
     # delta_r of each basis class, once per degree
-    d_of = {m: [page.delta_matrix(m).mul_vec(1 << i) for i in range(page.dim(m))]
-            for m in range(fc.dimL + 1)}
-
-    def combine(rows: list[int], c: int) -> int:
-        acc = 0
-        while c:
-            low = c & -c
-            acc ^= rows[low.bit_length() - 1]
-            c ^= low
-        return acc
+    d_of = {m: page.delta_matrix(m).transpose().bits for m in range(fc.dimL + 1)}
 
     def classes_product(m1: int, c1: int, m2: int, c2: int) -> int:
         table = tables.get((m1, m2))
         if table is None:
             return 0
         acc = 0
-        while c1:
-            low = c1 & -c1
-            acc ^= combine(table[low.bit_length() - 1], c2)
-            c1 ^= low
+        for i in f2linalg._bits_of(c1):
+            acc ^= f2linalg._combine(table[i], c2)
         return acc
 
     for (m1, m2), table in tables.items():
@@ -612,7 +596,7 @@ def _page_leibniz(page: SpectralPage, fc: FloerComplex, tables) -> None:
             continue
         for i, da in enumerate(d_of[m1]):
             for j, db in enumerate(d_of[m2]):
-                lhs = combine(d_of[mt], table[i][j])
+                lhs = f2linalg._combine(d_of[mt], table[i][j])
                 t1 = classes_product(m1 + 1 - r * N, da, m2, 1 << j)
                 t2 = classes_product(m1, 1 << i, m2 + 1 - r * N, db)
                 if lhs != t1 ^ t2:

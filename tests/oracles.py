@@ -8,6 +8,7 @@ checked on every basis pair or triple over frozenset elements.
 import itertools
 
 from floeralg import f2linalg as f2
+from floeralg import spectral as sp
 
 
 def solve_oracle(m, b):
@@ -103,3 +104,19 @@ def check_leibniz_all_pairs(d):
             if lhs != rhs:
                 return False
     return True
+
+
+def delta_oracle(fc, r, data):
+    """delta_r per degree, one representative at a time: resolve the tail of
+    each representative in the Z-span, then recompute its obstruction."""
+    delta = {}
+    for m in range(fc.dimL + 1):
+        t = m + 1 - r * fc.NL
+        in_range = 0 <= t <= fc.dimL
+        cols = []
+        for q in data[m].quotient.reps.basis:
+            obs = sp._obstruction(fc, r, m, q, sp._resolve_in_z(data[m], q))
+            assert in_range or not obs
+            cols.append(data[t].quotient.coords(obs) if in_range else 0)
+        delta[m] = sp._column_matrix(cols, data[t].quotient.dim if in_range else 0)
+    return delta

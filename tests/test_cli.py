@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import weakref
@@ -14,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import floeralg
+from floeralg import gradedalg as ga
 from floeralg import maslov as mv
 from floeralg import serialize
 from floeralg.cli import main
@@ -133,6 +135,27 @@ def test_rp_ring_below_rank_one_exit_2(args):
     r = run_cli(*args)
     assert r.exit_code == 2
     assert r.stderr.startswith("error: truncated polynomial ring")
+
+
+def limited_proc(*args):
+    """``floeralg *args`` in a subprocess whose address space is capped at 2 GB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = dict(os.environ, PYTHONPATH=str(Path(floeralg.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "floeralg.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap, timeout=60)
+
+
+@pytest.mark.parametrize("args", [
+    ("ring", "rp", "--n", "1000000"), ("rp", "--n", "1000000", "--maslov", "3"),
+    ("derivations", "enumerate", "--kind", "rp", "--n", "1000000", "--shift", "-1"),
+])
+def test_rp_ring_above_the_degree_cap_exit_2(args):
+    r = limited_proc(*args)
+    assert r.returncode == 2
+    assert r.stderr == ("error: truncated polynomial ring supported for n <= "
+                        f"{ga.MAX_TRUNCATED_DEGREE}, got 1000000\n")
 
 
 def test_ring_round_trip():

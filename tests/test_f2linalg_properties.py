@@ -112,3 +112,27 @@ def test_solve_many_on_empty_shapes(tall, wide):
         [0, None if tall.rows else 0]
     assert f2.solve_many(wide, [0]) == [0]
     assert f2.solve_many(wide, []) == []
+
+
+# -- the combination routine --------------------------------------------------
+
+
+vector_lists = st.lists(st.integers(0, (1 << MAX_DIM) - 1), max_size=MAX_DIM)
+
+
+@given(vector_lists, st.data())
+def test_combine_is_the_xor_of_the_selected_vectors(vectors, data):
+    c = data.draw(st.integers(0, (1 << len(vectors)) - 1))
+    acc = 0
+    for i in f2._bits_of(c):
+        acc ^= vectors[i]
+    assert f2._combine(vectors, c) == acc
+    assert f2._combine(vectors, 0) == 0
+
+
+@given(vector_lists, st.data())
+def test_combine_is_linear_in_the_coefficients(vectors, data):
+    top = (1 << len(vectors)) - 1
+    c1, c2 = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
+    assert f2._combine(vectors, c1 ^ c2) == \
+        f2._combine(vectors, c1) ^ f2._combine(vectors, c2)

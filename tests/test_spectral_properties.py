@@ -1,4 +1,5 @@
-"""Property tests: spectral pages of census complexes, chain bitmasks, m_0.
+"""Property tests: spectral pages of census complexes and their stored
+obstructions, chain bitmasks, m_0.
 
 Census complexes are small (at most four degrees of at most three
 generators); ring complexes are the exterior and truncated rings of rank at
@@ -6,13 +7,18 @@ most 3 and 4 with a shift -1 derivation, so each example runs in
 milliseconds.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import basis_mul
+from oracles import basis_mul, delta_oracle
 
+from floeralg import f2linalg
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
 from floeralg import spectral as sp
+from floeralg.errors import LiftFailure
 from floeralg.f2linalg import Subspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -111,3 +117,67 @@ def test_product_vec_matches_ring_product(ring_complex, data):
     else:
         expected = fc.chain_to_vec(frozenset(position[k] for k in prod), mt)
     assert fc.product_vec(m1, v1, m2, v2) == expected
+
+
+# -- stored obstructions -------------------------------------------------------
+
+# (dims, NL): census shapes with empty degrees or several pages
+CENSUS_SHAPES = [((2, 0, 3, 0, 2, 0, 2), 2), ((1, 2, 4, 4, 2, 1), 3),
+                 ((3, 0, 3, 0, 0, 3, 0, 2), 4), ((2, 3, 3, 2), 2)]
+
+
+def fixed_census():
+    return [fcx.random_complex_census(seed, dims, NL)[0]
+            for seed in range(3) for dims, NL in CENSUS_SHAPES]
+
+
+def assert_obs_and_delta_match_the_oracle(fc):
+    for page in sp.run_to_collapse(fc).pages:
+        for m, deg in page.data.items():
+            assert len(deg.obs) == len(deg.z_basis)
+            for g, o in zip(deg.z_basis, deg.obs):
+                assert o == sp._obstruction(fc, page.r, m, g.vec, g.tail)
+        assert page.delta == delta_oracle(fc, page.r, page.data)
+
+
+@SETTINGS
+@given(census_complexes())
+def test_stored_obstructions_and_delta_match_the_oracle(census):
+    assert_obs_and_delta_match_the_oracle(census[0])
+
+
+def test_stored_obstructions_and_delta_match_the_oracle_on_census():
+    for fc in fixed_census():
+        assert_obs_and_delta_match_the_oracle(fc)
+
+
+def corruptions(fc):
+    """(page, degree, data with one obstruction moved by a nonzero target class)."""
+    for page in sp.run_to_collapse(fc).pages:
+        for m, deg in page.data.items():
+            t = m + 1 - page.r * fc.NL
+            if not (0 <= t <= fc.dimL) or not deg.quotient.dim or not page.dim(t):
+                continue
+            # a Z generator that the first representative uses
+            c = f2linalg.solve(deg.z_matrix, deg.quotient.reps.basis[0])
+            i = next(f2linalg._bits_of(c))
+            obs = list(deg.obs)
+            obs[i] ^= page.reps(t)[0]
+            data = dict(page.data)
+            data[m] = dataclasses.replace(deg, obs=tuple(obs))
+            yield page, m, data
+
+
+def test_corrupted_obstruction_fails_the_second_lift(monkeypatch):
+    # the corrupted delta may no longer square to zero; that check is turned
+    # off so the second lift alone must notice
+    monkeypatch.setattr(sp, "_assert_delta_squares", lambda *args: None)
+    seen = 0
+    for fc in fixed_census():
+        for page, m, data in corruptions(fc):
+            delta = sp._compute_delta(fc, page.r, data)
+            assert delta[m] != page.delta[m]
+            with pytest.raises(LiftFailure, match="depends on the lift"):
+                sp._second_lift_check(fc, page.r, data, delta)
+            seen += 1
+    assert seen >= 10
