@@ -104,7 +104,7 @@ def cmd_ss_run(complex_file, paranoid, verbose_pages, fmt):
     convergence against the folded homology and the window oracle."""
     fc = serialize.complex_from_dict(serialize.load_json(complex_file))
     result = spectral.run_to_collapse(fc, paranoid=paranoid)
-    report = spectral.check_convergence(result, fc.d2_report)
+    report = spectral.check_convergence(result)
     data = {
         "nu": fc.nu,
         "NL": fc.NL,
@@ -306,10 +306,9 @@ def cmd_corpus(seed, count, dims, nl, out, paranoid, fmt):
                 fh.write(serialize.canonical_json(serialize.complex_to_dict(fc)))
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}")
-        d2 = fc.d2_report  # assemble's check, run once per complex
-        d2_ok = d2.ok
+        d2_ok = fc.d2_report.ok  # assemble's check, run once per complex
         collapse = spectral.run_to_collapse(fc, paranoid=paranoid)
-        conv = spectral.check_convergence(collapse, d2)
+        conv = spectral.check_convergence(collapse)
         census_ok = {v.residue: v.folded for v in conv.residues} == expected
         dims1, deltas1 = spectral.e1_oracle(fc)
         page1 = collapse.pages[1]

@@ -10,9 +10,12 @@ feed the product-Leibniz check and the induced page products of
 :mod:`floeralg.spectral`.
 
 Chains are int bitmasks: bit g is generator g of the global order, which
-sorts by (index, name). Each m_l is stored once, as bitmask rows with
-``rows[x][y]`` = m_l(x, y); there is no separate chain algebra or filtered
-chain product.
+sorts by (index, name), so each Morse degree is a contiguous run. A map
+that shifts degree, such as op_k or a change of basis, is one n x n matrix
+over that order: ``MorseComplex.glue`` builds it from per-degree blocks and
+``MorseComplex.cut`` takes it back, and no other code here maps between
+degree-local and global coordinates. Each m_l is stored once, as bitmask
+rows with ``rows[x][y]`` = m_l(x, y).
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import f2linalg
@@ -34,6 +39,7 @@ from .f2linalg import F2Matrix
 from .gradedalg import Derivation, GradedRing
 
 MAX_TOTAL_DIM = 64
+MAX_CENSUS_NL = 10_000
 
 
 @dataclass(frozen=True)
@@ -45,8 +51,13 @@ class Generator:
 class MorseComplex:
     """Morse cochain complex: named critical points and a degree +1 boundary.
 
-    Generators are kept in canonical order, sorted by (index, name); all
-    per-degree coordinates refer to that order.
+    Generators are kept in canonical order, sorted by (index, name), so
+    each degree's generators are contiguous: coordinate i of degree m is
+    generator ``degree_offset(m) + i``. This class alone knows that layout.
+    A map shifting Morse degree by ``shift`` is a family of blocks
+    C^m -> C^(m+shift); ``glue`` places them in one n x n matrix over the
+    generator order, and ``cut`` takes such a matrix back to its nonzero
+    blocks.
     """
 
     def __init__(self, generators: Sequence[Generator], dimL: int,
@@ -60,8 +71,7 @@ class MorseComplex:
             raise ShapeMismatch("generator index outside [0, dimL]")
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for pos, g in enumerate(self.generators):
-            self._by_degree.setdefault(g.index, ())
-            self._by_degree[g.index] += (pos,)
+            self._by_degree[g.index] = self._by_degree.get(g.index, ()) + (pos,)
         self.boundary: dict[int, F2Matrix] = {}
         boundary = dict(boundary or {})
         for m in range(dimL + 1):
@@ -90,11 +100,40 @@ class MorseComplex:
     def degree_positions(self, m: int) -> tuple[int, ...]:
         return self._by_degree.get(m, ())
 
+    def degree_offset(self, m: int) -> int:
+        """Position of the first generator of degree m; 0 for an empty degree."""
+        return self._by_degree.get(m, (0,))[0]
+
+    def degree_mask(self, m: int) -> int:
+        """Chain bitmask of every generator of Morse degree m."""
+        return ((1 << self.dim_at(m)) - 1) << self.degree_offset(m)
+
     def position_of(self, name: str) -> int:
         for pos, g in enumerate(self.generators):
             if g.name == name:
                 return pos
         raise KeyError(name)
+
+    def glue(self, blocks: Mapping[int, F2Matrix], shift: int) -> F2Matrix:
+        """Blocks C^m -> C^(m+shift) as one n x n matrix: block m starts at
+        row ``degree_offset(m + shift)`` and column ``degree_offset(m)``."""
+        rows = [0] * len(self.generators)
+        for m, mat in blocks.items():
+            tgt, src = self.degree_offset(m + shift), self.degree_offset(m)
+            rows[tgt:tgt + mat.rows] = [row << src for row in mat.bits]
+        return F2Matrix(len(rows), len(rows), tuple(rows))
+
+    def cut(self, matrix: F2Matrix, shift: int) -> dict[int, F2Matrix]:
+        """The nonzero blocks C^m -> C^(m+shift) of an n x n matrix over the
+        generator order, by ascending m; entries outside them are ignored."""
+        out = {}
+        for m, src in self._by_degree.items():
+            mask = (1 << len(src)) - 1
+            bits = tuple(matrix.bits[t] >> src[0] & mask
+                         for t in self._by_degree.get(m + shift, ()))
+            if any(bits):
+                out[m] = F2Matrix(len(bits), len(src), bits)
+        return out
 
 
 class FloerComplex:
@@ -117,8 +156,8 @@ class FloerComplex:
         self.products: Optional[dict[int, tuple[tuple[int, ...], ...]]] = None
         if products is not None:
             self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
-        # the d^2 = 0 report of assemble, for callers that report it or
-        # pass it to folded_homology instead of checking again
+        # the d^2 = 0 report of assemble, which callers and folded_homology
+        # read instead of checking again
         self.d2_report: Optional[IdentityReport] = None
         self._op_images: dict[int, tuple[int, ...]] = {}
         self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
@@ -145,17 +184,13 @@ class FloerComplex:
         return self._zero_blocks[tgt, src]
 
     # -- chains ------------------------------------------------------------
-    #
-    # Generators of one Morse degree are contiguous in the global order (it
-    # sorts by degree first), so a degree-local vector is a chain bitmask
-    # shifted down by the first position of its degree.
 
     def chain_to_vec(self, chain: frozenset, m: int) -> int:
         """Degree-local vector of a chain of degree-m generator positions."""
-        return sum(1 << g for g in chain) >> self._degree_offset(m)
+        return sum(1 << g for g in chain) >> self.morse.degree_offset(m)
 
     def vec_to_chain(self, vec: int, m: int) -> frozenset:
-        off = self._degree_offset(m)
+        off = self.morse.degree_offset(m)
         return frozenset(p + off for p in f2linalg._bits_of(vec))
 
     def operator_images(self, k: int) -> tuple[int, ...]:
@@ -165,16 +200,8 @@ class FloerComplex:
         """
         images = self._op_images.get(k)
         if images is None:
-            out = [0] * len(self.morse.generators)
-            for m, mat in self.ops.get(k, {}).items():
-                t = m + 1 - k * self.NL
-                if not (0 <= m <= self.dimL and 0 <= t <= self.dimL):
-                    continue
-                src = self.morse.degree_positions(m)
-                tgt = self.morse.degree_positions(t)
-                for (i, j) in mat.entries():
-                    out[src[j]] ^= 1 << tgt[i]
-            images = self._op_images[k] = tuple(out)
+            glued = self.morse.glue(self.ops.get(k, {}), 1 - k * self.NL)
+            images = self._op_images[k] = glued.transpose().bits
         return images
 
     def product_rows(self, l: int) -> tuple[tuple[int, ...], ...]:
@@ -195,28 +222,18 @@ class FloerComplex:
         case for a nonzero product beyond dimL).
         """
         rows = self.product_rows(0)
-        b = v2 << self._degree_offset(m2)
+        b = v2 << self.morse.degree_offset(m2)
         out = 0
-        for x in f2linalg._bits_of(v1 << self._degree_offset(m1)):
+        for x in f2linalg._bits_of(v1 << self.morse.degree_offset(m1)):
             out ^= f2linalg._combine(rows[x], b)
         mt = m1 + m2
         if mt > self.dimL:
             return None if out else 0
-        off = self._degree_offset(mt)
+        off = self.morse.degree_offset(mt)
         vec = out >> off
         if vec << off != out or vec >> self.morse.dim_at(mt):
             return None
         return vec
-
-    def _degree_offset(self, m: int) -> int:
-        positions = self.morse.degree_positions(m)
-        return positions[0] if positions else 0
-
-    def _degree_mask(self, m: int) -> int:
-        """Chain bitmask of every generator of Morse degree m."""
-        if not (0 <= m <= self.dimL):
-            return 0
-        return ((1 << self.morse.dim_at(m)) - 1) << self._degree_offset(m)
 
 
 def _bitmask_rows(n: int, table: Mapping[tuple[int, int], Iterable[int]]
@@ -269,7 +286,7 @@ def assemble(morse: MorseComplex, NL: int,
         rows = fc.products[l]
         for (i, j) in table:
             want = morse.generators[i].index + morse.generators[j].index - l * NL
-            if rows[i][j] & ~fc._degree_mask(want):
+            if rows[i][j] & ~morse.degree_mask(want):
                 raise ShapeMismatch(f"m_{l}({morse.generators[i].name}, "
                                     f"{morse.generators[j].name}) has entries "
                                     f"of wrong degree")
@@ -308,41 +325,46 @@ class IdentityReport:
         return e.l, e.witness
 
 
+def _glued(morse: MorseComplex, NL: int,
+           ops: Mapping[int, Mapping[int, F2Matrix]]) -> F2Matrix:
+    """One matrix whose blocks from m to m + 1 - k*NL are the op_k."""
+    total = F2Matrix.zeros(len(morse.generators), len(morse.generators))
+    for k, blocks in ops.items():
+        total = total + morse.glue(blocks, 1 - k * NL)
+    return total
+
+
 def check_d_squared(fc: FloerComplex) -> IdentityReport:
-    """Per-l verdicts for the convolution identities sum(op_i op_j) = 0."""
+    """Per-l verdicts for the convolution identities sum(op_i op_j) = 0.
+
+    With D the glued family of all op_k, D^2 is formed once. A block of
+    D^2 from m to t fixes l (t = m + 2 - l*NL) and, for each split
+    i + j = l, the middle degree m + 1 - j*NL; so its blocks at shift
+    2 - l*NL are the sums over i + j = l of op_i op_j. The witness is the
+    lowest column of those blocks: the first nonzero column of the lowest
+    failing degree, as degrees are contiguous and ascending.
+    """
+    total = _glued(fc.morse, fc.NL, fc.ops)
+    square = total @ total
     entries = []
     for l in range(2 * fc.nu + 1):
-        witness = None
-        for m in range(fc.dimL + 1):
-            t = m + 2 - l * fc.NL
-            if not (0 <= t <= fc.dimL) or fc.morse.dim_at(m) == 0:
-                continue
-            acc = F2Matrix.zeros(fc.morse.dim_at(t), fc.morse.dim_at(m))
-            for i in range(l + 1):
-                j = l - i
-                mid = m + 1 - j * fc.NL
-                if not (0 <= mid <= fc.dimL):
-                    continue
-                acc = acc + fc.operator(i, mid) @ fc.operator(j, m)
-            if not acc.is_zero():
-                col = min(next(f2linalg._bits_of(row)) for row in acc.bits if row)
-                witness = fc.morse.generators[fc.morse.degree_positions(m)[col]].name
-                break
+        shift = 2 - l * fc.NL
+        cols = reduce(or_, fc.morse.glue(fc.morse.cut(square, shift), shift).bits, 0)
+        witness = fc.morse.generators[next(f2linalg._bits_of(cols))].name if cols else None
         entries.append(IdentityEntry(l, witness is None, witness))
     return IdentityReport(tuple(entries))
 
 
-def folded_homology(fc: FloerComplex, d2: Optional[IdentityReport] = None
-                    ) -> dict[int, int]:
+def folded_homology(fc: FloerComplex) -> dict[int, int]:
     """F2 dimensions of the homology of the fold, one per residue mod NL.
 
     The fold groups Morse degrees by residue; the total operator sum is a
     differential on it, and its homology at residue ``l`` equals the
     homology of the full Laurent complex in any degree congruent to ``l``.
-    That needs d^2 = 0: ``d2`` is the ``check_d_squared`` report of this
-    complex when the caller already has it, else it is computed here.
+    That needs d^2 = 0: the complex's ``d2_report`` when ``assemble`` left
+    one, else ``check_d_squared`` run here.
     """
-    report = d2 if d2 is not None else check_d_squared(fc)
+    report = fc.d2_report if fc.d2_report is not None else check_d_squared(fc)
     if not report.ok:
         l, name = report.first_failure
         raise NotADifferential(f"convolution identity fails at l={l}, witness "
@@ -457,6 +479,17 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     then conjugates by a random filtration-preserving change of basis. The
     second return value gives the folded homology dims predicted by the
     pairing bookkeeping: one class per unpaired generator.
+
+    The operators glue (``MorseComplex.glue``) into one matrix d with op_k
+    as its blocks from m to m + 1 - k*NL, the change of basis into phi with
+    its k-th term as the blocks from m to m - k*NL, and d' = phi^-1 d phi
+    is cut back at shift 1 - l*NL into op'_l. Proof that this is the
+    filtered conjugation: matrices whose blocks all run from m to m - k*NL,
+    k >= 0, form an algebra, and it is closed under inverse (an inverse is
+    a polynomial in its matrix, by Cayley-Hamilton); so phi^-1 is the
+    filtered inverse psi, and each block of psi d phi is the sum over
+    i + j + k = l of psi_i d_j phi_k. ``NL`` is capped at ``MAX_CENSUS_NL``,
+    as the expected dims and every residue check grow with it.
     """
     if any(d < 0 for d in dims):
         raise ShapeMismatch(f"negative dimension in {tuple(dims)}")
@@ -464,6 +497,8 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
         raise ShapeMismatch(f"total dimension {sum(dims)} exceeds {MAX_TOTAL_DIM}")
     if NL < 2:
         raise ShapeMismatch("NL must be >= 2")
+    if NL > MAX_CENSUS_NL:
+        raise ShapeMismatch(f"NL {NL} exceeds {MAX_CENSUS_NL}")
     rng = random.Random(seed)
     dimL = len(dims) - 1
     nu = (dimL + 1) // NL
@@ -486,82 +521,22 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     for m in range(dimL + 1):
         expected[m % NL] += len(unused[m])
 
-    base_ops = {
+    layout = MorseComplex(generators, dimL)
+    d = _glued(layout, NL, {
         k: {m: F2Matrix.from_entries(dims[m + 1 - k * NL], dims[m], pairs)
             for m, pairs in per.items()}
         for k, per in base.items()
-    }
-
-    # filtration-preserving change of basis: invertible block in T-degree 0,
+    })
+    # filtration-preserving change of basis: invertible blocks in T-degree 0,
     # arbitrary blocks pushing Morse degree down by k*NL
-    phi: dict[int, dict[int, F2Matrix]] = {0: {}, }
-    for m in range(dimL + 1):
-        phi[0][m] = _random_invertible(rng, dims[m])
+    phi = layout.glue({m: _random_invertible(rng, dims[m]) for m in range(dimL + 1)}, 0)
     for k in range(1, nu + 1):
-        phi[k] = {}
-        for m in range(dimL + 1):
-            t = m - k * NL
-            if 0 <= t <= dimL:
-                phi[k][m] = _random_matrix(rng, dims[t], dims[m])
+        phi = phi + layout.glue({m: _random_matrix(rng, dims[m - k * NL], dims[m])
+                                 for m in range(k * NL, dimL + 1)}, -k * NL)
+    conjugate = phi.inverse() @ d @ phi
 
-    def phi_at(k: int, m: int) -> Optional[F2Matrix]:
-        return phi.get(k, {}).get(m)
-
-    psi: dict[int, dict[int, F2Matrix]] = {0: {m: phi[0][m].inverse()
-                                               for m in range(dimL + 1)}}
-    for s in range(1, nu + 1):
-        psi[s] = {}
-        for m in range(dimL + 1):
-            t = m - s * NL
-            if not (0 <= t <= dimL):
-                continue
-            acc = F2Matrix.zeros(dims[t], dims[m])
-            for k in range(1, s + 1):
-                mid = m - (s - k) * NL
-                pk = phi_at(k, mid)
-                ps = psi.get(s - k, {}).get(m)
-                if pk is not None and ps is not None:
-                    acc = acc + pk @ ps
-            psi[s][m] = psi[0][t] @ acc
-
-    def base_op(j: int, m: int) -> Optional[F2Matrix]:
-        t = m + 1 - j * NL
-        if not (0 <= m <= dimL and 0 <= t <= dimL):
-            return None
-        mat = base_ops.get(j, {}).get(m)
-        return mat if mat is not None else F2Matrix.zeros(dims[t], dims[m])
-
-    new_ops: dict[int, dict[int, F2Matrix]] = {}
-    for l in range(nu + 1):
-        per: dict[int, F2Matrix] = {}
-        for m in range(dimL + 1):
-            t = m + 1 - l * NL
-            if not (0 <= t <= dimL):
-                continue
-            acc = F2Matrix.zeros(dims[t], dims[m])
-            for kk in range(l + 1):
-                pk = phi_at(kk, m)
-                if pk is None:
-                    continue
-                m1 = m - kk * NL
-                for j in range(l - kk + 1):
-                    dj = base_op(j, m1)
-                    if dj is None:
-                        continue
-                    i = l - kk - j
-                    m2 = m1 + 1 - j * NL
-                    pi = psi.get(i, {}).get(m2)
-                    if pi is None:
-                        continue
-                    acc = acc + pi @ (dj @ pk)
-            if not acc.is_zero():
-                per[m] = acc
-        if l == 0:
-            boundary = per
-        else:
-            new_ops[l] = per
-
-    morse = MorseComplex(generators, dimL, boundary)
+    morse = MorseComplex(generators, dimL, layout.cut(conjugate, 1))
+    new_ops = {l: layout.cut(conjugate, 1 - l * NL) for l in range(1, nu + 1)}
     fc = assemble(morse, NL, new_ops)
     return fc, expected
 
@@ -585,20 +560,11 @@ def complex_from_ring(ring: GradedRing, NL: int,
     position = {g.name: p for p, g in enumerate(morse.generators)}
     cpos = [position[b.name] for b in ring.basis]
 
-    local = {}
-    for m in range(dimL + 1):
-        local[m] = {g: p for p, g in enumerate(morse.degree_positions(m))}
-
     def op_matrices(d: Derivation) -> dict[int, F2Matrix]:
-        table: dict[int, list[tuple[int, int]]] = {}
-        for g, img in enumerate(d.images):
-            m = ring.basis[g].degree
-            for h in f2linalg._bits_of(img):
-                t = ring.basis[h].degree
-                table.setdefault(m, []).append((local[t][cpos[h]], local[m][cpos[g]]))
-        return {m: F2Matrix.from_entries(morse.dim_at(m + d.shift),
-                                         morse.dim_at(m), pairs)
-                for m, pairs in table.items()}
+        entries = [(cpos[h], cpos[g]) for g, img in enumerate(d.images)
+                   for h in f2linalg._bits_of(img)]
+        n = len(cpos)
+        return morse.cut(F2Matrix.from_entries(n, n, entries), d.shift)
 
     if boundary is not None:
         if boundary.shift != 1:

@@ -169,20 +169,12 @@ def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
 
 def complex_to_dict(fc: FloerComplex) -> dict:
     gens = fc.morse.generators
-    positions = {m: fc.morse.degree_positions(m) for m in range(fc.dimL + 1)}
-
     operators: dict[str, list[list[int]]] = {}
     for k in sorted(fc.ops):
-        entries = []
-        for m in sorted(fc.ops[k]):
-            t = m + 1 - k * fc.NL
-            if not (0 <= t <= fc.dimL):
-                continue
-            mat = fc.ops[k][m]
-            for (i, j) in mat.entries():
-                entries.append([positions[t][i], positions[m][j]])
+        # entries() of the glued op_k come out sorted
+        entries = fc.morse.glue(fc.ops[k], 1 - k * fc.NL).entries()
         if entries or k == 0:
-            operators[str(k)] = sorted(entries)
+            operators[str(k)] = [[row, col] for row, col in entries]
 
     out = {
         "dimL": fc.dimL,
@@ -292,16 +284,11 @@ def complex_from_dict(data: dict) -> FloerComplex:
     if gens != canonical:
         raise InputError("generators must be listed in canonical order, "
                          "sorted by (index, name)")
-    morse = MorseComplex(gens, dimL)
+    layout = MorseComplex(gens, dimL)
     nu = (dimL + 1) // NL
-    positions = {m: morse.degree_positions(m) for m in range(dimL + 1)}
-    local = {}
-    for m, ps in positions.items():
-        for loc, p in enumerate(ps):
-            local[p] = (m, loc)
+    n = len(gens)
 
-    op_tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    boundary_entries: dict[int, list[tuple[int, int]]] = {}
+    ops: dict[int, dict[int, F2Matrix]] = {}
     op_keys: dict[int, str] = {}
     for key, entries in data["operators"].items():
         k = _table_index(key, op_keys, "operator")
@@ -310,33 +297,20 @@ def complex_from_dict(data: dict) -> FloerComplex:
             raise ShapeMismatch(f"operator index {k} outside 1..nu={nu}")
         seen = set()
         for row, col in entries:
-            if row >= len(gens) or col >= len(gens):
+            if row >= n or col >= n:
                 raise InputError(f"operator {k} entry ({row}, {col}) out of range")
             if (row, col) in seen:
                 raise InputError(f"operator {k} lists entry ({row}, {col}) twice")
             seen.add((row, col))
-            tm, ti = local[row]
-            sm, si = local[col]
-            if tm != sm + 1 - k * NL:
+            shift = gens[row].index - gens[col].index
+            if shift != 1 - k * NL:
                 raise ShapeMismatch(
                     f"op_{k} entry {gens[col].name} -> {gens[row].name} has "
-                    f"degree shift {tm - sm}, expected {1 - k * NL}")
-            if k == 0:
-                boundary_entries.setdefault(sm, []).append((ti, si))
-            else:
-                op_tables.setdefault(k, {}).setdefault(sm, []).append((ti, si))
+                    f"degree shift {shift}, expected {1 - k * NL}")
+        if entries:
+            ops[k] = layout.cut(F2Matrix.from_entries(n, n, seen), 1 - k * NL)
 
-    boundary = {
-        m: F2Matrix.from_entries(morse.dim_at(m + 1), morse.dim_at(m), pairs)
-        for m, pairs in boundary_entries.items()
-    }
-    morse = MorseComplex(gens, dimL, boundary)
-    ops = {
-        k: {m: F2Matrix.from_entries(morse.dim_at(m + 1 - k * NL),
-                                     morse.dim_at(m), pairs)
-            for m, pairs in per.items()}
-        for k, per in op_tables.items()
-    }
+    morse = MorseComplex(gens, dimL, ops.pop(0, None))
 
     products = None
     if "products" in data:

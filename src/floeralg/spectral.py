@@ -34,7 +34,7 @@ from typing import Optional
 from . import f2linalg
 from .errors import LeibnizFailure, LiftFailure, ProductsAbsent
 from .f2linalg import F2Matrix, QuotientMap, Subspace
-from .floercomplex import FloerComplex, IdentityReport, check_product_leibniz, folded_homology
+from .floercomplex import FloerComplex, check_product_leibniz, folded_homology
 
 
 @dataclass(frozen=True)
@@ -449,17 +449,15 @@ class ConvergenceReport:
         return all(v.ok for v in self.residues)
 
 
-def check_convergence(collapse: CollapseResult, d2: Optional[IdentityReport] = None
-                      ) -> ConvergenceReport:
+def check_convergence(collapse: CollapseResult) -> ConvergenceReport:
     """Compare E_infinity, folded homology and the window oracle per residue.
 
     E_infinity comes from the finished ``collapse``; both oracles recompute
-    from the complex alone, the folded one taking the complex's
-    ``check_d_squared`` report ``d2`` when the caller has it.
+    from the complex alone.
     """
     fc = collapse.pages[-1].fc
     einf = collapse.einf_residue_dims()
-    folded = folded_homology(fc, d2)
+    folded = folded_homology(fc)
     window = window_homology_dims(fc)
     return ConvergenceReport(tuple(
         ResidueVerdict(r, einf[r], folded[r], window[r]) for r in range(fc.NL)

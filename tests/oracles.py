@@ -1,14 +1,19 @@
 """Reference implementations the fast paths are tested against.
 
 Each is the straightforward version the engine used before it was
-optimised: one fresh elimination per call, and ring and Leibniz identities
-checked on every basis pair or triple over frozenset elements.
+optimised: one fresh elimination per call, ring and Leibniz identities
+checked on every basis pair or triple over frozenset elements, and the
+census conjugation and d^2 check computed block by block in degree-local
+coordinates.
 """
 
 import itertools
+import random
 
 from floeralg import f2linalg as f2
+from floeralg import floercomplex as fcx
 from floeralg import spectral as sp
+from floeralg.f2linalg import F2Matrix
 
 
 def solve_oracle(m, b):
@@ -120,3 +125,133 @@ def delta_oracle(fc, r, data):
             cols.append(data[t].quotient.coords(obs) if in_range else 0)
         delta[m] = sp._column_matrix(cols, data[t].quotient.dim if in_range else 0)
     return delta
+
+
+def d_squared_oracle(fc):
+    """check_d_squared block by block: for each l and each source degree m,
+    the sum over i + j = l of op_i op_j at m, witness the first column of
+    the first nonzero block."""
+    entries = []
+    for l in range(2 * fc.nu + 1):
+        witness = None
+        for m in range(fc.dimL + 1):
+            t = m + 2 - l * fc.NL
+            if not (0 <= t <= fc.dimL) or fc.morse.dim_at(m) == 0:
+                continue
+            acc = F2Matrix.zeros(fc.morse.dim_at(t), fc.morse.dim_at(m))
+            for i in range(l + 1):
+                j = l - i
+                mid = m + 1 - j * fc.NL
+                if not (0 <= mid <= fc.dimL):
+                    continue
+                acc = acc + fc.operator(i, mid) @ fc.operator(j, m)
+            if not acc.is_zero():
+                col = min(next(f2._bits_of(row)) for row in acc.bits if row)
+                witness = fc.morse.generators[fc.morse.degree_positions(m)[col]].name
+                break
+        entries.append(fcx.IdentityEntry(l, witness is None, witness))
+    return fcx.IdentityReport(tuple(entries))
+
+
+def census_oracle(seed, dims, NL):
+    """random_complex_census with the filtered conjugation done block by
+    block: the inverse psi of the change of basis phi by the power-series
+    recursion psi_s = psi_0 sum_(k>=1) phi_k psi_(s-k), then op'_l as the sum
+    over i + j + k = l of psi_i op_j phi_k. Draws from the seed in the same
+    order, so it returns the same complex and expected dims."""
+    rng = random.Random(seed)
+    dimL = len(dims) - 1
+    nu = (dimL + 1) // NL
+
+    generators = [fcx.Generator(f"c{m}_{i:02d}", m)
+                  for m in range(dimL + 1) for i in range(dims[m])]
+    unused = {m: list(range(dims[m])) for m in range(dimL + 1)}
+    base = {k: {} for k in range(nu + 1)}
+    options = [(k, m) for k in range(nu + 1) for m in range(dimL + 1)
+               if 0 <= m + 1 - k * NL <= dimL]
+    rng.shuffle(options)
+    for k, m in options:
+        t = m + 1 - k * NL
+        while unused[m] and unused[t] and rng.random() < 0.6:
+            src = unused[m].pop(rng.randrange(len(unused[m])))
+            tgt = unused[t].pop(rng.randrange(len(unused[t])))
+            base[k].setdefault(m, []).append((tgt, src))
+
+    expected = {r: 0 for r in range(NL)}
+    for m in range(dimL + 1):
+        expected[m % NL] += len(unused[m])
+
+    base_ops = {
+        k: {m: F2Matrix.from_entries(dims[m + 1 - k * NL], dims[m], pairs)
+            for m, pairs in per.items()}
+        for k, per in base.items()
+    }
+
+    phi = {0: {}}
+    for m in range(dimL + 1):
+        phi[0][m] = fcx._random_invertible(rng, dims[m])
+    for k in range(1, nu + 1):
+        phi[k] = {}
+        for m in range(dimL + 1):
+            t = m - k * NL
+            if 0 <= t <= dimL:
+                phi[k][m] = fcx._random_matrix(rng, dims[t], dims[m])
+
+    def phi_at(k, m):
+        return phi.get(k, {}).get(m)
+
+    psi = {0: {m: phi[0][m].inverse() for m in range(dimL + 1)}}
+    for s in range(1, nu + 1):
+        psi[s] = {}
+        for m in range(dimL + 1):
+            t = m - s * NL
+            if not (0 <= t <= dimL):
+                continue
+            acc = F2Matrix.zeros(dims[t], dims[m])
+            for k in range(1, s + 1):
+                mid = m - (s - k) * NL
+                pk = phi_at(k, mid)
+                ps = psi.get(s - k, {}).get(m)
+                if pk is not None and ps is not None:
+                    acc = acc + pk @ ps
+            psi[s][m] = psi[0][t] @ acc
+
+    def base_op(j, m):
+        t = m + 1 - j * NL
+        if not (0 <= m <= dimL and 0 <= t <= dimL):
+            return None
+        mat = base_ops.get(j, {}).get(m)
+        return mat if mat is not None else F2Matrix.zeros(dims[t], dims[m])
+
+    new_ops = {}
+    for l in range(nu + 1):
+        per = {}
+        for m in range(dimL + 1):
+            t = m + 1 - l * NL
+            if not (0 <= t <= dimL):
+                continue
+            acc = F2Matrix.zeros(dims[t], dims[m])
+            for kk in range(l + 1):
+                pk = phi_at(kk, m)
+                if pk is None:
+                    continue
+                m1 = m - kk * NL
+                for j in range(l - kk + 1):
+                    dj = base_op(j, m1)
+                    if dj is None:
+                        continue
+                    i = l - kk - j
+                    m2 = m1 + 1 - j * NL
+                    pi = psi.get(i, {}).get(m2)
+                    if pi is None:
+                        continue
+                    acc = acc + pi @ (dj @ pk)
+            if not acc.is_zero():
+                per[m] = acc
+        if l == 0:
+            boundary = per
+        else:
+            new_ops[l] = per
+
+    morse = fcx.MorseComplex(generators, dimL, boundary)
+    return fcx.assemble(morse, NL, new_ops), expected

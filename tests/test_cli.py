@@ -472,6 +472,17 @@ def test_corpus_negative_dimension_exit_2(tmp_path):
     assert r.stderr == "error: negative dimension in (1, -1, 1)\n"
 
 
+@pytest.mark.parametrize("nl", ["10000000", "100000000"])
+def test_corpus_maslov_above_the_cap_exit_2(tmp_path, nl):
+    # without the cap these end in a MemoryError traceback under the 2 GB limit
+    from floeralg import floercomplex as fcx
+
+    r = limited_proc("corpus", "--seed", "1", "--count", "1", "--dims", "1,2,1",
+                     "--maslov", nl, "--out", str(tmp_path / "c"))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: NL {nl} exceeds {fcx.MAX_CENSUS_NL}\n"
+
+
 def test_corpus_out_is_a_file_exit_2(tmp_path):
     out = tmp_path / "taken"
     out.write_text("")

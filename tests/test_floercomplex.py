@@ -1,5 +1,7 @@
 """Floer complex assembly, folded homology, products, synthetic corpus."""
 
+import hashlib
+
 import pytest
 
 from floeralg import floercomplex as fcx
@@ -203,3 +205,26 @@ def test_folded_dims_invariant_under_change_of_basis():
 def test_corpus_size_limit():
     with pytest.raises(ShapeMismatch):
         fcx.random_complex_census(1, (40, 40), 2)
+    with pytest.raises(ShapeMismatch, match=f"exceeds {fcx.MAX_CENSUS_NL}"):
+        fcx.random_complex_census(1, (1, 2, 1), fcx.MAX_CENSUS_NL + 1)
+
+
+# The benchmark's census shapes: dense patterns and sparse ones with empty
+# degrees, each at every NL in 2..7.
+CENSUS_PATTERNS = ((2, 6, 10, 12, 10, 6, 2), (3, 5, 7, 7, 5, 3), (4, 8, 8, 4),
+                   (1, 2, 4, 6, 6, 4, 2, 1), (2, 0, 0, 6, 0, 4, 0, 2),
+                   (4, 0, 6, 0, 6, 0, 4), (3, 0, 5, 0, 0, 7, 0, 3),
+                   (2, 0, 8, 0, 8, 0, 2, 0, 2))
+# sha256 of the files ``corpus`` writes for them; homology dims alone would
+# not notice a change to the generated operators
+CENSUS_SHA256 = "39821737813bc3a35dc2f375384081a6d38e29f42dad48800fb9c3b1aaa13fec"
+
+
+def test_census_output_is_bit_identical():
+    h = hashlib.sha256()
+    for dims in CENSUS_PATTERNS:
+        for NL in range(2, 8):
+            for seed in (0, 1):
+                fc = fcx.random_complex_census(seed, dims, NL)[0]
+                h.update(serialize.canonical_json(serialize.complex_to_dict(fc)).encode())
+    assert h.hexdigest() == CENSUS_SHA256
