@@ -248,6 +248,18 @@ class Subspace:
         return cls(ambient_dim, tuple(red[: len(pivots)]))
 
     @classmethod
+    def from_echelon(cls, ambient_dim: int, rows: Sequence[int]) -> "Subspace":
+        """The span of rows already in reduced row echelon form, checked in
+        one pass with no elimination; raises ValueError on any other rows."""
+        lows = [v & -v for v in rows]
+        pivots = reduce(or_, lows, 0)
+        if (reduce(or_, rows, 0) >> ambient_dim or not all(lows)
+                or any(a >= b for a, b in zip(lows, lows[1:]))
+                or any(v & pivots != low for v, low in zip(rows, lows))):
+            raise ValueError("rows are not in reduced row echelon form")
+        return cls(ambient_dim, tuple(rows))
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
 

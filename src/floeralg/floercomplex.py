@@ -256,10 +256,13 @@ def assemble(morse: MorseComplex, NL: int,
     missing entries mean zero. Wrong degree shifts raise ShapeMismatch, and
     a family whose total differential does not square to zero raises
     NotADifferential naming the first failing convolution index and a
-    witness generator.
+    witness generator. ``NL`` is capped at ``MAX_CENSUS_NL``, as the residue
+    reports and the window oracle grow with it.
     """
     if NL < 2:
         raise ShapeMismatch(f"NL must be >= 2, got {NL}")
+    if NL > MAX_CENSUS_NL:
+        raise ShapeMismatch(f"NL {NL} exceeds {MAX_CENSUS_NL}")
     nu = (morse.dimL + 1) // NL
     ops: dict[int, dict[int, F2Matrix]] = {0: dict(morse.boundary)}
     for k, per_degree in op_tables.items():

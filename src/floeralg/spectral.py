@@ -13,10 +13,10 @@ o_r = sum_{k=1..r} op_k y_(r-k). Spanning vectors of B_r(m) carry antecedent
 chains w_0..w_(r-1) with b = sum_{i+k=r-1} op_k w_i, which is exactly what
 is needed to repair a tail when extending a cycle one page deeper.
 
-Each page degree stores the obstruction of every Z generator, computed once
-when the degree is built; it is linear in the cycle and its tail, so the
-page differential and the next page turn combine the stored ones. The
-paranoid second lift recomputes its obstructions from perturbed tails.
+A page stores only the degrees with C^m nonzero, each with a reduced echelon
+Z basis and the obstruction of every Z generator; that is linear in the cycle
+and its tail, so the page differential and the next page turn combine the
+stored ones. The paranoid second lift recomputes them from perturbed tails.
 
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
@@ -53,24 +53,17 @@ class BGen:
 
 @dataclass(frozen=True)
 class PageDegree:
-    """One degree of page r; ``obs[i]`` is the page-r obstruction of ``z_basis[i]``."""
+    """One degree of page r, stored only if C^m is nonzero; ``obs[i]`` is the
+    page-r obstruction of ``z_basis[i]``, and the Z vectors are exactly
+    ``quotient.sup.basis``, in order, so ``quotient.sup.coords`` reads Z coordinates."""
     z_basis: tuple[ZGen, ...]
     b_span: tuple[BGen, ...]
     quotient: QuotientMap
     obs: tuple[int, ...]
 
-    # Each matrix is built once per degree, so every vector solved against
-    # it reads one elimination.
-
-    @cached_property
-    def z_matrix(self) -> F2Matrix:
-        """The Z-basis vectors as columns."""
-        return _column_matrix([g.vec for g in self.z_basis],
-                              self.quotient.sup.ambient_dim)
-
     @cached_property
     def b_matrix(self) -> F2Matrix:
-        """The boundary spanning vectors as columns."""
+        """The boundary spanning vectors as columns, built and eliminated once."""
         return _column_matrix([b.vec for b in self.b_span],
                               self.quotient.sup.ambient_dim)
 
@@ -90,7 +83,7 @@ class SpectralPage:
         return [self.dim(m) for m in range(self.fc.dimL + 1)]
 
     def reps(self, m: int) -> tuple[int, ...]:
-        return self.data[m].quotient.reps.basis
+        return self.data[m].quotient.reps.basis if m in self.data else ()
 
     def delta_matrix(self, m: int) -> F2Matrix:
         if m in self.delta:
@@ -99,8 +92,9 @@ class SpectralPage:
         return F2Matrix.zeros(self.dim(t), self.dim(m))
 
     def class_coords(self, m: int, vec: int) -> int:
-        """Coordinates of the page class of a cycle vector in degree m."""
-        return self.data[m].quotient.coords(vec)
+        """Page-class coordinates of a cycle vector in degree m (a zero space if not stored)."""
+        deg = self.data.get(m)
+        return (deg.quotient if deg else Subspace.zero(0)).coords(vec)
 
     def is_collapsed(self) -> bool:
         return all(mat.is_zero() for mat in self.delta.values())
@@ -159,11 +153,17 @@ def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> tuple[int, ...]:
                  for s in range(depth))
 
 
+def _z_coords(deg: PageDegree, vec: int) -> int:
+    """Coordinates of a vector of the Z-span in ``deg.z_basis``, its echelon basis."""
+    try:
+        return deg.quotient.sup.coords(vec)
+    except ValueError as exc:
+        raise LiftFailure("vector claimed in Z-span has no expression there") from exc
+
+
 def _resolve_in_z(deg: PageDegree, vec: int) -> tuple[int, ...]:
-    """Tail of a vector of the Z-span, combined linearly from the basis tails."""
-    coeff = f2linalg.solve(deg.z_matrix, vec)
-    if coeff is None:
-        raise LiftFailure("vector claimed in Z-span has no expression there")
+    """Tail of a vector of the Z-span, combined from the basis tails by ``_z_coords``."""
+    coeff = _z_coords(deg, vec)
     slots = zip(*(g.tail for g in deg.z_basis))  # y_s of every basis element, per s
     return tuple(f2linalg._combine(slot, coeff) for slot in slots)
 
@@ -173,62 +173,53 @@ def page0(fc: FloerComplex) -> SpectralPage:
     data = {}
     for m in range(fc.dimL + 1):
         n = fc.morse.dim_at(m)
-        z = tuple(ZGen(1 << i, ()) for i in range(n))
-        zsp = Subspace.full(n)
-        bsp = Subspace.zero(n)
-        obs = tuple(_obstruction(fc, 0, m, g.vec, g.tail) for g in z)
-        data[m] = PageDegree(z, (), f2linalg.quotient_map(bsp, zsp), obs)
+        if n:
+            z = tuple(ZGen(1 << i, ()) for i in range(n))
+            quot = f2linalg.quotient_map(Subspace.zero(n), Subspace.full(n))
+            obs = tuple(_obstruction(fc, 0, m, g.vec, g.tail) for g in z)
+            data[m] = PageDegree(z, (), quot, obs)
     delta = _compute_delta(fc, 0, data)
     return SpectralPage(fc, 0, data, delta)
 
 
 def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
                    ) -> dict[int, F2Matrix]:
-    """delta_r on every degree, from the stored obstructions.
+    """delta_r on every stored degree, from the stored obstructions.
 
     The obstruction o_r(x; y_1..y_(r-1)) = sum_{k=1..r} op_k y_(r-k) (op_0 x
     for r = 0) is linear in the cycle x and its tail jointly. A
     representative q = sum c_i g_i.vec of the Z-span has the tail
     sum c_i g_i.tail, so o_r(q) = sum c_i o_r(g_i): the combination of
-    ``deg.obs`` by c. The c of all representatives of a degree are read off
-    one elimination of its Z matrix.
+    ``deg.obs`` by c = ``deg.quotient.sup.coords(q)``. A target degree not
+    stored is the zero space, where every obstruction vanishes.
     """
     delta: dict[int, F2Matrix] = {}
-    for m in range(fc.dimL + 1):
-        t = m + 1 - r * fc.NL
-        t_in_range = 0 <= t <= fc.dimL
-        tgt_dim = data[t].quotient.dim if t_in_range else 0
-        deg = data[m]
-        reps = deg.quotient.reps.basis
+    for m, deg in data.items():
+        tgt = data.get(m + 1 - r * fc.NL)
         cols = []
-        for c in f2linalg.solve_many(deg.z_matrix, reps) if reps else ():
-            if c is None:
-                raise LiftFailure("vector claimed in Z-span has no expression there")
-            obs = f2linalg._combine(deg.obs, c)
-            if not t_in_range:
+        for q in deg.quotient.reps.basis:
+            obs = f2linalg._combine(deg.obs, _z_coords(deg, q))
+            if tgt is None:
                 if obs:
                     raise LiftFailure(f"page {r} differential escapes the grading "
                                       f"range at degree {m}")
                 cols.append(0)
             else:
                 try:
-                    cols.append(data[t].quotient.coords(obs))
+                    cols.append(tgt.quotient.coords(obs))
                 except ValueError as exc:
                     raise LiftFailure(f"page {r} obstruction at degree {m} leaves "
                                       f"the cycle space") from exc
-        delta[m] = _column_matrix(cols, tgt_dim)
+        delta[m] = _column_matrix(cols, tgt.quotient.dim if tgt else 0)
     _assert_delta_squares(fc, r, data, delta)
     return delta
 
 
 def _assert_delta_squares(fc: FloerComplex, r: int, data: dict[int, PageDegree],
                           delta: dict[int, F2Matrix]) -> None:
-    for m in range(fc.dimL + 1):
+    for m, mat in delta.items():
         t = m + 1 - r * fc.NL
-        if not (0 <= t <= fc.dimL):
-            continue
-        comp = delta[t] @ delta[m]
-        if not comp.is_zero():
+        if t in delta and not (delta[t] @ mat).is_zero():
             raise LiftFailure(f"page {r} differential does not square to zero "
                               f"at degree {m}")
 
@@ -242,20 +233,20 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
     computation makes. Each obstruction is recomputed from its perturbed
     tail, not combined from the stored ``obs``, so a wrong stored one shows.
     """
-    for m in range(fc.dimL + 1):
-        t = m + 1 - r * fc.NL
-        if not (0 <= t <= fc.dimL) or data[m].quotient.dim == 0:
+    for m, deg in data.items():
+        tgt = data.get(m + 1 - r * fc.NL)
+        if tgt is None or deg.quotient.dim == 0:
             continue
         freedom = _tail_freedom(fc, m, max(r - 1, 0))
         expected_cols = delta[m].transpose().bits
-        for idx, q in enumerate(data[m].quotient.reps.basis):
-            q2 = q ^ (data[m].b_span[0].vec if data[m].b_span else 0)
-            tail = _resolve_in_z(data[m], q2)
+        for idx, q in enumerate(deg.quotient.reps.basis):
+            q2 = q ^ (deg.b_span[0].vec if deg.b_span else 0)
+            tail = _resolve_in_z(deg, q2)
             if freedom:
                 tail = tuple(a ^ b for a, b in zip(tail, freedom))
             obs = _obstruction(fc, r, m, q2, tail)
             try:
-                coords = data[t].quotient.coords(obs)
+                coords = tgt.quotient.coords(obs)
             except ValueError as exc:
                 raise LiftFailure("second lift left the cycle space") from exc
             if coords != expected_cols[idx]:
@@ -264,16 +255,25 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
 
 
 def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
-    """Compute page r+1 from page r with fresh representative lifts."""
+    """Compute page r+1 from page r with fresh representative lifts.
+
+    Only stored degrees are visited: a zero space has only the zero vector,
+    so nothing lifts from it and an obstruction landing in it vanishes. The
+    new Z vectors sum_i c_i z_i, over the rows c of the reduced echelon
+    kernel basis of the coefficient map, are reduced echelon with no
+    elimination: so are the z_i, pivots p_i, and sum c_i z_i has lowest bit
+    p_i for the least i in c and bit c_j at p_j. The zig-zag equations and
+    the obstruction are linear in (x, tail) jointly, so each combined pair
+    is a valid lift; representatives and delta_(r+1) depend only on Z_(r+1)
+    and B_(r+1), not on the bases or lifts that span them.
+    """
     fc = page.fc
     r = page.r
     N = fc.NL
     new_data: dict[int, PageDegree] = {}
-    for m in range(fc.dimL + 1):
+    for m, deg in page.data.items():
         m_dim = fc.morse.dim_at(m)
-        deg = page.data[m]
-        t = m + 1 - r * N
-        tgt = page.data[t] if 0 <= t <= fc.dimL else None
+        tgt = page.data.get(m + 1 - r * N)
 
         if tgt is None:
             if any(deg.obs):
@@ -311,8 +311,8 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         shifted = [BGen(b.vec, (0,) + b.chain) for b in deg.b_span]
         sigma = m - 1 + r * N
         incoming = []
-        if 0 <= sigma <= fc.dimL:
-            sdeg = page.data[sigma]
+        sdeg = page.data.get(sigma)
+        if sdeg is not None:
             for g, o in zip(sdeg.z_basis, sdeg.obs):
                 chain = (g.vec,) + g.tail + (0,) if r >= 1 else (g.vec,)
                 incoming.append(BGen(o, chain))
@@ -323,9 +323,10 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                 if f2linalg._echelon_insert(pivots, cand.vec)]
         span = Subspace.from_vectors(m_dim, [b.vec for b in kept])
 
-        z_space = Subspace.from_vectors(m_dim, [g.vec for g in new_z])
-        if z_space.dim != len(new_z):
-            raise LiftFailure(f"dependent cycle basis at degree {m}")
+        try:
+            z_space = Subspace.from_echelon(m_dim, [g.vec for g in new_z])
+        except ValueError as exc:
+            raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}") from exc
         try:
             quot = f2linalg.quotient_map(span, z_space)
         except f2linalg.NotASubspace as exc:
@@ -333,9 +334,8 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                               f"{m}") from exc
 
         # independent dimension bookkeeping: quotient vs rank arithmetic
-        ker_dim = page.dim(m) - f2linalg.rank(page.delta_matrix(m))
-        im_dim = f2linalg.rank(page.delta_matrix(sigma)) \
-            if 0 <= sigma <= fc.dimL else 0
+        ker_dim = page.dim(m) - f2linalg.rank(page.delta[m])
+        im_dim = f2linalg.rank(page.delta[sigma]) if sigma in page.delta else 0
         if quot.dim != ker_dim - im_dim:
             raise LiftFailure(f"page {r + 1} dimension mismatch at degree {m}: "
                               f"quotient {quot.dim} vs ranks {ker_dim - im_dim}")
@@ -376,7 +376,7 @@ def run_to_collapse(fc: FloerComplex, paranoid: bool = True) -> CollapseResult:
     last = pages[-1]
     if not last.is_collapsed():
         raise LiftFailure("differential of the collapse page is nonzero")
-    for m in range(fc.dimL + 1):
+    for m in last.data:
         if last.dim(m) and 0 <= m + 1 - last.r * fc.NL <= fc.dimL:
             raise LiftFailure("collapse page has an in-range differential target")
     einf = {m: last.dim(m) for m in range(fc.dimL + 1)}
@@ -607,7 +607,7 @@ def page_to_dict(page: SpectralPage, verbose: bool = False) -> dict:
     out = {
         "r": page.r,
         "V": {str(m): page.dim(m) for m in range(page.fc.dimL + 1)},
-        "delta_rank": {str(m): f2linalg.rank(page.delta_matrix(m))
+        "delta_rank": {str(m): f2linalg.rank(page.delta[m]) if m in page.delta else 0
                        for m in range(page.fc.dimL + 1)},
         "collapsed": page.is_collapsed(),
     }

@@ -111,19 +111,32 @@ def check_leibniz_all_pairs(d):
     return True
 
 
+def z_coords_oracle(deg, vec):
+    """Coordinates of a vector of the Z-span in ``deg.z_basis``, solved
+    against the Z vectors as the columns of a matrix."""
+    z_matrix = sp._column_matrix([g.vec for g in deg.z_basis],
+                                 deg.quotient.sup.ambient_dim)
+    coeff = f2.solve(z_matrix, vec)
+    assert coeff is not None
+    return coeff
+
+
 def delta_oracle(fc, r, data):
-    """delta_r per degree, one representative at a time: resolve the tail of
-    each representative in the Z-span, then recompute its obstruction."""
+    """delta_r on every degree 0..dimL, one representative at a time: solve
+    for the tail of each representative in the Z-span, then recompute its
+    obstruction. A degree missing from ``data`` has dimension 0."""
     delta = {}
     for m in range(fc.dimL + 1):
-        t = m + 1 - r * fc.NL
-        in_range = 0 <= t <= fc.dimL
+        deg, tgt = data.get(m), data.get(m + 1 - r * fc.NL)
         cols = []
-        for q in data[m].quotient.reps.basis:
-            obs = sp._obstruction(fc, r, m, q, sp._resolve_in_z(data[m], q))
-            assert in_range or not obs
-            cols.append(data[t].quotient.coords(obs) if in_range else 0)
-        delta[m] = sp._column_matrix(cols, data[t].quotient.dim if in_range else 0)
+        for q in deg.quotient.reps.basis if deg else ():
+            coeff = z_coords_oracle(deg, q)
+            tail = tuple(f2._combine(slot, coeff)
+                         for slot in zip(*(g.tail for g in deg.z_basis)))
+            obs = sp._obstruction(fc, r, m, q, tail)
+            assert tgt or not obs
+            cols.append(tgt.quotient.coords(obs) if tgt else 0)
+        delta[m] = sp._column_matrix(cols, tgt.quotient.dim if tgt else 0)
     return delta
 
 

@@ -212,6 +212,19 @@ def test_ss_run_verbose_pages():
     assert "delta" in data["pages"][1]
 
 
+@pytest.mark.parametrize("nl", [10**5, 10**8])
+def test_ss_run_maslov_above_the_cap_exit_2(tmp_path, nl):
+    # without the cap, NL 10^8 builds residue dicts of 10^8 entries
+    from floeralg import floercomplex as fcx
+
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dimL": 0, "NL": nl, "operators": {},
+                                "generators": [{"name": "x", "index": 0}]}))
+    r = limited_proc("ss", "run", str(path))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: NL {nl} exceeds {fcx.MAX_CENSUS_NL}\n"
+
+
 def test_ss_run_rejects_bad_schema(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"dimL": 2}')

@@ -1,5 +1,6 @@
 """Property tests for the int-row F2 core, with shrinking counterexamples."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import kernel_oracle, rank_oracle, solve_oracle
@@ -136,3 +137,22 @@ def test_combine_is_linear_in_the_coefficients(vectors, data):
     c1, c2 = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
     assert f2._combine(vectors, c1 ^ c2) == \
         f2._combine(vectors, c1) ^ f2._combine(vectors, c2)
+
+
+@given(matrices())
+def test_from_echelon_accepts_exactly_reduced_echelon_rows(m):
+    # reduced echelon form is unique: rows are in it iff they are the
+    # canonical basis of their own span
+    canon = f2.Subspace.from_vectors(m.cols, m.bits)
+    assert f2.Subspace.from_echelon(m.cols, canon.basis) == canon
+    if canon.basis == m.bits:
+        assert f2.Subspace.from_echelon(m.cols, m.bits) == canon
+    else:
+        with pytest.raises(ValueError):
+            f2.Subspace.from_echelon(m.cols, m.bits)
+    if canon.dim >= 2:  # echelon with the same span, but not reduced
+        with pytest.raises(ValueError):
+            f2.Subspace.from_echelon(m.cols, (canon.basis[0] ^ canon.basis[1],)
+                                     + canon.basis[1:])
+    with pytest.raises(ValueError):
+        f2.Subspace.from_echelon(m.cols, (1 << m.cols,))

@@ -1,10 +1,13 @@
 """Spectral pages: worked example, oracles, collapse, products."""
 
+import hashlib
+
 import pytest
 
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
+from floeralg import serialize
 from floeralg import spectral as sp
 from floeralg.errors import LeibnizFailure, LiftFailure, ProductsAbsent
 
@@ -332,3 +335,44 @@ def test_page_to_dict_shape(t2):
     assert set(d) == {"r", "V", "delta_rank", "collapsed"}
     dv = sp.page_to_dict(res.pages[1], verbose=True)
     assert "representatives" in dv and "delta" in dv
+
+
+# the census patterns of the benchmark's census workload
+CENSUS_PATTERNS = ("2,6,10,12,10,6,2", "3,5,7,7,5,3", "4,8,8,4", "1,2,4,6,6,4,2,1",
+                   "2,0,0,6,0,4,0,2", "4,0,6,0,6,0,4", "3,0,5,0,0,7,0,3",
+                   "2,0,8,0,8,0,2,0,2")
+PAGE_DUMP_SHA256 = "775586bd7d29cb0264fdc48e61eb6427363b266eff0509424dd50b0e36791cf6"
+
+
+def test_census_page_dumps_match_the_pinned_hash():
+    # verbose dumps carry every representative and delta entry, so a change
+    # of basis, lift or visited degrees that moved any output shows here
+    digest = hashlib.sha256()
+    for pattern in CENSUS_PATTERNS:
+        dims = [int(d) for d in pattern.split(",")]
+        for NL in range(2, 8):
+            for seed in (0, 1):
+                fc, _ = fcx.random_complex_census(seed, dims, NL)
+                pages = sp.run_to_collapse(fc).pages
+                digest.update(serialize.canonical_json(
+                    [sp.page_to_dict(p, verbose=True) for p in pages]).encode())
+    assert digest.hexdigest() == PAGE_DUMP_SHA256
+
+
+@pytest.mark.parametrize("dimL", [200, 1000])
+def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, dimL):
+    # empty degrees cost nothing, so the work follows the pages, not dimL
+    fc = fcx.assemble(fcx.MorseComplex([fcx.Generator("x", 0)], dimL), 2, {})
+    calls = 0
+    rref = f2._rref_ints
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(f2, "_rref_ints", counting)
+    pages = sp.run_to_collapse(fc).pages
+    assert calls <= 5 * len(pages)
+    for page in pages:
+        assert page.dims() == [1] + [0] * dimL

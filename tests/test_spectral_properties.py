@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import basis_mul, delta_oracle
+from oracles import basis_mul, delta_oracle, z_coords_oracle
 
 from floeralg import f2linalg
 from floeralg import floercomplex as fcx
@@ -60,6 +60,16 @@ def test_every_delta_squares_to_zero(census):
             t = m + shift
             if 0 <= t <= fc.dimL:
                 assert (page.delta_matrix(t) @ page.delta_matrix(m)).is_zero()
+
+
+@SETTINGS
+@given(census_complexes())
+def test_pages_store_occupied_degrees_with_echelon_z_bases(census):
+    fc, _ = census
+    for page in sp.run_to_collapse(fc).pages:
+        assert all(fc.morse.dim_at(m) > 0 for m in page.data)
+        for deg in page.data.values():
+            assert tuple(g.vec for g in deg.z_basis) == deg.quotient.sup.basis
 
 
 @SETTINGS
@@ -137,7 +147,9 @@ def assert_obs_and_delta_match_the_oracle(fc):
             assert len(deg.obs) == len(deg.z_basis)
             for g, o in zip(deg.z_basis, deg.obs):
                 assert o == sp._obstruction(fc, page.r, m, g.vec, g.tail)
-        assert page.delta == delta_oracle(fc, page.r, page.data)
+        oracle = delta_oracle(fc, page.r, page.data)
+        for m in range(fc.dimL + 1):
+            assert page.delta_matrix(m) == oracle[m]
 
 
 @SETTINGS
@@ -159,7 +171,7 @@ def corruptions(fc):
             if not (0 <= t <= fc.dimL) or not deg.quotient.dim or not page.dim(t):
                 continue
             # a Z generator that the first representative uses
-            c = f2linalg.solve(deg.z_matrix, deg.quotient.reps.basis[0])
+            c = z_coords_oracle(deg, deg.quotient.reps.basis[0])
             i = next(f2linalg._bits_of(c))
             obs = list(deg.obs)
             obs[i] ^= page.reps(t)[0]
