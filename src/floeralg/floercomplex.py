@@ -14,8 +14,9 @@ sorts by (index, name), so each Morse degree is a contiguous run. A map
 that shifts degree, such as op_k or a change of basis, is one n x n matrix
 over that order: ``MorseComplex.glue`` builds it from per-degree blocks and
 ``MorseComplex.cut`` takes it back, and no other code here maps between
-degree-local and global coordinates. Each m_l is stored once, as bitmask
-rows with ``rows[x][y]`` = m_l(x, y).
+degree-local and global coordinates. D = sum_k op_k is glued once per
+complex, as ``differential_images``, and ``d2_report``, the folded homology
+and the tail system read it. Each m_l is stored once, as bitmask rows.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import f2linalg
@@ -40,6 +40,7 @@ from .gradedalg import Derivation, GradedRing
 
 MAX_TOTAL_DIM = 64
 MAX_CENSUS_NL = 10_000
+MAX_DIML = 1000
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class MorseComplex:
 
     def __init__(self, generators: Sequence[Generator], dimL: int,
                  boundary: Optional[Mapping[int, F2Matrix]] = None):
+        if dimL > MAX_DIML:
+            raise ShapeMismatch(f"dimL {dimL} exceeds {MAX_DIML}")
         self.generators = tuple(sorted(generators, key=lambda g: (g.index, g.name)))
         self.dimL = dimL
         names = [g.name for g in self.generators]
@@ -156,9 +159,6 @@ class FloerComplex:
         self.products: Optional[dict[int, tuple[tuple[int, ...], ...]]] = None
         if products is not None:
             self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
-        # the d^2 = 0 report of assemble, which callers and folded_homology
-        # read instead of checking again
-        self.d2_report: Optional[IdentityReport] = None
         self._op_images: dict[int, tuple[int, ...]] = {}
         self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
 
@@ -203,6 +203,17 @@ class FloerComplex:
             glued = self.morse.glue(self.ops.get(k, {}), 1 - k * self.NL)
             images = self._op_images[k] = glued.transpose().bits
         return images
+
+    @cached_property
+    def differential_images(self) -> tuple[int, ...]:
+        """D(g) for every generator g, as chain bitmasks, D = sum_k op_k glued
+        once; like ``operator_images``, ``ops`` must not change afterwards."""
+        return _glued(self.morse, self.NL, self.ops).transpose().bits
+
+    @cached_property
+    def d2_report(self) -> IdentityReport:
+        """``check_d_squared`` of this complex, run once on first read."""
+        return check_d_squared(self)
 
     def product_rows(self, l: int) -> tuple[tuple[int, ...], ...]:
         """m_l(x, y) as a chain bitmask at ``[x][y]``; zero for a table not given."""
@@ -294,12 +305,10 @@ def assemble(morse: MorseComplex, NL: int,
                                     f"{morse.generators[j].name}) has entries "
                                     f"of wrong degree")
 
-    report = check_d_squared(fc)
-    if not report.ok:
-        l, name = report.first_failure
+    if not fc.d2_report.ok:
+        l, name = fc.d2_report.first_failure
         raise NotADifferential(f"convolution identity fails at l={l}, witness "
                                f"generator {name}")
-    fc.d2_report = report
     return fc
 
 
@@ -340,20 +349,19 @@ def _glued(morse: MorseComplex, NL: int,
 def check_d_squared(fc: FloerComplex) -> IdentityReport:
     """Per-l verdicts for the convolution identities sum(op_i op_j) = 0.
 
-    With D the glued family of all op_k, D^2 is formed once. A block of
-    D^2 from m to t fixes l (t = m + 2 - l*NL) and, for each split
-    i + j = l, the middle degree m + 1 - j*NL; so its blocks at shift
-    2 - l*NL are the sums over i + j = l of op_i op_j. The witness is the
-    lowest column of those blocks: the first nonzero column of the lowest
-    failing degree, as degrees are contiguous and ascending.
+    D^2(g) is formed once per generator from the cached images D(g). For g
+    of degree m, its part in degree m + 2 - l*NL fixes l and, for each split
+    i + j = l, the middle degree m + 1 - j*NL; so it is the sum over i + j = l
+    of op_i op_j (g). The witness is the first such g in the generator order:
+    the first nonzero column of the lowest failing degree.
     """
-    total = _glued(fc.morse, fc.NL, fc.ops)
-    square = total @ total
+    images = fc.differential_images
+    square = [f2linalg._combine(images, image) for image in images]
     entries = []
     for l in range(2 * fc.nu + 1):
-        shift = 2 - l * fc.NL
-        cols = reduce(or_, fc.morse.glue(fc.morse.cut(square, shift), shift).bits, 0)
-        witness = fc.morse.generators[next(f2linalg._bits_of(cols))].name if cols else None
+        witness = next((g.name for g, col in zip(fc.morse.generators, square)
+                        if col and col & fc.morse.degree_mask(g.index + 2 - l * fc.NL)),
+                       None)
         entries.append(IdentityEntry(l, witness is None, witness))
     return IdentityReport(tuple(entries))
 
@@ -364,41 +372,23 @@ def folded_homology(fc: FloerComplex) -> dict[int, int]:
     The fold groups Morse degrees by residue; the total operator sum is a
     differential on it, and its homology at residue ``l`` equals the
     homology of the full Laurent complex in any degree congruent to ``l``.
-    That needs d^2 = 0: the complex's ``d2_report`` when ``assemble`` left
-    one, else ``check_d_squared`` run here.
+    That needs d^2 = 0, read from the complex's ``d2_report``. Each op_k
+    moves degree by 1 - k*NL = 1 (mod NL), so D maps residue r into r + 1
+    and the fold's map at r is D on the span of the residue-r generators,
+    of the rank of their images D(g); an unoccupied residue has homology 0.
     """
-    report = fc.d2_report if fc.d2_report is not None else check_d_squared(fc)
-    if not report.ok:
-        l, name = report.first_failure
+    if not fc.d2_report.ok:
+        l, name = fc.d2_report.first_failure
         raise NotADifferential(f"convolution identity fails at l={l}, witness "
                                f"generator {name}")
     N = fc.NL
-    degrees = {r: [m for m in range(fc.dimL + 1) if m % N == r] for r in range(N)}
-    offsets = {}
-    sizes = {}
-    for r, ms in degrees.items():
-        off, acc = {}, 0
-        for m in ms:
-            off[m] = acc
-            acc += fc.morse.dim_at(m)
-        offsets[r] = off
-        sizes[r] = acc
-
-    def folded_matrix(r: int) -> F2Matrix:
-        r_out = (r + 1) % N
-        entries = []
-        for m in degrees[r]:
-            for k in range(fc.nu + 1):
-                t = m + 1 - k * N
-                if not (0 <= t <= fc.dimL):
-                    continue
-                mat = fc.operator(k, m)
-                for (i, j) in mat.entries():
-                    entries.append((offsets[r_out][t] + i, offsets[r][m] + j))
-        return F2Matrix.from_entries(sizes[r_out], sizes[r], entries)
-
-    ranks = {r: f2linalg.rank(folded_matrix(r)) for r in range(N)}
-    return {r: sizes[r] - ranks[r] - ranks[(r - 1) % N] for r in range(N)}
+    images: dict[int, list[int]] = {}
+    for g, image in zip(fc.morse.generators, fc.differential_images):
+        images.setdefault(g.index % N, []).append(image)
+    n = len(fc.morse.generators)
+    ranks = {r: f2linalg.rank(F2Matrix.from_row_ints(rows, n)) for r, rows in images.items()}
+    return {r: len(images.get(r, ())) - ranks.get(r, 0) - ranks.get((r - 1) % N, 0)
+            for r in range(N)}
 
 
 def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
@@ -494,6 +484,8 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     i + j + k = l of psi_i d_j phi_k. ``NL`` is capped at ``MAX_CENSUS_NL``,
     as the expected dims and every residue check grow with it.
     """
+    if len(dims) - 1 > MAX_DIML:
+        raise ShapeMismatch(f"dimL {len(dims) - 1} exceeds {MAX_DIML}")
     if any(d < 0 for d in dims):
         raise ShapeMismatch(f"negative dimension in {tuple(dims)}")
     if sum(dims) > MAX_TOTAL_DIM:

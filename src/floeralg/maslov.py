@@ -29,13 +29,11 @@ has index +1 in every ambient dimension.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
-    BasepointMismatch,
     DegenerateFrame,
     InsufficientSampling,
     NotLagrangian,
@@ -133,11 +131,6 @@ def _det_squared(stack: np.ndarray) -> np.ndarray:
     return sign ** 2
 
 
-def det_squared(frame: np.ndarray) -> complex:
-    """Square of the determinant of a unitary frame of the same subspace."""
-    return complex(_det_squared(_checked_stack([frame], where="frame"))[0])
-
-
 @dataclass(frozen=True)
 class MaslovIndex:
     value: int
@@ -171,50 +164,3 @@ def maslov_index(loop: LagrangianLoop) -> MaslovIndex:
             f"accumulated winding {total:.9f} rad is not an integer number of "
             f"turns within {WINDING_TOL:.0e}")
     return MaslovIndex(value=int(nearest), min_gap=worst)
-
-
-def _same_subspace(a: np.ndarray, b: np.ndarray, tol: float = LAGRANGIAN_TOL) -> bool:
-    import numpy as np
-
-    q, _ = np.linalg.qr(_real_stack(_checked_stack([a, b], where="frame")))
-    pa, pb = q @ q.swapaxes(1, 2)
-    return bool(np.abs(pa - pb).max() <= math.sqrt(tol))
-
-
-def concatenate(a: LagrangianLoop, b: LagrangianLoop) -> LagrangianLoop:
-    """Loop traversing a then b; both must be based at the same subspace."""
-    if a.n != b.n:
-        raise BasepointMismatch("ambient dimensions differ")
-    if not _same_subspace(a.samples[0], b.samples[0]):
-        raise BasepointMismatch("loops are not based at the same subspace")
-    return LagrangianLoop(a.n, a.samples + b.samples)
-
-
-def reverse(loop: LagrangianLoop) -> LagrangianLoop:
-    """The loop traversed backwards, keeping the basepoint first."""
-    return LagrangianLoop(loop.n, loop.samples[:1] + loop.samples[:0:-1])
-
-
-def rotating_loop(n: int, samples: int, turns: int = 1, factor: int = 0
-                  ) -> LagrangianLoop:
-    """Generator loop: one coordinate line rotates by turns * pi.
-
-    e^(i*pi) maps a real line to itself, so the loop closes after half a
-    turn of the frame while det^2 makes `turns` full turns.
-    """
-    import numpy as np
-
-    if not (0 <= factor < n):
-        raise ValueError("factor index out of range")
-    frames = []
-    for t in range(samples):
-        d = np.eye(n, dtype=np.complex128)
-        d[factor, factor] = cmath.exp(1j * math.pi * turns * t / samples)
-        frames.append(d)
-    return LagrangianLoop.from_frames(frames)
-
-
-def constant_loop(n: int, samples: int = 4) -> LagrangianLoop:
-    import numpy as np
-
-    return LagrangianLoop.from_frames([np.eye(n, dtype=np.complex128)] * samples)

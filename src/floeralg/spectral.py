@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional
 
 from . import f2linalg
@@ -120,37 +121,24 @@ def _obstruction(fc: FloerComplex, r: int, m: int, vec: int,
 def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> tuple[int, ...]:
     """One nonzero homogeneous tail (t_1..t_depth) with zero leading term, if any.
 
-    Solves the joint zig-zag system with y_0 = 0; used by the paranoid mode
-    to produce a genuinely different second lift.
+    Solves the joint zig-zag system with y_0 = 0, for the paranoid second
+    lift. With t the chain whose part in degree m - s*NL is t_s, op_k t_j
+    lands in degree m + 1 - (j+k)*NL, so equation s is the part of D t in
+    degree m + 1 - s*NL: a tail is a dependency among the images D(g) of
+    the slot generators, masked to those target degrees.
     """
-    N = fc.NL
-    slot_dims = [fc.morse.dim_at(m - s * N) if 0 <= m - s * N <= fc.dimL else 0
-                 for s in range(1, depth + 1)]
-    total = sum(slot_dims)
-    if total == 0:
+    morse = fc.morse
+    slots = [m - s * fc.NL for s in range(1, depth + 1)]
+    positions = [p for t in slots for p in morse.degree_positions(t)]
+    if not positions:
         return ()
-    offsets = []
-    acc = 0
-    for d in slot_dims:
-        offsets.append(acc)
-        acc += d
-    entries = []
-    row_off = 0
-    for s in range(1, depth + 1):
-        t = m + 1 - s * N
-        rows = fc.morse.dim_at(t) if 0 <= t <= fc.dimL else 0
-        for j in range(1, s + 1):
-            mat = fc.operator(s - j, m - j * N)
-            for (i, c) in mat.entries():
-                entries.append((row_off + i, offsets[j - 1] + c))
-        row_off += rows
-    system = F2Matrix.from_entries(row_off, total, entries)
-    ker = f2linalg.kernel(system)
+    targets = reduce(or_, (morse.degree_mask(t + 1) for t in slots), 0)
+    ker = f2linalg.kernel(_column_matrix([fc.differential_images[p] & targets for p in positions],
+                                         len(morse.generators)))
     if ker.dim == 0:
         return ()
-    v = ker.basis[0]
-    return tuple((v >> offsets[s]) & ((1 << slot_dims[s]) - 1) if slot_dims[s] else 0
-                 for s in range(depth))
+    chain = f2linalg._combine([1 << p for p in positions], ker.basis[0])
+    return tuple((chain & morse.degree_mask(t)) >> morse.degree_offset(t) for t in slots)
 
 
 def _z_coords(deg: PageDegree, vec: int) -> int:

@@ -268,3 +268,66 @@ def census_oracle(seed, dims, NL):
 
     morse = fcx.MorseComplex(generators, dimL, boundary)
     return fcx.assemble(morse, NL, new_ops), expected
+
+
+def folded_homology_oracle(fc):
+    """folded_homology as the fold's matrices, assembled per residue from
+    every op_k block of every degree in an offset layout of its own."""
+    N = fc.NL
+    degrees = {r: [m for m in range(fc.dimL + 1) if m % N == r] for r in range(N)}
+    offsets = {}
+    sizes = {}
+    for r, ms in degrees.items():
+        off, acc = {}, 0
+        for m in ms:
+            off[m] = acc
+            acc += fc.morse.dim_at(m)
+        offsets[r] = off
+        sizes[r] = acc
+
+    def folded_matrix(r):
+        r_out = (r + 1) % N
+        entries = []
+        for m in degrees[r]:
+            for k in range(fc.nu + 1):
+                t = m + 1 - k * N
+                if not (0 <= t <= fc.dimL):
+                    continue
+                for (i, j) in fc.operator(k, m).entries():
+                    entries.append((offsets[r_out][t] + i, offsets[r][m] + j))
+        return F2Matrix.from_entries(sizes[r_out], sizes[r], entries)
+
+    ranks = {r: rank_oracle(folded_matrix(r)) for r in range(N)}
+    return {r: sizes[r] - ranks[r] - ranks[(r - 1) % N] for r in range(N)}
+
+
+def tail_freedom_oracle(fc, m, depth):
+    """_tail_freedom as the block system of the zig-zag equations: row block
+    s, column block j holds op_(s-j) from C^(m - j*NL), each block placed
+    at offsets of its own."""
+    N = fc.NL
+    slot_dims = [fc.morse.dim_at(m - s * N) if 0 <= m - s * N <= fc.dimL else 0
+                 for s in range(1, depth + 1)]
+    total = sum(slot_dims)
+    if total == 0:
+        return ()
+    offsets = []
+    acc = 0
+    for d in slot_dims:
+        offsets.append(acc)
+        acc += d
+    entries = []
+    row_off = 0
+    for s in range(1, depth + 1):
+        t = m + 1 - s * N
+        rows = fc.morse.dim_at(t) if 0 <= t <= fc.dimL else 0
+        for j in range(1, s + 1):
+            for (i, c) in fc.operator(s - j, m - j * N).entries():
+                entries.append((row_off + i, offsets[j - 1] + c))
+        row_off += rows
+    ker = kernel_oracle(F2Matrix.from_entries(row_off, total, entries))
+    if ker.dim == 0:
+        return ()
+    v = ker.basis[0]
+    return tuple((v >> offsets[s]) & ((1 << slot_dims[s]) - 1) if slot_dims[s] else 0
+                 for s in range(depth))

@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import loops
 import numpy as np
 import pytest
 from oracles import basis_mul
@@ -255,14 +256,14 @@ def test_criterion_8_rpn_driver():
 
 
 def test_criterion_9_maslov_index():
-    assert mv.maslov_index(mv.rotating_loop(1, 64)).value == 1
-    assert mv.maslov_index(mv.rotating_loop(1, 256)).value == 1
-    assert mv.maslov_index(mv.constant_loop(3)).value == 0
+    assert mv.maslov_index(loops.rotating_loop(1, 64)).value == 1
+    assert mv.maslov_index(loops.rotating_loop(1, 256)).value == 1
+    assert mv.maslov_index(loops.constant_loop(3)).value == 0
 
     # pre-rounded winding within 1e-6 of an integer multiple of 2*pi,
     # re-summed here from determinant values
-    for loop in (mv.rotating_loop(1, 64), mv.rotating_loop(2, 96, turns=2)):
-        dets = [mv.det_squared(f) for f in loop.samples]
+    for loop in (loops.rotating_loop(1, 64), loops.rotating_loop(2, 96, turns=2)):
+        dets = [loops.det_squared(f) for f in loop.samples]
         total = sum(math.atan2((dets[(t + 1) % len(dets)] / dets[t]).imag,
                                (dets[(t + 1) % len(dets)] / dets[t]).real)
                     for t in range(len(dets)))
@@ -272,13 +273,13 @@ def test_criterion_9_maslov_index():
     n = 3
     for _ in range(50):
         ta, tb = rng.randint(-3, 3), rng.randint(-3, 3)
-        a = mv.rotating_loop(n, 64, turns=ta, factor=rng.randrange(n))
-        b = mv.rotating_loop(n, 64, turns=tb, factor=rng.randrange(n))
-        assert mv.maslov_index(mv.concatenate(a, b)).value == ta + tb
-        assert mv.maslov_index(mv.reverse(a)).value == -ta
+        a = loops.rotating_loop(n, 64, turns=ta, factor=rng.randrange(n))
+        b = loops.rotating_loop(n, 64, turns=tb, factor=rng.randrange(n))
+        assert mv.maslov_index(loops.concatenate(a, b)).value == ta + tb
+        assert mv.maslov_index(loops.reverse(a)).value == -ta
 
-    base = mv.rotating_loop(2, 64, turns=2)
-    doubled = mv.rotating_loop(2, 128, turns=2)
+    base = loops.rotating_loop(2, 64, turns=2)
+    doubled = loops.rotating_loop(2, 128, turns=2)
     assert mv.maslov_index(base).value == mv.maslov_index(doubled).value == 2
 
     frames = []
@@ -295,7 +296,7 @@ def test_criterion_9_maslov_index():
 def test_criterion_10_cli_determinism(tmp_path):
     loop_path = tmp_path / "loop.json"
     loop_path.write_text(serialize.canonical_json(
-        serialize.loop_to_dict(mv.rotating_loop(1, 128))))
+        serialize.loop_to_dict(loops.rotating_loop(1, 128))))
     commands = [
         ("ring", "torus", "--n", "2"),
         ("ring", "rp", "--n", "3"),

@@ -11,6 +11,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import loops
 import pytest
 from click.testing import CliRunner
 
@@ -71,7 +72,7 @@ def test_import_isolation(tmp_path):
     # which the CLI imports with every other layer
     assert loaded_after("import floeralg.cli") == ["floeralg.maslov"]
     path = tmp_path / "loop.json"
-    path.write_text(serialize.canonical_json(serialize.loop_to_dict(mv.rotating_loop(2, 64))))
+    path.write_text(serialize.canonical_json(serialize.loop_to_dict(loops.rotating_loop(2, 64))))
     maslov = ("maslov", "index", str(path))
     expected = run_cli(*maslov)
     assert (expected.exit_code, json.loads(expected.stdout)["index"]) == (0, 1)
@@ -223,6 +224,19 @@ def test_ss_run_maslov_above_the_cap_exit_2(tmp_path, nl):
     r = limited_proc("ss", "run", str(path))
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"error: NL {nl} exceeds {fcx.MAX_CENSUS_NL}\n"
+
+
+@pytest.mark.parametrize("dimL", [1001, 10**8])
+def test_ss_run_dimL_above_the_cap_exit_2(tmp_path, dimL):
+    # without the cap, dimL 4,000 ends in a MemoryError traceback under 3 GB
+    from floeralg import floercomplex as fcx
+
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dimL": dimL, "NL": 2, "operators": {},
+                                "generators": [{"name": "x", "index": 0}]}))
+    r = limited_proc("ss", "run", str(path))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: dimL {dimL} exceeds {fcx.MAX_DIML}\n"
 
 
 def test_ss_run_rejects_bad_schema(tmp_path):
@@ -385,7 +399,7 @@ def test_duplicate_pair_exit_2_whatever_the_order(tmp_path, mult):
 
 
 def test_maslov_index_rotating(tmp_path):
-    loop = mv.rotating_loop(1, 256)
+    loop = loops.rotating_loop(1, 256)
     path = tmp_path / "loop.json"
     path.write_text(serialize.canonical_json(serialize.loop_to_dict(loop)))
     r = run_cli("maslov", "index", str(path))
@@ -396,7 +410,7 @@ def test_maslov_index_rotating(tmp_path):
 def test_maslov_index_constant(tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(serialize.canonical_json(
-        serialize.loop_to_dict(mv.constant_loop(2))))
+        serialize.loop_to_dict(loops.constant_loop(2))))
     r = run_cli("maslov", "index", str(path))
     assert r.exit_code == 0
     assert json.loads(r.stdout)["index"] == 0
@@ -405,7 +419,7 @@ def test_maslov_index_constant(tmp_path):
 def test_maslov_coarse_exit_3(tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(serialize.canonical_json(
-        serialize.loop_to_dict(mv.rotating_loop(1, 4))))
+        serialize.loop_to_dict(loops.rotating_loop(1, 4))))
     r = run_cli("maslov", "index", str(path))
     assert r.exit_code == 3
     assert "resample" in r.stderr
@@ -418,7 +432,7 @@ def test_maslov_coarse_exit_3(tmp_path):
 ])
 def test_maslov_non_finite_sample_exit_2(tmp_path, literal, message):
     # json.load accepts these literals and the schema sees plain numbers
-    text = serialize.canonical_json(serialize.loop_to_dict(mv.rotating_loop(2, 64)))
+    text = serialize.canonical_json(serialize.loop_to_dict(loops.rotating_loop(2, 64)))
     path = tmp_path / "loop.json"
     path.write_text(text.replace("1.0", literal, 1))
     r = run_cli("maslov", "index", str(path))
@@ -430,7 +444,7 @@ def test_maslov_extreme_scale_loops(tmp_path):
     # A^H A overflows or underflows at these scales; a positive factor per
     # frame changes neither the subspaces nor the index
     for scale in (1e300, 1e-300, 5e307 * (1 + 1j)):
-        loop = mv.LagrangianLoop.from_frames(scale * f for f in mv.rotating_loop(2, 64).samples)
+        loop = mv.LagrangianLoop.from_frames(scale * f for f in loops.rotating_loop(2, 64).samples)
         path = tmp_path / "loop.json"
         path.write_text(serialize.canonical_json(serialize.loop_to_dict(loop)))
         r = run_cli("maslov", "index", str(path))
@@ -494,6 +508,17 @@ def test_corpus_maslov_above_the_cap_exit_2(tmp_path, nl):
                      "--maslov", nl, "--out", str(tmp_path / "c"))
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"error: NL {nl} exceeds {fcx.MAX_CENSUS_NL}\n"
+
+
+def test_corpus_dims_above_the_dimL_cap_exit_2(tmp_path):
+    # without the cap, 20,000 degrees end in a MemoryError traceback under 3 GB
+    from floeralg import floercomplex as fcx
+
+    dims = ",".join(["1"] + ["0"] * 19_999)
+    r = limited_proc("corpus", "--seed", "1", "--count", "1", "--dims", dims,
+                     "--maslov", "2", "--out", str(tmp_path / "c"))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: dimL 19999 exceeds {fcx.MAX_DIML}\n"
 
 
 def test_corpus_out_is_a_file_exit_2(tmp_path):

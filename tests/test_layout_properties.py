@@ -2,24 +2,45 @@
 oracles.
 
 ``MorseComplex.glue`` and ``cut`` are the only map between degree-local
-and global coordinates, and the census conjugation and the d^2 check run
-on glued matrices; the oracles in ``oracles.py`` do both block by block.
+and global coordinates, and the census conjugation, the d^2 check, the
+folded homology and the paranoid tail system run on glued matrices; the
+oracles in ``oracles.py`` do each block by block.
 """
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import census_oracle, d_squared_oracle
+from oracles import (census_oracle, d_squared_oracle, folded_homology_oracle,
+                     tail_freedom_oracle)
 
 from floeralg import floercomplex as fcx
+from floeralg import gradedalg as ga
 from floeralg import serialize
+from floeralg import spectral as sp
 from floeralg.f2linalg import F2Matrix
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 # dims of up to seven degrees, empty degrees included, within MAX_TOTAL_DIM
 dims_lists = st.lists(st.integers(0, 4), min_size=1, max_size=7)
+# up to twelve degrees, mostly empty
+sparse_dims = st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=1, max_size=12)
+
+
+@st.composite
+def complexes(draw):
+    """Census complexes, dense or sparse, and ring complexes with a shift -1
+    derivation."""
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from([ga.build_exterior(2), ga.build_exterior(3),
+                                     ga.build_truncated_poly(2),
+                                     ga.build_truncated_poly(4)]))
+        d = draw(st.sampled_from(ga.enumerate_derivations(ring, -1)))
+        return fcx.complex_from_ring(ring, 2, derivation=d)
+    dims = draw(st.one_of(dims_lists, sparse_dims))
+    return fcx.random_complex_census(draw(st.integers(0, 2**16)), dims,
+                                     draw(st.integers(2, 5)))[0]
 
 
 @SETTINGS
@@ -74,3 +95,29 @@ def test_cut_undoes_glue(dims, data):
 def test_census_dict_round_trip(dims, NL, seed):
     d = serialize.complex_to_dict(fcx.random_complex_census(seed, dims, NL)[0])
     assert serialize.complex_to_dict(serialize.complex_from_dict(d)) == d
+
+
+@SETTINGS
+@given(complexes())
+def test_folded_homology_equals_the_blockwise_fold(fc):
+    assert fcx.folded_homology(fc) == folded_homology_oracle(fc)
+
+
+@SETTINGS
+@given(complexes())
+def test_tail_freedom_solves_the_zig_zag_system(fc):
+    # every tail solves sum_{j=1..s} op_(s-j) t_j = 0 for s = 1..depth, and
+    # one exists exactly when the block system has a nonzero solution
+    N = fc.NL
+    for m in range(fc.dimL + 1):
+        for depth in range(fc.nu + 2):
+            tail = sp._tail_freedom(fc, m, depth)
+            assert bool(tail) == bool(tail_freedom_oracle(fc, m, depth))
+            if not tail:
+                continue
+            assert len(tail) == depth and any(tail)
+            for s in range(1, depth + 1):
+                out = 0
+                for j in range(1, s + 1):
+                    out ^= fc.operator(s - j, m - j * N).mul_vec(tail[j - 1])
+                assert out == 0

@@ -4,13 +4,13 @@ import json
 from importlib import resources
 
 import jsonschema
+import loops
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
-from floeralg import maslov as mv
 from floeralg import serialize
 from floeralg.cli import main
 from floeralg.errors import InputError
@@ -40,7 +40,7 @@ def test_loop_schema_pinned():
 
 def plain(n=2, frames=2):
     return json.loads(serialize.canonical_json(
-        serialize.loop_to_dict(mv.rotating_loop(n, frames))))
+        serialize.loop_to_dict(loops.rotating_loop(n, frames))))
 
 
 def _set(data, path, value):

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import loops
 import numpy as np
 import pytest
 
@@ -65,7 +66,7 @@ def test_det_squared_matches_polar_oracle():
     for n in range(1, 9):
         for scale in 10.0 ** rng.uniform(-3, 3, size=12):
             frame = random_lagrangian_frame(rng, n, scale)
-            assert abs(mv.det_squared(frame) - polar_det_squared(frame)) < 1e-9
+            assert abs(loops.det_squared(frame) - polar_det_squared(frame)) < 1e-9
 
 
 def sequential_index(loop):
@@ -95,7 +96,7 @@ def test_index_matches_sequential_oracle():
 def test_unitary_frame_fixed_up_to_orthogonal():
     u = polar_unitary(np.eye(2, dtype=complex))
     assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-9
-    d0 = mv.det_squared(np.eye(2, dtype=complex))
+    d0 = loops.det_squared(np.eye(2, dtype=complex))
     assert abs(d0 - 1) < 1e-9
 
 
@@ -103,20 +104,20 @@ def test_real_frame_has_unit_det_squared():
     rng = random.Random(0)
     for _ in range(10):
         g = random_real_invertible(rng, 3).astype(complex)
-        assert abs(mv.det_squared(g) - 1) < 1e-9
+        assert abs(loops.det_squared(g) - 1) < 1e-9
 
 
 def test_positive_column_scaling_invariance():
-    loop = mv.rotating_loop(2, 16)
+    loop = loops.rotating_loop(2, 16)
     f = loop.samples[3]
     scaled = f @ np.diag([2.5, 0.3])
-    assert abs(mv.det_squared(f) - mv.det_squared(scaled)) < 1e-9
+    assert abs(loops.det_squared(f) - loops.det_squared(scaled)) < 1e-9
 
 
 def test_non_lagrangian_rejected():
     bad = np.array([[1, 1j], [0, 1]], dtype=complex)
     with pytest.raises(NotLagrangian, match="^frame: "):
-        mv.det_squared(bad)
+        loops.det_squared(bad)
     with pytest.raises(NotLagrangian, match="^sample 1: "):
         mv.LagrangianLoop.from_frames([np.eye(2), bad]).validate()
 
@@ -140,14 +141,14 @@ def test_lagrangian_check_survives_overflow_and_underflow(scale):
     # A^H A is inf or 0 at these scales, which made the skew NaN
     bad = scale * np.array([[1, 1j], [0, 1]], dtype=complex)
     with pytest.raises(NotLagrangian):
-        mv.det_squared(bad)
+        loops.det_squared(bad)
     with pytest.raises(NotLagrangian):
         mv.LagrangianLoop.from_frames([bad]).validate()
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300, 5e307 * (1 + 1j), 1e-310])
 def test_index_at_extreme_scales(scale):
-    loop = mv.rotating_loop(2, 64)
+    loop = loops.rotating_loop(2, 64)
     scaled = mv.LagrangianLoop.from_frames([scale * f for f in loop.samples])
     idx = mv.maslov_index(scaled)
     assert idx.value == 1
@@ -157,7 +158,7 @@ def test_index_at_extreme_scales(scale):
 def test_degenerate_frame_rejected():
     sing = np.array([[1, 1], [1, 1]], dtype=complex)
     with pytest.raises(DegenerateFrame):
-        mv.det_squared(sing)
+        loops.det_squared(sing)
     with pytest.raises(DegenerateFrame, match="^sample 0: "):
         mv.LagrangianLoop.from_frames([sing, 1j * sing]).validate()
 
@@ -177,43 +178,43 @@ def test_first_bad_frame_in_sample_order_is_reported():
 
 
 def test_constant_loop_zero():
-    assert mv.maslov_index(mv.constant_loop(3)).value == 0
+    assert mv.maslov_index(loops.constant_loop(3)).value == 0
 
 
 def test_rotating_line_unit_index():
-    idx = mv.maslov_index(mv.rotating_loop(1, 64))
+    idx = mv.maslov_index(loops.rotating_loop(1, 64))
     assert idx.value == 1
     assert idx.min_gap < math.pi / 2
 
 
 def test_direct_sum_with_constant_factor():
-    assert mv.maslov_index(mv.rotating_loop(2, 64)).value == 1
+    assert mv.maslov_index(loops.rotating_loop(2, 64)).value == 1
 
 
 def test_generator_loop_every_ambient_dimension():
     for n in range(1, 7):
-        assert mv.maslov_index(mv.rotating_loop(n, 64)).value == 1
+        assert mv.maslov_index(loops.rotating_loop(n, 64)).value == 1
 
 
 def test_coarse_loop_trips_guard():
     with pytest.raises(InsufficientSampling):
-        mv.maslov_index(mv.rotating_loop(1, 4))
+        mv.maslov_index(loops.rotating_loop(1, 4))
 
 
 def test_negative_turns():
-    assert mv.maslov_index(mv.rotating_loop(1, 64, turns=-2)).value == -2
+    assert mv.maslov_index(loops.rotating_loop(1, 64, turns=-2)).value == -2
 
 
 def test_refinement_invariance():
     for turns in (1, 2, 3):
-        a = mv.maslov_index(mv.rotating_loop(2, 64, turns=turns)).value
-        b = mv.maslov_index(mv.rotating_loop(2, 128, turns=turns)).value
+        a = mv.maslov_index(loops.rotating_loop(2, 64, turns=turns)).value
+        b = mv.maslov_index(loops.rotating_loop(2, 128, turns=turns)).value
         assert a == b == turns
 
 
 def test_frame_change_invariance():
     rng = random.Random(11)
-    loop = mv.rotating_loop(2, 96, turns=2)
+    loop = loops.rotating_loop(2, 96, turns=2)
     frames = [f @ random_real_invertible(rng, 2) for f in loop.samples]
     assert mv.maslov_index(mv.LagrangianLoop.from_frames(frames)).value == 2
 
@@ -222,26 +223,26 @@ def test_frame_change_invariance():
 
 
 def test_reverse_negates():
-    a = mv.rotating_loop(2, 64, turns=2)
-    assert mv.maslov_index(mv.reverse(a)).value == -2
+    a = loops.rotating_loop(2, 64, turns=2)
+    assert mv.maslov_index(loops.reverse(a)).value == -2
 
 
 def test_cancellation():
-    a = mv.rotating_loop(2, 64)
-    assert mv.maslov_index(mv.concatenate(a, mv.reverse(a))).value == 0
+    a = loops.rotating_loop(2, 64)
+    assert mv.maslov_index(loops.concatenate(a, loops.reverse(a))).value == 0
 
 
 def test_concatenation_commutes_in_index():
-    a = mv.rotating_loop(2, 64, turns=1)
-    b = mv.rotating_loop(2, 64, turns=2, factor=1)
-    ab = mv.maslov_index(mv.concatenate(a, b)).value
-    ba = mv.maslov_index(mv.concatenate(b, a)).value
+    a = loops.rotating_loop(2, 64, turns=1)
+    b = loops.rotating_loop(2, 64, turns=2, factor=1)
+    ab = mv.maslov_index(loops.concatenate(a, b)).value
+    ba = mv.maslov_index(loops.concatenate(b, a)).value
     assert ab == ba == 3
 
 
 def test_doubling_a_loop_doubles_index():
-    a = mv.rotating_loop(1, 96)
-    assert mv.maslov_index(mv.concatenate(a, a)).value == 2
+    a = loops.rotating_loop(1, 96)
+    assert mv.maslov_index(loops.concatenate(a, a)).value == 2
 
 
 def test_additivity_on_random_pairs():
@@ -250,23 +251,23 @@ def test_additivity_on_random_pairs():
     for _ in range(50):
         ta, tb = rng.randint(-3, 3), rng.randint(-3, 3)
         fa, fb = rng.randrange(n), rng.randrange(n)
-        a = mv.rotating_loop(n, 64, turns=ta, factor=fa)
-        b = mv.rotating_loop(n, 64, turns=tb, factor=fb)
+        a = loops.rotating_loop(n, 64, turns=ta, factor=fa)
+        b = loops.rotating_loop(n, 64, turns=tb, factor=fb)
         assert mv.maslov_index(a).value == ta
         assert mv.maslov_index(b).value == tb
-        assert mv.maslov_index(mv.concatenate(a, b)).value == ta + tb
-        assert mv.maslov_index(mv.reverse(a)).value == -ta
+        assert mv.maslov_index(loops.concatenate(a, b)).value == ta + tb
+        assert mv.maslov_index(loops.reverse(a)).value == -ta
 
 
 def test_basepoint_mismatch_detected():
-    a = mv.rotating_loop(2, 64)
-    c = mv.rotating_loop(2, 64, factor=1)
+    a = loops.rotating_loop(2, 64)
+    c = loops.rotating_loop(2, 64, factor=1)
     shifted = mv.LagrangianLoop(2, c.samples[16:] + c.samples[:16])
     with pytest.raises(BasepointMismatch):
-        mv.concatenate(a, shifted)
+        loops.concatenate(a, shifted)
 
 
 def test_min_gap_reported():
-    idx = mv.maslov_index(mv.rotating_loop(1, 64))
+    idx = mv.maslov_index(loops.rotating_loop(1, 64))
     assert 0 < idx.min_gap < math.pi / 2
     assert abs(idx.min_gap - 2 * math.pi / 64) < 1e-9

@@ -1,5 +1,6 @@
 """Hypothesis property tests for the Maslov index: loop algebra and invariance."""
 
+import loops
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +51,7 @@ def test_index_additive_under_concatenate(specs, seed):
     a, b = based_loop(u, ka, rng), based_loop(u, kb, rng)
     ia, ib = mv.maslov_index(a).value, mv.maslov_index(b).value
     assert (ia, ib) == (sum(ka), sum(kb))
-    assert mv.maslov_index(mv.concatenate(a, b)).value == ia + ib
+    assert mv.maslov_index(loops.concatenate(a, b)).value == ia + ib
 
 
 @SETTINGS
@@ -59,7 +60,7 @@ def test_reverse_negates_index(spec, seed):
     n, ks = spec
     rng = np.random.default_rng(seed)
     loop = based_loop(unitary(rng, n), ks, rng)
-    assert mv.maslov_index(mv.reverse(loop)).value == -mv.maslov_index(loop).value
+    assert mv.maslov_index(loops.reverse(loop)).value == -mv.maslov_index(loop).value
 
 
 @SETTINGS
@@ -68,7 +69,7 @@ def test_rotating_loop_has_index_turns(n, turns, data):
     # each det^2 step is 2*pi*|turns|/samples, below the pi/2 guard
     samples = data.draw(st.integers(4 * abs(turns) + 1, 160))
     factor = data.draw(st.integers(0, n - 1))
-    loop = mv.rotating_loop(n, samples, turns=turns, factor=factor)
+    loop = loops.rotating_loop(n, samples, turns=turns, factor=factor)
     assert mv.maslov_index(loop).value == turns
 
 

@@ -361,18 +361,32 @@ def test_census_page_dumps_match_the_pinned_hash():
 
 @pytest.mark.parametrize("dimL", [200, 1000])
 def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, dimL):
-    # empty degrees cost nothing, so the work follows the pages, not dimL
+    # empty degrees cost nothing, so the work follows the pages, not dimL;
+    # the folded oracle reads the glued D and eliminates once per occupied
+    # residue, with no per-degree operator block
     fc = fcx.assemble(fcx.MorseComplex([fcx.Generator("x", 0)], dimL), 2, {})
-    calls = 0
+    calls = operator_calls = 0
     rref = f2._rref_ints
+    operator = fcx.FloerComplex.operator
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return rref(*args, **kwargs)
 
+    def counting_operator(*args, **kwargs):
+        nonlocal operator_calls
+        operator_calls += 1
+        return operator(*args, **kwargs)
+
     monkeypatch.setattr(f2, "_rref_ints", counting)
-    pages = sp.run_to_collapse(fc).pages
-    assert calls <= 5 * len(pages)
-    for page in pages:
+    collapse = sp.run_to_collapse(fc)
+    assert calls <= 5 * len(collapse.pages)
+    for page in collapse.pages:
         assert page.dims() == [1] + [0] * dimL
+    calls = 0
+    monkeypatch.setattr(fcx.FloerComplex, "operator", counting_operator)
+    assert fcx.folded_homology(fc) == {0: 1, 1: 0}
+    assert operator_calls == 0 and calls <= fc.NL
+    monkeypatch.undo()
+    assert sp.check_convergence(collapse).ok
