@@ -15,8 +15,10 @@ that shifts degree, such as op_k or a change of basis, is one n x n matrix
 over that order: ``MorseComplex.glue`` builds it from per-degree blocks and
 ``MorseComplex.cut`` takes it back, and no other code here maps between
 degree-local and global coordinates. D = sum_k op_k is glued once per
-complex, as ``differential_images``, and ``d2_report``, the folded homology
-and the tail system read it. Each m_l is stored once, as bitmask rows.
+complex, as ``differential_images``; ``d2_report``, the folded homology and
+the page engine of :mod:`floeralg.spectral` read it, and ``operator``
+blocks only the window and E_1 oracles. Each m_l is stored once, as
+bitmask rows.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -25,6 +27,7 @@ nothing here counts holomorphic objects.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -104,8 +107,10 @@ class MorseComplex:
         return self._by_degree.get(m, ())
 
     def degree_offset(self, m: int) -> int:
-        """Position of the first generator of degree m; 0 for an empty degree."""
-        return self._by_degree.get(m, (0,))[0]
+        """Number of generators of degree below m: the position where degree
+        m starts, occupied or not."""
+        pos = self._by_degree.get(m)
+        return pos[0] if pos else bisect_left(self.generators, m, key=lambda g: g.index)
 
     def degree_mask(self, m: int) -> int:
         """Chain bitmask of every generator of Morse degree m."""

@@ -3,20 +3,25 @@
 Everything is computed in the reduced T-periodic model indexed by Morse
 degree m: the page-r space at m is a quotient V_r(m) = Z_r(m) / B_r(m) of
 nested subspaces of C^m, and the bigraded page is V_r(m) tensored with the
-T-power line. Membership of x in Z_r(m) is witnessed by a zig-zag tail
-y_1..y_(r-1) (y_s in C^(m - s*NL)) solving
+T-power line. Membership of x in Z_r(m) is witnessed by a zig-zag lift
+x + y_1 + ... + y_(r-1) (y_s in C^(m - s*NL), y_0 = x) solving
 
-    sum_{k=0..s} op_k y_(s-k) = 0   for s = 1..r-1,   y_0 = x,
+    sum_{k=0..s} op_k y_(s-k) = 0   for s = 0..r-1,
 
 and the page differential is the class of the next obstruction
-o_r = sum_{k=1..r} op_k y_(r-k). Spanning vectors of B_r(m) carry antecedent
-chains w_0..w_(r-1) with b = sum_{i+k=r-1} op_k w_i, which is exactly what
-is needed to repair a tail when extending a cycle one page deeper.
+o_r = sum_{k=1..r} op_k y_(r-k). Spanning vectors b of B_r(m) carry
+antecedent chains w_0 + ... + w_(r-1), w_i in C^(m - 1 + (r-1-i)*NL), with
+b = sum_{i+k=r-1} op_k w_i: what repairs a lift one page deeper.
 
-A page stores only the degrees with C^m nonzero, each with a reduced echelon
-Z basis and the obstruction of every Z generator; that is linear in the cycle
-and its tail, so the page differential and the next page turn combine the
-stored ones. The paranoid second lift recomputes them from perturbed tails.
+A lift or a chain is one bitmask over the generator order, its summands in
+distinct degrees. op_k y_j lands in degree m + 1 - (j+k)*NL, so the part
+of D*lift (D = sum_k op_k, ``FloerComplex.differential_images``) in degree
+m + 1 - s*NL is equation s for s < r and o_r for s = r; the engine reads
+no operator block. A page stores only the degrees with C^m nonzero, each
+with a reduced echelon Z basis and the lift and obstruction of every Z
+generator. Both are linear in the cycle, so the page differential and the
+next page turn combine the stored ones; the paranoid second lift
+recomputes them from perturbed lifts.
 
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
@@ -28,8 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Optional
 
 from . import f2linalg
@@ -39,34 +43,22 @@ from .floercomplex import FloerComplex, check_product_leibniz, folded_homology
 
 
 @dataclass(frozen=True)
-class ZGen:
-    """Cycle representative with its zig-zag tail (y_1..y_(r-1))."""
-    vec: int
-    tail: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BGen:
-    """Boundary spanning vector with its antecedent chain (w_0..w_(r-1))."""
-    vec: int
-    chain: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PageDegree:
-    """One degree of page r, stored only if C^m is nonzero; ``obs[i]`` is the
-    page-r obstruction of ``z_basis[i]``, and the Z vectors are exactly
-    ``quotient.sup.basis``, in order, so ``quotient.sup.coords`` reads Z coordinates."""
-    z_basis: tuple[ZGen, ...]
-    b_span: tuple[BGen, ...]
+    """One degree of page r, stored only if C^m is nonzero. The Z vectors
+    are exactly ``quotient.sup.basis``, in order, so ``quotient.sup.coords``
+    reads Z coordinates; ``lifts[i]`` is the lift of Z vector i and
+    ``obs[i]`` its page-r obstruction. ``b_span`` is an independent span of
+    B_r(m), and ``b_chains[i]`` the antecedent chain of ``b_span[i]``."""
+    lifts: tuple[int, ...]
+    b_span: tuple[int, ...]
+    b_chains: tuple[int, ...]
     quotient: QuotientMap
     obs: tuple[int, ...]
 
     @cached_property
     def b_matrix(self) -> F2Matrix:
         """The boundary spanning vectors as columns, built and eliminated once."""
-        return _column_matrix([b.vec for b in self.b_span],
-                              self.quotient.sup.ambient_dim)
+        return _column_matrix(self.b_span, self.quotient.sup.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -105,55 +97,50 @@ def _column_matrix(cols: list[int], ambient: int) -> F2Matrix:
     return F2Matrix.from_row_ints(cols, ambient).transpose()
 
 
-def _obstruction(fc: FloerComplex, r: int, m: int, vec: int,
-                 tail: tuple[int, ...]) -> int:
-    """Next zig-zag obstruction of a depth-r cycle (lands in degree m+1-r*NL)."""
-    if r == 0:
-        return fc.operator(0, m).mul_vec(vec)
-    out = 0
-    for k in range(1, r + 1):
-        s = r - k
-        y = vec if s == 0 else tail[s - 1]
-        out ^= fc.operator(k, m - s * fc.NL).mul_vec(y)
-    return out
+def _degree_part(fc: FloerComplex, chain: int, t: int) -> int:
+    """Degree-local vector of the part of a chain in degree t (0 if C^t is zero)."""
+    return (chain & fc.morse.degree_mask(t)) >> fc.morse.degree_offset(t)
 
 
-def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> tuple[int, ...]:
-    """One nonzero homogeneous tail (t_1..t_depth) with zero leading term, if any.
+def _obstruction(fc: FloerComplex, r: int, m: int, lift: int) -> int:
+    """Page-r obstruction of the lift of a cycle of degree m: the part of
+    D*lift in degree m + 1 - r*NL (see the module docstring)."""
+    return _degree_part(fc, f2linalg._combine(fc.differential_images, lift),
+                        m + 1 - r * fc.NL)
 
-    Solves the joint zig-zag system with y_0 = 0, for the paranoid second
-    lift. With t the chain whose part in degree m - s*NL is t_s, op_k t_j
-    lands in degree m + 1 - (j+k)*NL, so equation s is the part of D t in
-    degree m + 1 - s*NL: a tail is a dependency among the images D(g) of
-    the slot generators, masked to those target degrees.
+
+def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> int:
+    """One nonzero lift t_1 + ... + t_depth with zero leading term, or 0.
+
+    Solves the zig-zag system with y_0 = 0, for the paranoid second lift.
+    t_j lies in degree m - j*NL and op_k t_j in degree m + 1 - (j+k)*NL,
+    so equation s is the part of D t in degree m + 1 - s*NL, and equations
+    1..depth are all of D t from degree m + 1 - depth*NL up. A solution is
+    a dependency among the images D(g) of the slot generators g, cut below
+    that degree. Each cut image, tagged with bit n + g, goes into one
+    echelon map; the first whose image bits all reduce away is a sum of
+    earlier ones, and its tag bits shifted down by n are that sum's
+    generators: the chain t.
     """
     morse = fc.morse
-    slots = [m - s * fc.NL for s in range(1, depth + 1)]
-    positions = [p for t in slots for p in morse.degree_positions(t)]
-    if not positions:
-        return ()
-    targets = reduce(or_, (morse.degree_mask(t + 1) for t in slots), 0)
-    ker = f2linalg.kernel(_column_matrix([fc.differential_images[p] & targets for p in positions],
-                                         len(morse.generators)))
-    if ker.dim == 0:
-        return ()
-    chain = f2linalg._combine([1 << p for p in positions], ker.basis[0])
-    return tuple((chain & morse.degree_mask(t)) >> morse.degree_offset(t) for t in slots)
+    n = len(morse.generators)
+    low = morse.degree_offset(m + 1 - depth * fc.NL)
+    pivots: dict[int, int] = {}
+    for s in range(1, depth + 1):
+        for g in morse.degree_positions(m - s * fc.NL):
+            v = f2linalg._echelon_insert(
+                pivots, fc.differential_images[g] >> low << low | 1 << (n + g))
+            if v >> n << n == v:
+                return v >> n
+    return 0
 
 
 def _z_coords(deg: PageDegree, vec: int) -> int:
-    """Coordinates of a vector of the Z-span in ``deg.z_basis``, its echelon basis."""
+    """Coordinates of a vector of the Z-span in its echelon basis ``quotient.sup``."""
     try:
         return deg.quotient.sup.coords(vec)
     except ValueError as exc:
         raise LiftFailure("vector claimed in Z-span has no expression there") from exc
-
-
-def _resolve_in_z(deg: PageDegree, vec: int) -> tuple[int, ...]:
-    """Tail of a vector of the Z-span, combined from the basis tails by ``_z_coords``."""
-    coeff = _z_coords(deg, vec)
-    slots = zip(*(g.tail for g in deg.z_basis))  # y_s of every basis element, per s
-    return tuple(f2linalg._combine(slot, coeff) for slot in slots)
 
 
 def page0(fc: FloerComplex) -> SpectralPage:
@@ -162,10 +149,10 @@ def page0(fc: FloerComplex) -> SpectralPage:
     for m in range(fc.dimL + 1):
         n = fc.morse.dim_at(m)
         if n:
-            z = tuple(ZGen(1 << i, ()) for i in range(n))
+            lifts = tuple(1 << p for p in fc.morse.degree_positions(m))
             quot = f2linalg.quotient_map(Subspace.zero(n), Subspace.full(n))
-            obs = tuple(_obstruction(fc, 0, m, g.vec, g.tail) for g in z)
-            data[m] = PageDegree(z, (), quot, obs)
+            obs = tuple(_obstruction(fc, 0, m, lift) for lift in lifts)
+            data[m] = PageDegree(lifts, (), (), quot, obs)
     delta = _compute_delta(fc, 0, data)
     return SpectralPage(fc, 0, data, delta)
 
@@ -175,11 +162,11 @@ def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
     """delta_r on every stored degree, from the stored obstructions.
 
     The obstruction o_r(x; y_1..y_(r-1)) = sum_{k=1..r} op_k y_(r-k) (op_0 x
-    for r = 0) is linear in the cycle x and its tail jointly. A
-    representative q = sum c_i g_i.vec of the Z-span has the tail
-    sum c_i g_i.tail, so o_r(q) = sum c_i o_r(g_i): the combination of
-    ``deg.obs`` by c = ``deg.quotient.sup.coords(q)``. A target degree not
-    stored is the zero space, where every obstruction vanishes.
+    for r = 0) is linear in the lift. A representative q = sum c_i z_i of
+    the Z-span has the lift sum c_i lifts[i], so o_r(q) = sum c_i o_r(z_i):
+    the combination of ``deg.obs`` by c = ``deg.quotient.sup.coords(q)``. A
+    target degree not stored is the zero space, where every obstruction
+    vanishes.
     """
     delta: dict[int, F2Matrix] = {}
     for m, deg in data.items():
@@ -199,12 +186,11 @@ def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
                     raise LiftFailure(f"page {r} obstruction at degree {m} leaves "
                                       f"the cycle space") from exc
         delta[m] = _column_matrix(cols, tgt.quotient.dim if tgt else 0)
-    _assert_delta_squares(fc, r, data, delta)
+    _assert_delta_squares(fc, r, delta)
     return delta
 
 
-def _assert_delta_squares(fc: FloerComplex, r: int, data: dict[int, PageDegree],
-                          delta: dict[int, F2Matrix]) -> None:
+def _assert_delta_squares(fc: FloerComplex, r: int, delta: dict[int, F2Matrix]) -> None:
     for m, mat in delta.items():
         t = m + 1 - r * fc.NL
         if t in delta and not (delta[t] @ mat).is_zero():
@@ -216,25 +202,31 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
                        delta: dict[int, F2Matrix]) -> None:
     """Recompute the differential with independent lifts and compare classes.
 
-    Representatives are perturbed by a boundary generator and tails by a
+    Representatives are perturbed by a boundary generator and lifts by a
     homogeneous zig-zag solution, which covers both choices the canonical
-    computation makes. Each obstruction is recomputed from its perturbed
-    tail, not combined from the stored ``obs``, so a wrong stored one shows.
+    computation makes. Each obstruction is read from D*lift of its
+    perturbed lift, not combined from the stored ``obs``, so a wrong stored
+    one shows. The same product checks the lift: it lies in the degrees
+    m + 1 - s*NL, s >= 0, and its parts above s = r, the zig-zag equations,
+    must vanish.
     """
     for m, deg in data.items():
-        tgt = data.get(m + 1 - r * fc.NL)
+        t = m + 1 - r * fc.NL
+        tgt = data.get(t)
         if tgt is None or deg.quotient.dim == 0:
             continue
         freedom = _tail_freedom(fc, m, max(r - 1, 0))
+        above = fc.morse.degree_offset(t + 1)
         expected_cols = delta[m].transpose().bits
+        b0 = deg.b_span[0] if deg.b_span else 0
         for idx, q in enumerate(deg.quotient.reps.basis):
-            q2 = q ^ (deg.b_span[0].vec if deg.b_span else 0)
-            tail = _resolve_in_z(deg, q2)
-            if freedom:
-                tail = tuple(a ^ b for a, b in zip(tail, freedom))
-            obs = _obstruction(fc, r, m, q2, tail)
+            lift = f2linalg._combine(deg.lifts, _z_coords(deg, q ^ b0)) ^ freedom
+            image = f2linalg._combine(fc.differential_images, lift)
+            if image >> above:
+                raise LiftFailure(f"page {r} lift at degree {m} breaks the "
+                                  f"zig-zag equations")
             try:
-                coords = tgt.quotient.coords(obs)
+                coords = tgt.quotient.coords(_degree_part(fc, image, t))
             except ValueError as exc:
                 raise LiftFailure("second lift left the cycle space") from exc
             if coords != expected_cols[idx]:
@@ -251,9 +243,17 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
     kernel basis of the coefficient map, are reduced echelon with no
     elimination: so are the z_i, pivots p_i, and sum c_i z_i has lowest bit
     p_i for the least i in c and bit c_j at p_j. The zig-zag equations and
-    the obstruction are linear in (x, tail) jointly, so each combined pair
-    is a valid lift; representatives and delta_(r+1) depend only on Z_(r+1)
+    the obstruction are linear in the lift, so each combined lift is a
+    valid lift; representatives and delta_(r+1) depend only on Z_(r+1)
     and B_(r+1), not on the bases or lifts that span them.
+
+    Every summand keeps its degree, so lifts and chains are carried whole.
+    The repair of a lift adds antecedent chains of the target degree
+    t = m + 1 - r*NL, whose w_i lies in degree t - 1 + (r-1-i)*NL =
+    m - (i+1)*NL, that of y_(i+1); w_(r-1) fills the new slot y_r. On page
+    r+1, w'_i lies in degree m - 1 + (r-i)*NL: a kept boundary's chain
+    0 + w_0 + ... + w_(r-1) is unchanged, and the boundary o_r(g) of a Z
+    generator g of degree m - 1 + r*NL has the lift of g as its chain.
     """
     fc = page.fc
     r = page.r
@@ -267,7 +267,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
             if any(deg.obs):
                 raise LiftFailure(f"obstruction escapes the grading range at "
                                   f"degree {m}")
-            coeff_kernel = Subspace.full(len(deg.z_basis))
+            coeff_kernel = Subspace.full(len(deg.lifts))
         else:
             cols = []
             for o in deg.obs:
@@ -278,41 +278,34 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                                       f"leaves the cycle space") from exc
             coeff_kernel = f2linalg.kernel(_column_matrix(cols, tgt.quotient.dim))
 
-        z_vecs = [g.vec for g in deg.z_basis]
-        z_tails = list(zip(*(g.tail for g in deg.z_basis)))
-        new_z = []
+        lifts = []
         for combo in coeff_kernel.basis:
-            vec = f2linalg._combine(z_vecs, combo)
-            tail = [f2linalg._combine(slot, combo) for slot in z_tails]
+            lift = f2linalg._combine(deg.lifts, combo)
             obs = f2linalg._combine(deg.obs, combo)
-            if r >= 1:
-                tail.append(0)  # slot for y_r
             if tgt is not None and obs:
                 coeff = f2linalg.solve(tgt.b_matrix, obs)
                 if coeff is None:
                     raise LiftFailure(f"obstruction at degree {m} is not a "
                                       f"boundary despite vanishing class")
-                for s in range(r):
-                    tail[s] ^= f2linalg._combine([b.chain[s] for b in tgt.b_span], coeff)
-            new_z.append(ZGen(vec, tuple(tail)))
+                lift ^= f2linalg._combine(tgt.b_chains, coeff)
+            lifts.append(lift)
 
-        shifted = [BGen(b.vec, (0,) + b.chain) for b in deg.b_span]
         sigma = m - 1 + r * N
-        incoming = []
+        candidates = list(zip(deg.b_span, deg.b_chains))
         sdeg = page.data.get(sigma)
         if sdeg is not None:
-            for g, o in zip(sdeg.z_basis, sdeg.obs):
-                chain = (g.vec,) + g.tail + (0,) if r >= 1 else (g.vec,)
-                incoming.append(BGen(o, chain))
+            candidates += zip(sdeg.obs, sdeg.lifts)
 
         # keep each candidate outside the span of those kept before it
         pivots: dict[int, int] = {}
-        kept = [cand for cand in shifted + incoming
-                if f2linalg._echelon_insert(pivots, cand.vec)]
-        span = Subspace.from_vectors(m_dim, [b.vec for b in kept])
+        kept = [(b, chain) for b, chain in candidates
+                if f2linalg._echelon_insert(pivots, b)]
+        b_span = tuple(b for b, _ in kept)
+        span = Subspace.from_vectors(m_dim, b_span)
 
         try:
-            z_space = Subspace.from_echelon(m_dim, [g.vec for g in new_z])
+            z_space = Subspace.from_echelon(m_dim, [_degree_part(fc, lift, m)
+                                                    for lift in lifts])
         except ValueError as exc:
             raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}") from exc
         try:
@@ -330,8 +323,9 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         if quot.dim > page.dim(m):
             raise LiftFailure(f"page dimensions increased at degree {m}")
 
-        obs = tuple(_obstruction(fc, r + 1, m, g.vec, g.tail) for g in new_z)
-        new_data[m] = PageDegree(tuple(new_z), tuple(kept), quot, obs)
+        obs = tuple(_obstruction(fc, r + 1, m, lift) for lift in lifts)
+        new_data[m] = PageDegree(tuple(lifts), b_span, tuple(c for _, c in kept),
+                                 quot, obs)
 
     delta = _compute_delta(fc, r + 1, new_data)
     if paranoid:
@@ -538,8 +532,8 @@ def _page_product_tables(page: SpectralPage, fc: FloerComplex
 def _product_second_lift(page: SpectralPage, fc: FloerComplex, tables) -> None:
     for (m1, m2), table in tables.items():
         mt = m1 + m2
-        b1 = page.data[m1].b_span[0].vec if page.data[m1].b_span else 0
-        b2 = page.data[m2].b_span[0].vec if page.data[m2].b_span else 0
+        b1 = page.data[m1].b_span[0] if page.data[m1].b_span else 0
+        b2 = page.data[m2].b_span[0] if page.data[m2].b_span else 0
         if not (b1 or b2):
             continue
         for i, q1 in enumerate(page.reps(m1)):

@@ -2,18 +2,24 @@
 
 Each is the straightforward version the engine used before it was
 optimised: one fresh elimination per call, ring and Leibniz identities
-checked on every basis pair or triple over frozenset elements, and the
-census conjugation and d^2 check computed block by block in degree-local
-coordinates.
+checked on every basis pair or triple over frozenset elements, the census
+conjugation and d^2 check computed block by block in degree-local
+coordinates, and the page engine with each zig-zag lift and antecedent
+chain kept as a tuple of degree-local slots. The slot-by-slot obstruction
+reads ``fc.operator`` blocks, not the glued D the engine reads, so a wrong
+D or a wrong chain layout shows.
 """
 
 import itertools
 import random
+from dataclasses import dataclass
+from functools import cached_property
 
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
 from floeralg import spectral as sp
-from floeralg.f2linalg import F2Matrix
+from floeralg.errors import LiftFailure
+from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
 
 
 def solve_oracle(m, b):
@@ -112,28 +118,45 @@ def check_leibniz_all_pairs(d):
 
 
 def z_coords_oracle(deg, vec):
-    """Coordinates of a vector of the Z-span in ``deg.z_basis``, solved
+    """Coordinates of a vector of the Z-span in ``deg.quotient.sup``, solved
     against the Z vectors as the columns of a matrix."""
-    z_matrix = sp._column_matrix([g.vec for g in deg.z_basis],
+    z_matrix = sp._column_matrix(list(deg.quotient.sup.basis),
                                  deg.quotient.sup.ambient_dim)
     coeff = f2.solve(z_matrix, vec)
     assert coeff is not None
     return coeff
 
 
+def lift_slots(fc, r, m, lift):
+    """A page-r lift chain of degree m cut into the cycle vector x and the
+    tail (y_1..y_(r-1)), y_s the degree-local part in degree m - s*NL."""
+    def part(t):
+        return (lift >> fc.morse.degree_offset(t)) & ((1 << fc.morse.dim_at(t)) - 1)
+    return part(m), tuple(part(m - s * fc.NL) for s in range(1, r))
+
+
+def slots_chain(fc, top, slots):
+    """The chain whose part in degree top - s*NL is ``slots[s]``."""
+    out = 0
+    for s, y in enumerate(slots):
+        out |= y << fc.morse.degree_offset(top - s * fc.NL)
+    return out
+
+
 def delta_oracle(fc, r, data):
     """delta_r on every degree 0..dimL, one representative at a time: solve
-    for the tail of each representative in the Z-span, then recompute its
-    obstruction. A degree missing from ``data`` has dimension 0."""
+    for the lift of each representative in the Z-span, cut it into slots,
+    then recompute its obstruction slot by slot. A degree missing from
+    ``data`` has dimension 0."""
     delta = {}
     for m in range(fc.dimL + 1):
         deg, tgt = data.get(m), data.get(m + 1 - r * fc.NL)
         cols = []
         for q in deg.quotient.reps.basis if deg else ():
-            coeff = z_coords_oracle(deg, q)
-            tail = tuple(f2._combine(slot, coeff)
-                         for slot in zip(*(g.tail for g in deg.z_basis)))
-            obs = sp._obstruction(fc, r, m, q, tail)
+            lift = f2._combine(deg.lifts, z_coords_oracle(deg, q))
+            vec, tail = lift_slots(fc, r, m, lift)
+            assert vec == q
+            obs = obstruction_oracle(fc, r, m, vec, tail)
             assert tgt or not obs
             cols.append(tgt.quotient.coords(obs) if tgt else 0)
         delta[m] = sp._column_matrix(cols, tgt.quotient.dim if tgt else 0)
@@ -331,3 +354,131 @@ def tail_freedom_oracle(fc, m, depth):
     v = ker.basis[0]
     return tuple((v >> offsets[s]) & ((1 << slot_dims[s]) - 1) if slot_dims[s] else 0
                  for s in range(depth))
+
+
+# -- the slot-tuple page engine ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class ZGen:
+    """Cycle representative with its zig-zag tail (y_1..y_(r-1))."""
+    vec: int
+    tail: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class BGen:
+    """Boundary spanning vector with its antecedent chain (w_0..w_(r-1))."""
+    vec: int
+    chain: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SlotDegree:
+    """One stored degree of a slot-engine page; ``obs[i]`` is the page-r
+    obstruction of ``z_basis[i]``, whose vectors are ``quotient.sup.basis``."""
+    z_basis: tuple[ZGen, ...]
+    b_span: tuple[BGen, ...]
+    quotient: QuotientMap
+    obs: tuple[int, ...]
+
+    @cached_property
+    def b_matrix(self):
+        return sp._column_matrix([b.vec for b in self.b_span],
+                                 self.quotient.sup.ambient_dim)
+
+
+def obstruction_oracle(fc, r, m, vec, tail):
+    """Next zig-zag obstruction of a depth-r cycle (lands in degree m+1-r*NL),
+    slot by slot through the op_k blocks."""
+    if r == 0:
+        return fc.operator(0, m).mul_vec(vec)
+    out = 0
+    for k in range(1, r + 1):
+        s = r - k
+        y = vec if s == 0 else tail[s - 1]
+        out ^= fc.operator(k, m - s * fc.NL).mul_vec(y)
+    return out
+
+
+def slot_page0(fc):
+    """Page 0 of the slot-tuple engine."""
+    data = {}
+    for m in range(fc.dimL + 1):
+        n = fc.morse.dim_at(m)
+        if n:
+            z = tuple(ZGen(1 << i, ()) for i in range(n))
+            quot = f2.quotient_map(Subspace.zero(n), Subspace.full(n))
+            obs = tuple(obstruction_oracle(fc, 0, m, g.vec, g.tail) for g in z)
+            data[m] = SlotDegree(z, (), quot, obs)
+    return sp.SpectralPage(fc, 0, data, sp._compute_delta(fc, 0, data))
+
+
+def slot_turn_page(page):
+    """The page turn with tuple tails and chains, one slot per degree; the
+    delta of each page is ``spectral._compute_delta`` of its obstructions,
+    and there is no second lift."""
+    fc = page.fc
+    r = page.r
+    N = fc.NL
+    new_data = {}
+    for m, deg in page.data.items():
+        m_dim = fc.morse.dim_at(m)
+        tgt = page.data.get(m + 1 - r * N)
+
+        if tgt is None:
+            if any(deg.obs):
+                raise LiftFailure(f"obstruction escapes the grading range at "
+                                  f"degree {m}")
+            coeff_kernel = Subspace.full(len(deg.z_basis))
+        else:
+            cols = [tgt.quotient.coords(o) for o in deg.obs]
+            coeff_kernel = f2.kernel(sp._column_matrix(cols, tgt.quotient.dim))
+
+        z_vecs = [g.vec for g in deg.z_basis]
+        z_tails = list(zip(*(g.tail for g in deg.z_basis)))
+        new_z = []
+        for combo in coeff_kernel.basis:
+            vec = f2._combine(z_vecs, combo)
+            tail = [f2._combine(slot, combo) for slot in z_tails]
+            obs = f2._combine(deg.obs, combo)
+            if r >= 1:
+                tail.append(0)  # slot for y_r
+            if tgt is not None and obs:
+                coeff = f2.solve(tgt.b_matrix, obs)
+                if coeff is None:
+                    raise LiftFailure(f"obstruction at degree {m} is not a "
+                                      f"boundary despite vanishing class")
+                for s in range(r):
+                    tail[s] ^= f2._combine([b.chain[s] for b in tgt.b_span], coeff)
+            new_z.append(ZGen(vec, tuple(tail)))
+
+        shifted = [BGen(b.vec, (0,) + b.chain) for b in deg.b_span]
+        sigma = m - 1 + r * N
+        incoming = []
+        sdeg = page.data.get(sigma)
+        if sdeg is not None:
+            for g, o in zip(sdeg.z_basis, sdeg.obs):
+                chain = (g.vec,) + g.tail + (0,) if r >= 1 else (g.vec,)
+                incoming.append(BGen(o, chain))
+
+        # keep each candidate outside the span of those kept before it
+        pivots = {}
+        kept = [cand for cand in shifted + incoming
+                if f2._echelon_insert(pivots, cand.vec)]
+        span = Subspace.from_vectors(m_dim, [b.vec for b in kept])
+        z_space = Subspace.from_echelon(m_dim, [g.vec for g in new_z])
+        quot = f2.quotient_map(span, z_space)
+
+        obs = tuple(obstruction_oracle(fc, r + 1, m, g.vec, g.tail) for g in new_z)
+        new_data[m] = SlotDegree(tuple(new_z), tuple(kept), quot, obs)
+
+    return sp.SpectralPage(fc, r + 1, new_data, sp._compute_delta(fc, r + 1, new_data))
+
+
+def slot_pages(fc):
+    """Pages E_0 .. E_(nu+1) of the slot-tuple engine."""
+    pages = [slot_page0(fc)]
+    for _ in range(fc.nu + 1):
+        pages.append(slot_turn_page(pages[-1]))
+    return pages

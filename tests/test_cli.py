@@ -239,6 +239,20 @@ def test_ss_run_dimL_above_the_cap_exit_2(tmp_path, dimL):
     assert r.stderr == f"error: dimL {dimL} exceeds {fcx.MAX_DIML}\n"
 
 
+def test_ss_run_chain_file_gets_its_paranoid_verdict(tmp_path):
+    # one generator per degree and no operators: 201 pages of 401 degrees,
+    # each paranoid lift one D product
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "dimL": 400, "NL": 2, "operators": {},
+        "generators": [{"name": f"x{i:04d}", "index": i} for i in range(401)]}))
+    r = limited_proc("ss", "run", str(path), "--paranoid")
+    assert (r.returncode, r.stderr) == (0, "")
+    report = json.loads(r.stdout)
+    assert report["convergence"]["ok"] and len(report["pages"]) == 202
+    assert [v["einf"] for v in report["convergence"]["residues"]] == [201, 200]
+
+
 def test_ss_run_rejects_bad_schema(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"dimL": 2}')

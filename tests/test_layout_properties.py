@@ -3,8 +3,8 @@ oracles.
 
 ``MorseComplex.glue`` and ``cut`` are the only map between degree-local
 and global coordinates, and the census conjugation, the d^2 check, the
-folded homology and the paranoid tail system run on glued matrices; the
-oracles in ``oracles.py`` do each block by block.
+folded homology, the paranoid tail system and the page engine's lifts run
+on glued matrices; the oracles in ``oracles.py`` do each block by block.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (census_oracle, d_squared_oracle, folded_homology_oracle,
-                     tail_freedom_oracle)
+                     lift_slots, slot_pages, slots_chain, tail_freedom_oracle)
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
@@ -88,6 +88,9 @@ def test_cut_undoes_glue(dims, data):
             blocks[m] = F2Matrix(rows, cols, tuple(bits))
     glued = morse.glue(blocks, shift)
     assert morse.cut(glued, shift) == {m: b for m, b in blocks.items() if not b.is_zero()}
+    # degree m starts after the generators of lower degree, occupied or not
+    assert ([morse.degree_offset(m) for m in range(-1, len(dims) + 1)]
+            == [sum(dims[:max(m, 0)]) for m in range(-1, len(dims) + 1)])
 
 
 @SETTINGS
@@ -111,13 +114,38 @@ def test_tail_freedom_solves_the_zig_zag_system(fc):
     N = fc.NL
     for m in range(fc.dimL + 1):
         for depth in range(fc.nu + 2):
-            tail = sp._tail_freedom(fc, m, depth)
-            assert bool(tail) == bool(tail_freedom_oracle(fc, m, depth))
-            if not tail:
+            chain = sp._tail_freedom(fc, m, depth)
+            assert bool(chain) == bool(tail_freedom_oracle(fc, m, depth))
+            if not chain:
                 continue
+            # the chain lies in the slots t_1..t_depth, degrees m - s*NL
+            x, tail = lift_slots(fc, depth + 1, m, chain)
+            assert x == 0 and chain == slots_chain(fc, m, (0,) + tail)
             assert len(tail) == depth and any(tail)
             for s in range(1, depth + 1):
                 out = 0
                 for j in range(1, s + 1):
                     out ^= fc.operator(s - j, m - j * N).mul_vec(tail[j - 1])
                 assert out == 0
+
+
+@SETTINGS
+@given(complexes())
+def test_page_engine_equals_the_slot_tuple_engine(fc):
+    # the same pages, and each lift and antecedent chain is the slot
+    # engine's tuple laid out over the generator order: y_s in degree
+    # m - s*NL, and w_i of a page-r boundary in degree m - 1 + (r-1-i)*NL
+    N = fc.NL
+    for page, want in zip(sp.run_to_collapse(fc).pages, slot_pages(fc), strict=True):
+        assert page.dims() == want.dims()
+        assert page.delta == want.delta
+        assert page.data.keys() == want.data.keys()
+        for m, deg in page.data.items():
+            w = want.data[m]
+            assert page.reps(m) == want.reps(m)
+            assert deg.obs == w.obs
+            assert deg.lifts == tuple(slots_chain(fc, m, (g.vec,) + g.tail)
+                                      for g in w.z_basis)
+            assert deg.b_span == tuple(b.vec for b in w.b_span)
+            assert deg.b_chains == tuple(slots_chain(fc, m - 1 + (page.r - 1) * N, b.chain)
+                                         for b in w.b_span)

@@ -12,7 +12,8 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import basis_mul, delta_oracle, z_coords_oracle
+from oracles import (basis_mul, delta_oracle, lift_slots, obstruction_oracle,
+                     slots_chain, z_coords_oracle)
 
 from floeralg import f2linalg
 from floeralg import floercomplex as fcx
@@ -65,11 +66,15 @@ def test_every_delta_squares_to_zero(census):
 @SETTINGS
 @given(census_complexes())
 def test_pages_store_occupied_degrees_with_echelon_z_bases(census):
+    # each lift is its Z vector in degree m plus parts in degrees m - s*NL, s < r
     fc, _ = census
     for page in sp.run_to_collapse(fc).pages:
         assert all(fc.morse.dim_at(m) > 0 for m in page.data)
-        for deg in page.data.values():
-            assert tuple(g.vec for g in deg.z_basis) == deg.quotient.sup.basis
+        for m, deg in page.data.items():
+            assert len(deg.lifts) == len(deg.quotient.sup.basis)
+            for lift, z in zip(deg.lifts, deg.quotient.sup.basis):
+                x, tail = lift_slots(fc, page.r, m, lift)
+                assert x == z and lift == slots_chain(fc, m, (x,) + tail)
 
 
 @SETTINGS
@@ -78,7 +83,8 @@ def test_boundary_spanning_vectors_are_independent(census):
     fc, _ = census
     for page in sp.run_to_collapse(fc).pages:
         for m, deg in page.data.items():
-            vecs = [b.vec for b in deg.b_span]
+            vecs = list(deg.b_span)
+            assert len(deg.b_chains) == len(vecs)
             assert Subspace.from_vectors(fc.morse.dim_at(m), vecs).dim == len(vecs)
             assert deg.quotient.sub == Subspace.from_vectors(fc.morse.dim_at(m), vecs)
 
@@ -144,9 +150,10 @@ def fixed_census():
 def assert_obs_and_delta_match_the_oracle(fc):
     for page in sp.run_to_collapse(fc).pages:
         for m, deg in page.data.items():
-            assert len(deg.obs) == len(deg.z_basis)
-            for g, o in zip(deg.z_basis, deg.obs):
-                assert o == sp._obstruction(fc, page.r, m, g.vec, g.tail)
+            assert len(deg.obs) == len(deg.lifts)
+            for lift, o in zip(deg.lifts, deg.obs):
+                assert o == obstruction_oracle(fc, page.r, m,
+                                               *lift_slots(fc, page.r, m, lift))
         oracle = delta_oracle(fc, page.r, page.data)
         for m in range(fc.dimL + 1):
             assert page.delta_matrix(m) == oracle[m]
@@ -193,3 +200,62 @@ def test_corrupted_obstruction_fails_the_second_lift(monkeypatch):
                 sp._second_lift_check(fc, page.r, data, delta)
             seen += 1
     assert seen >= 10
+
+
+def lift_corruptions(fc):
+    """(page, degree, data with one stored lift moved in a slot y_s below m).
+
+    The generator e added in degree m - s*NL has op_k e nonzero for some
+    k < r - s, which breaks zig-zag equation s + k, and op_(r-s) e = 0, so
+    the obstruction of every lift it enters is unchanged.
+    """
+    N = fc.NL
+    for page in sp.run_to_collapse(fc).pages:
+        r = page.r
+        for m, deg in page.data.items():
+            if m + 1 - r * N not in page.data or not deg.quotient.dim:
+                continue
+            # a Z generator that the perturbed first representative uses
+            b = deg.b_span[0] if deg.b_span else 0
+            i = next(f2linalg._bits_of(z_coords_oracle(deg, deg.quotient.reps.basis[0] ^ b)))
+            for s in range(1, r):
+                y = m - s * N
+                for j in range(fc.morse.dim_at(y)):
+                    if (fc.operator(r - s, y).mul_vec(1 << j)
+                            or not any(fc.operator(k, y).mul_vec(1 << j)
+                                       for k in range(r - s))):
+                        continue
+                    lifts = list(deg.lifts)
+                    lifts[i] ^= 1 << (fc.morse.degree_offset(y) + j)
+                    data = dict(page.data)
+                    data[m] = dataclasses.replace(deg, lifts=tuple(lifts))
+                    yield page, m, data
+
+
+def test_corrupted_lift_fails_the_second_lift():
+    # such generators need a nonzero page r >= 2, rare in small complexes
+    shapes = CENSUS_SHAPES + [((2, 2, 2, 2, 2, 2, 2), 2), ((1, 2, 3, 3, 2, 1), 2)]
+    seen = 0
+    for fc in (fcx.random_complex_census(seed, dims, NL)[0]
+               for seed in range(10) for dims, NL in shapes):
+        for page, m, data in lift_corruptions(fc):
+            assert sp._compute_delta(fc, page.r, data) == page.delta
+            with pytest.raises(LiftFailure, match="breaks the zig-zag equations"):
+                sp._second_lift_check(fc, page.r, data, page.delta)
+            seen += 1
+    assert seen >= 20
+
+
+def test_the_page_engine_reads_no_operator_block(monkeypatch):
+    # lifts, obstructions, tail repairs and the second lift all read D
+    complexes = fixed_census()
+    for ring in (ga.build_exterior(3), ga.build_truncated_poly(4)):
+        complexes += [fcx.complex_from_ring(ring, 2, derivation=d)
+                      for d in ga.enumerate_derivations(ring, -1)]
+
+    def no_operator(*args):
+        raise AssertionError("FloerComplex.operator called")
+
+    monkeypatch.setattr(fcx.FloerComplex, "operator", no_operator)
+    for fc in complexes:
+        assert len(sp.run_to_collapse(fc, paranoid=True).pages) == fc.nu + 2
