@@ -7,14 +7,18 @@ immutable, which the higher layers rely on.
 
 Matrices act on column vectors: ``m.mul_vec(x)`` computes ``m @ x``.
 Subspaces are canonicalized to reduced row echelon form so that equality
-of subspaces is payload equality.
+of subspaces is payload equality; they read coordinates off the pivot bits.
 
-Each matrix is eliminated at most once: ``rank``, ``kernel``, ``solve``,
-``solve_many`` and ``inverse`` all read one :class:`Elimination` record,
-the reduced row echelon form of ``[m | I]``, computed on first use and kept
-on the matrix. A right-hand side then costs one pass over the transform
-rows, not a fresh elimination (the "factor once, solve many" idea of PLE
-decomposition, Albrecht, Bard and Pernet, arXiv 1111.6549).
+One routine eliminates: a row's pivot is its lowest set bit, each row goes
+into a pivot map (``_echelon_insert``), and the map is back-substituted, so
+a zero row costs nothing and no column is probed. Each matrix is eliminated
+at most once: ``rank``, ``solve``, ``solve_many`` and ``inverse`` all read
+one :class:`Elimination` record, the reduced row echelon form of
+``[m | I]``, computed on first use and kept on the matrix. A right-hand
+side then costs one pass over the transform rows, not a fresh elimination
+(the "factor once, solve many" idea of PLE decomposition, Albrecht, Bard
+and Pernet, arXiv 1111.6549). ``kernel`` reads the transform rows past the
+rank in the record of the transpose.
 
 Every layer combines stored vectors by a coefficient bitmask through
 ``_combine(vectors, coeffs)``, the XOR of ``vectors[i]`` over the set bits i
@@ -24,7 +28,7 @@ per-vector helpers and stay private, so the layer tracer leaves them alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -163,162 +167,37 @@ class F2Matrix:
 
 @dataclass(frozen=True)
 class Elimination:
-    """Reduced row echelon form of ``[m | I]`` with pivots searched in m only.
+    """Reduced row echelon form of ``[m | I]``, split at m's columns.
 
-    ``pivots`` are the pivot columns of m, ascending; ``reduced`` holds the
-    nonzero rows of rref(m), one per pivot; ``transform`` holds the rows of
-    the invertible T with T m = rref(m), each an int over the rows of m.
-    Rows of T past ``len(pivots)`` span the left kernel of m.
+    ``pivots`` are the pivot columns of m, ascending; ``transform`` holds
+    the rows of an invertible T with T m = rref(m), each an int over the
+    rows of m. Rows of T past ``len(pivots)`` span the left kernel of m.
     """
 
     pivots: tuple[int, ...]
-    reduced: tuple[int, ...]
     transform: tuple[int, ...]
 
 
 def _elimination(m: F2Matrix) -> Elimination:
     """The elimination record of m, computed on first use and kept on m.
 
-    It lives in the instance dict, outside the dataclass fields, so it
-    takes no part in ``==``, ``hash`` or ``repr``.
+    Row i gets the tag bit n + i, above m's n columns, so the reduced rows
+    with pivot below n are those with nonzero m part: rref(m). A row sum of
+    ``[m | I]`` is zero iff its tag part is, so all m.rows reduced rows stay
+    and their tag parts form an invertible T. rref(m) is unique, hence so
+    are the rank, pivots, inverse and canonical solves; only T's rows past
+    the rank may depend on the order, and they only test consistency.
+
+    The record lives in the instance dict, outside the dataclass fields, so
+    it takes no part in ``==``, ``hash`` or ``repr``.
     """
     rec = m.__dict__.get("_elimination")
     if rec is None:
         n = m.cols
-        aug = [r | (1 << (n + i)) for i, r in enumerate(m.bits)]
-        red, pivots = _rref_ints(aug, n + m.rows, pivot_limit=n)
-        mask = _pad_mask(n)
-        rec = Elimination(tuple(pivots), tuple(r & mask for r in red[:len(pivots)]),
-                          tuple(r >> n for r in red))
+        rows, pivots = _rref_ints([r | 1 << (n + i) for i, r in enumerate(m.bits)])
+        rec = Elimination(tuple(p for p in pivots if p < n), tuple(v >> n for v in rows))
         m.__dict__["_elimination"] = rec
     return rec
-
-
-def _rref_ints(row_ints: Sequence[int], cols: int, pivot_limit: Optional[int] = None
-               ) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form on int-packed rows.
-
-    Returns (reduced rows, pivot column list). Pivot search is restricted to
-    the first ``pivot_limit`` columns when given (rows keep full width).
-    """
-    work = list(row_ints)
-    limit = cols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    pr = 0
-    for col in range(limit):
-        if pr == len(work):
-            break
-        bit = 1 << col
-        pivot = next((r for r in range(pr, len(work)) if work[r] & bit), None)
-        if pivot is None:
-            continue
-        work[pr], work[pivot] = work[pivot], work[pr]
-        for r in range(len(work)):
-            if r != pr and (work[r] & bit):
-                work[r] ^= work[pr]
-        pivots.append(col)
-        pr += 1
-    return work, pivots
-
-
-def rank(m: F2Matrix) -> int:
-    """Row rank over F2 by Gaussian elimination."""
-    return len(_elimination(m).pivots)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of F2^ambient_dim, basis rows in reduced echelon form.
-
-    Rows are nonzero, pairwise independent and ordered by ascending pivot,
-    so two Subspace values are equal iff they are the same subspace.
-    """
-
-    ambient_dim: int
-    basis: tuple[int, ...]
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
-        vecs = [v for v in vectors]
-        mask = _pad_mask(ambient_dim)
-        for v in vecs:
-            if v & ~mask:
-                raise ValueError("vector has bits beyond ambient dimension")
-        red, pivots = _rref_ints(vecs, ambient_dim)
-        return cls(ambient_dim, tuple(red[: len(pivots)]))
-
-    @classmethod
-    def from_echelon(cls, ambient_dim: int, rows: Sequence[int]) -> "Subspace":
-        """The span of rows already in reduced row echelon form, checked in
-        one pass with no elimination; raises ValueError on any other rows."""
-        lows = [v & -v for v in rows]
-        pivots = reduce(or_, lows, 0)
-        if (reduce(or_, rows, 0) >> ambient_dim or not all(lows)
-                or any(a >= b for a, b in zip(lows, lows[1:]))
-                or any(v & pivots != low for v, low in zip(rows, lows))):
-            raise ValueError("rows are not in reduced row echelon form")
-        return cls(ambient_dim, tuple(rows))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def reduce(self, v: int) -> int:
-        """Canonical coset representative of ``v`` modulo this subspace."""
-        for b in self.basis:
-            if v & (b & -b):
-                v ^= b
-        return v
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
-
-    def coords(self, v: int) -> int:
-        """Coordinates of ``v`` in the echelon basis; raises if v is outside."""
-        out = 0
-        for i, b in enumerate(self.basis):
-            if v & (b & -b):
-                v ^= b
-                out |= 1 << i
-        if v:
-            raise ValueError("vector not in subspace")
-        return out
-
-    def vectors(self) -> Iterable[int]:
-        """All 2^dim elements (small subspaces only; test use)."""
-        return (_combine(self.basis, mask) for mask in range(1 << self.dim))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
-
-
-def kernel(m: F2Matrix) -> Subspace:
-    """Null space {v : m @ v = 0} as a canonical Subspace of F2^cols."""
-    rec = _elimination(m)
-    pivot_set = set(rec.pivots)
-    gens = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, p in zip(rec.reduced, rec.pivots):
-            if row & (1 << free):
-                v |= 1 << p
-        gens.append(v)
-    return Subspace.from_vectors(m.cols, gens)
 
 
 def _echelon_insert(pivots: dict[int, int], v: int) -> int:
@@ -336,6 +215,127 @@ def _echelon_insert(pivots: dict[int, int], v: int) -> int:
             return v
         v ^= p
     return 0
+
+
+def _back_substitute(pivots: dict[int, int]) -> list[int]:
+    """Reduce an echelon pivot map in place and return its rows, ascending.
+
+    Rows go by descending pivot. A row has no bit below its pivot, and each
+    row already visited has exactly one pivot bit, so one XOR clears that
+    bit and changes no other pivot bit.
+    """
+    order = sorted(pivots)
+    done = 0
+    for low in reversed(order):
+        v = pivots[low]
+        hits = v & done
+        while hits:
+            h = hits & -hits
+            v ^= pivots[h]
+            hits ^= h
+        pivots[low] = v
+        done |= low
+    return [pivots[low] for low in order]
+
+
+def _rref_ints(row_ints: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(nonzero reduced rows, pivot columns), ascending: one pivot map,
+    back-substituted. Reduced row echelon form is unique, so these are the
+    rows and pivots of any elimination."""
+    pivots: dict[int, int] = {}
+    for v in row_ints:
+        _echelon_insert(pivots, v)
+    rows = _back_substitute(pivots)
+    return rows, [(v & -v).bit_length() - 1 for v in rows]
+
+
+def rank(m: F2Matrix) -> int:
+    """Row rank over F2 by Gaussian elimination."""
+    return len(_elimination(m).pivots)
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace of F2^ambient_dim, basis rows in reduced echelon form.
+
+    Rows are nonzero, pairwise independent and ordered by ascending pivot,
+    so two Subspace values are equal iff they are the same subspace.
+
+    ``_pivot_mask`` holds the pivot bits p_i, so p_i has i of them below it.
+    b_i is the only basis row with bit p_i, so v minus the b_i for the p_i
+    set in v has no pivot bit: it is the canonical representative, and v
+    lies in the span iff it is 0, with those i as coordinates.
+    """
+
+    ambient_dim: int
+    basis: tuple[int, ...]
+    _pivot_mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_pivot_mask", sum(b & -b for b in self.basis))
+
+    @classmethod
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
+        vecs = list(vectors)
+        if reduce(or_, vecs, 0) >> ambient_dim:  # also rejects negative vectors
+            raise ValueError("vector has bits beyond ambient dimension")
+        return cls(ambient_dim, tuple(_rref_ints(vecs)[0]))
+
+    @classmethod
+    def zero(cls, ambient_dim: int) -> "Subspace":
+        return cls(ambient_dim, ())
+
+    @classmethod
+    def full(cls, ambient_dim: int) -> "Subspace":
+        return cls(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def reduce(self, v: int) -> int:
+        """Canonical coset representative of ``v`` modulo this subspace."""
+        mask = self._pivot_mask
+        hits = v & mask
+        while hits:
+            low = hits & -hits
+            v ^= self.basis[(mask & (low - 1)).bit_count()]
+            hits ^= low
+        return v
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
+    def coords(self, v: int) -> int:
+        """Coordinates of ``v`` in the echelon basis; raises if v is outside."""
+        mask = self._pivot_mask
+        hits = v & mask
+        out = 0
+        while hits:
+            low = hits & -hits
+            i = (mask & (low - 1)).bit_count()
+            v ^= self.basis[i]
+            out |= 1 << i
+            hits ^= low
+        if v:
+            raise ValueError("vector not in subspace")
+        return out
+
+    def vectors(self) -> Iterable[int]:
+        """All 2^dim elements (small subspaces only; test use)."""
+        return (_combine(self.basis, mask) for mask in range(1 << self.dim))
+
+    def sum(self, other: "Subspace") -> "Subspace":
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+
+
+def kernel(m: F2Matrix) -> Subspace:
+    """Null space {v : m @ v = 0} as a canonical Subspace of F2^cols: the
+    left kernel of m^T, its transform rows past its rank."""
+    rec = _elimination(m.transpose())
+    return Subspace.from_vectors(m.cols, rec.transform[len(rec.pivots):])
 
 
 def image(m: F2Matrix) -> Subspace:
@@ -406,10 +406,9 @@ def quotient_map(sub: Subspace, sup: Subspace) -> QuotientMap:
     """Quotient of nested subspaces; raises NotASubspace if sub ⊄ sup."""
     if sub.ambient_dim != sup.ambient_dim:
         raise NotASubspace("ambient dimensions differ")
-    if not sup.contains_subspace(sub):
+    if not all(sup.contains(b) for b in sub.basis):
         raise NotASubspace("claimed subspace is not contained in the larger one")
-    reduced = [sub.reduce(b) for b in sup.basis]
-    reps = Subspace.from_vectors(sup.ambient_dim, [v for v in reduced if v])
+    reps = Subspace.from_vectors(sup.ambient_dim, [sub.reduce(b) for b in sup.basis])
     qm = QuotientMap(sub=sub, sup=sup, reps=reps)
     assert qm.dim == sup.dim - sub.dim
     return qm

@@ -240,12 +240,14 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
     Only stored degrees are visited: a zero space has only the zero vector,
     so nothing lifts from it and an obstruction landing in it vanishes. The
     new Z vectors sum_i c_i z_i, over the rows c of the reduced echelon
-    kernel basis of the coefficient map, are reduced echelon with no
-    elimination: so are the z_i, pivots p_i, and sum c_i z_i has lowest bit
-    p_i for the least i in c and bit c_j at p_j. The zig-zag equations and
-    the obstruction are linear in the lift, so each combined lift is a
-    valid lift; representatives and delta_(r+1) depend only on Z_(r+1)
-    and B_(r+1), not on the bases or lifts that span them.
+    kernel basis of the coefficient map, are reduced echelon: so are the
+    z_i, pivots p_i, and sum c_i z_i has lowest bit p_i for the least i in
+    c and bit c_j at p_j; ``from_vectors`` must give them back unchanged.
+    The kept boundaries' pivot map is back-substituted, not eliminated
+    anew. The zig-zag equations and the obstruction are linear in the
+    lift, so each combined lift is a valid lift; representatives and
+    delta_(r+1) depend only on Z_(r+1) and B_(r+1), not on the bases or
+    lifts that span them.
 
     Every summand keeps its degree, so lifts and chains are carried whole.
     The repair of a lift adds antecedent chains of the target degree
@@ -300,14 +302,12 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         pivots: dict[int, int] = {}
         kept = [(b, chain) for b, chain in candidates
                 if f2linalg._echelon_insert(pivots, b)]
-        b_span = tuple(b for b, _ in kept)
-        span = Subspace.from_vectors(m_dim, b_span)
+        span = Subspace(m_dim, tuple(f2linalg._back_substitute(pivots)))
 
-        try:
-            z_space = Subspace.from_echelon(m_dim, [_degree_part(fc, lift, m)
-                                                    for lift in lifts])
-        except ValueError as exc:
-            raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}") from exc
+        z_vecs = tuple(_degree_part(fc, lift, m) for lift in lifts)
+        z_space = Subspace.from_vectors(m_dim, z_vecs)
+        if z_space.basis != z_vecs:
+            raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}")
         try:
             quot = f2linalg.quotient_map(span, z_space)
         except f2linalg.NotASubspace as exc:
@@ -324,8 +324,8 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
             raise LiftFailure(f"page dimensions increased at degree {m}")
 
         obs = tuple(_obstruction(fc, r + 1, m, lift) for lift in lifts)
-        new_data[m] = PageDegree(tuple(lifts), b_span, tuple(c for _, c in kept),
-                                 quot, obs)
+        new_data[m] = PageDegree(tuple(lifts), tuple(b for b, _ in kept),
+                                 tuple(c for _, c in kept), quot, obs)
 
     delta = _compute_delta(fc, r + 1, new_data)
     if paranoid:

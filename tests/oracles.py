@@ -1,13 +1,16 @@
 """Reference implementations the fast paths are tested against.
 
 Each is the straightforward version the engine used before it was
-optimised: one fresh elimination per call, ring and Leibniz identities
-checked on every basis pair or triple over frozenset elements, the census
-conjugation and d^2 check computed block by block in degree-local
-coordinates, and the page engine with each zig-zag lift and antecedent
-chain kept as a tuple of degree-local slots. The slot-by-slot obstruction
-reads ``fc.operator`` blocks, not the glued D the engine reads, so a wrong
-D or a wrong chain layout shows.
+optimised: one fresh elimination per call by the column scan
+``rref_oracle``, which probes column after column for a pivot row where
+the engine files each row under its lowest set bit, so the solve, rank
+and kernel oracles share no elimination code with the engine; ring and
+Leibniz identities checked on every basis pair or triple over frozenset
+elements; the census conjugation and d^2 check computed block by block in
+degree-local coordinates; and the page engine with each zig-zag lift and
+antecedent chain kept as a tuple of degree-local slots. The slot-by-slot
+obstruction reads ``fc.operator`` blocks, not the glued D the engine
+reads, so a wrong D or a wrong chain layout shows.
 """
 
 import itertools
@@ -22,12 +25,38 @@ from floeralg.errors import LiftFailure
 from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
 
 
+def rref_oracle(row_ints, cols, pivot_limit=None):
+    """Reduced row echelon form on int-packed rows.
+
+    Returns (reduced rows, pivot column list). Pivot search is restricted to
+    the first ``pivot_limit`` columns when given (rows keep full width).
+    """
+    work = list(row_ints)
+    limit = cols if pivot_limit is None else pivot_limit
+    pivots: list[int] = []
+    pr = 0
+    for col in range(limit):
+        if pr == len(work):
+            break
+        bit = 1 << col
+        pivot = next((r for r in range(pr, len(work)) if work[r] & bit), None)
+        if pivot is None:
+            continue
+        work[pr], work[pivot] = work[pivot], work[pr]
+        for r in range(len(work)):
+            if r != pr and (work[r] & bit):
+                work[r] ^= work[pr]
+        pivots.append(col)
+        pr += 1
+    return work, pivots
+
+
 def solve_oracle(m, b):
     """Some x with m @ x = b (free variables zero), or None; eliminates [m | b]."""
     if b & ~((1 << m.rows) - 1):
         raise ValueError("rhs has bits beyond rows")
     aug = [r | (((b >> i) & 1) << m.cols) for i, r in enumerate(m.bits)]
-    red, pivots = f2._rref_ints(aug, m.cols + 1, pivot_limit=m.cols)
+    red, pivots = rref_oracle(aug, m.cols + 1, pivot_limit=m.cols)
     x = 0
     for i, p in enumerate(pivots):
         if red[i] >> m.cols:
@@ -39,11 +68,11 @@ def solve_oracle(m, b):
 
 
 def rank_oracle(m):
-    return len(f2._rref_ints(m.bits, m.cols)[1])
+    return len(rref_oracle(m.bits, m.cols)[1])
 
 
 def kernel_oracle(m):
-    red, pivots = f2._rref_ints(m.bits, m.cols)
+    red, pivots = rref_oracle(m.bits, m.cols)
     gens = []
     for free in range(m.cols):
         if free in pivots:
@@ -53,7 +82,8 @@ def kernel_oracle(m):
             if red[i] & (1 << free):
                 v |= 1 << p
         gens.append(v)
-    return f2.Subspace.from_vectors(m.cols, gens)
+    red, pivots = rref_oracle(gens, m.cols)
+    return Subspace(m.cols, tuple(red[:len(pivots)]))
 
 
 def basis_mul(ring, i, j):
@@ -467,7 +497,10 @@ def slot_turn_page(page):
         kept = [cand for cand in shifted + incoming
                 if f2._echelon_insert(pivots, cand.vec)]
         span = Subspace.from_vectors(m_dim, [b.vec for b in kept])
-        z_space = Subspace.from_echelon(m_dim, [g.vec for g in new_z])
+        z_vecs = tuple(g.vec for g in new_z)
+        z_space = Subspace.from_vectors(m_dim, z_vecs)
+        if z_space.basis != z_vecs:
+            raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}")
         quot = f2.quotient_map(span, z_space)
 
         obs = tuple(obstruction_oracle(fc, r + 1, m, g.vec, g.tail) for g in new_z)

@@ -253,6 +253,20 @@ def test_ss_run_chain_file_gets_its_paranoid_verdict(tmp_path):
     assert [v["einf"] for v in report["convergence"]["residues"]] == [201, 200]
 
 
+def test_ss_run_wide_file_gets_its_verdict(tmp_path):
+    # 10,000 generators in one degree: each Z or quotient coordinate read is
+    # one XOR per pivot bit the vector holds, not a scan of the whole basis
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "dimL": 0, "NL": 2, "operators": {},
+        "generators": [{"name": f"x{i:05d}", "index": 0} for i in range(10000)]}))
+    r = limited_proc("ss", "run", str(path))
+    assert (r.returncode, r.stderr) == (0, "")
+    report = json.loads(r.stdout)
+    assert report["convergence"]["ok"]
+    assert [v["einf"] for v in report["convergence"]["residues"]] == [10000, 0]
+
+
 def test_ss_run_rejects_bad_schema(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"dimL": 2}')

@@ -1,9 +1,12 @@
 """Property tests for the int-row F2 core, with shrinking counterexamples."""
 
+from functools import reduce
+from operator import or_, xor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kernel_oracle, rank_oracle, solve_oracle
+from oracles import kernel_oracle, rank_oracle, rref_oracle, solve_oracle
 
 from floeralg import f2linalg as f2
 
@@ -139,20 +142,57 @@ def test_combine_is_linear_in_the_coefficients(vectors, data):
         f2._combine(vectors, c1) ^ f2._combine(vectors, c2)
 
 
+def is_reduced_echelon(rows):
+    """Nonzero rows, lowest set bits strictly ascending, and no row holding
+    another row's lowest set bit."""
+    lows = [v & -v for v in rows]
+    pivots = reduce(or_, lows, 0)
+    return (all(lows) and all(a < b for a, b in zip(lows, lows[1:]))
+            and all(v & pivots == low for v, low in zip(rows, lows)))
+
+
 @given(matrices())
-def test_from_echelon_accepts_exactly_reduced_echelon_rows(m):
-    # reduced echelon form is unique: rows are in it iff they are the
-    # canonical basis of their own span
+def test_from_vectors_gives_back_exactly_reduced_echelon_rows(m):
+    # reduced echelon form is unique: rows come back unchanged iff they are
+    # reduced echelon and independent, i.e. the canonical basis of their span
     canon = f2.Subspace.from_vectors(m.cols, m.bits)
-    assert f2.Subspace.from_echelon(m.cols, canon.basis) == canon
-    if canon.basis == m.bits:
-        assert f2.Subspace.from_echelon(m.cols, m.bits) == canon
-    else:
-        with pytest.raises(ValueError):
-            f2.Subspace.from_echelon(m.cols, m.bits)
+    assert is_reduced_echelon(canon.basis)
+    assert f2.Subspace.from_vectors(m.cols, canon.basis).basis == canon.basis
+    assert (f2.Subspace.from_vectors(m.cols, m.bits).basis == m.bits) == \
+        is_reduced_echelon(m.bits)
     if canon.dim >= 2:  # echelon with the same span, but not reduced
-        with pytest.raises(ValueError):
-            f2.Subspace.from_echelon(m.cols, (canon.basis[0] ^ canon.basis[1],)
-                                     + canon.basis[1:])
+        rows = (canon.basis[0] ^ canon.basis[1],) + canon.basis[1:]
+        assert not is_reduced_echelon(rows)
+        assert f2.Subspace.from_vectors(m.cols, rows) == canon
+    if canon.dim:  # reduced echelon rows plus a dependent one
+        rows = canon.basis + canon.basis[:1]
+        assert f2.Subspace.from_vectors(m.cols, rows).basis != rows
     with pytest.raises(ValueError):
-        f2.Subspace.from_echelon(m.cols, (1 << m.cols,))
+        f2.Subspace.from_vectors(m.cols, (1 << m.cols,))
+
+
+# -- the echelon routine against the column scan --------------------------------
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=200):
+    """Wide matrices of sparse rows, zero rows and empty shapes frequent."""
+    cols = draw(st.integers(0, max_cols))
+    picks = st.lists(st.integers(0, cols - 1), max_size=3) if cols else st.just([])
+    rows = draw(st.lists(picks, max_size=max_rows))
+    return f2.F2Matrix.from_row_ints(
+        [reduce(xor, (1 << j for j in row), 0) for row in rows], cols)
+
+
+@given(st.one_of(matrices(), sparse_matrices()))
+def test_rref_and_elimination_match_the_column_scan(m):
+    red, pivots = rref_oracle(m.bits, m.cols)
+    rank = len(pivots)
+    assert f2._rref_ints(m.bits) == (red[:rank], pivots)
+    assert not any(red[rank:])
+    # T is invertible and T m = rref(m), zero rows past the rank
+    rec = f2._elimination(m)
+    assert rec.pivots == tuple(pivots)
+    t = f2.F2Matrix(m.rows, m.rows, rec.transform)
+    assert rank_oracle(t) == m.rows
+    assert (t @ m).bits == tuple(red)

@@ -1,5 +1,6 @@
 """Spectral pages: worked example, oracles, collapse, products."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -230,6 +231,23 @@ def test_broken_differential_raises_lift_failure(t2):
     broken = fcx.FloerComplex(t2.morse, 2, ops)  # bypasses assemble validation
     with pytest.raises(LiftFailure):
         sp.run_to_collapse(broken)
+
+
+@pytest.mark.parametrize("reorder", [lambda lifts: lifts[::-1],
+                                     lambda lifts: lifts[:1] * len(lifts)],
+                         ids=["reversed", "repeated"])
+def test_lifts_out_of_echelon_order_raise_lift_failure(reorder):
+    # two cycles in degree 0 and nothing to hit them: page 0 keeps both, and
+    # its Z vectors must come back from the turn as the same echelon basis
+    fc = fcx.assemble(fcx.MorseComplex([fcx.Generator("x", 0),
+                                        fcx.Generator("y", 0)], 0), 2, {})
+    page = sp.page0(fc)
+    assert sp.turn_page(page).dims() == [2]
+    deg = page.data[0]
+    broken = dataclasses.replace(
+        page, data={0: dataclasses.replace(deg, lifts=reorder(deg.lifts))})
+    with pytest.raises(LiftFailure, match="dependent or non-echelon cycle basis"):
+        sp.turn_page(broken)
 
 
 # -- page products ------------------------------------------------------------------
