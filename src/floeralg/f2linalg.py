@@ -12,13 +12,15 @@ of subspaces is payload equality; they read coordinates off the pivot bits.
 One routine eliminates: a row's pivot is its lowest set bit, each row goes
 into a pivot map (``_echelon_insert``), and the map is back-substituted, so
 a zero row costs nothing and no column is probed. Each matrix is eliminated
-at most once: ``rank``, ``solve``, ``solve_many`` and ``inverse`` all read
-one :class:`Elimination` record, the reduced row echelon form of
+at most once: ``rank``, ``solve_many``, ``left_kernel`` and ``inverse`` all
+read one :class:`Elimination` record, the reduced row echelon form of
 ``[m | I]``, computed on first use and kept on the matrix. A right-hand
 side then costs one pass over the transform rows, not a fresh elimination
 (the "factor once, solve many" idea of PLE decomposition, Albrecht, Bard
-and Pernet, arXiv 1111.6549). ``kernel`` reads the transform rows past the
-rank in the record of the transpose.
+and Pernet, arXiv 1111.6549). ``left_kernel`` is the transform rows past
+the rank, and ``kernel`` is the left kernel of the transpose. A quotient
+of nested subspaces takes its coset representatives from the larger
+basis by pivot bit, with no elimination at all.
 
 Every layer combines stored vectors by a coefficient bitmask through
 ``_combine(vectors, coeffs)``, the XOR of ``vectors[i]`` over the set bits i
@@ -171,7 +173,8 @@ class Elimination:
 
     ``pivots`` are the pivot columns of m, ascending; ``transform`` holds
     the rows of an invertible T with T m = rref(m), each an int over the
-    rows of m. Rows of T past ``len(pivots)`` span the left kernel of m.
+    rows of m. Rows of T past ``len(pivots)`` are the reduced echelon
+    basis of the left kernel of m.
     """
 
     pivots: tuple[int, ...]
@@ -184,9 +187,12 @@ def _elimination(m: F2Matrix) -> Elimination:
     Row i gets the tag bit n + i, above m's n columns, so the reduced rows
     with pivot below n are those with nonzero m part: rref(m). A row sum of
     ``[m | I]`` is zero iff its tag part is, so all m.rows reduced rows stay
-    and their tag parts form an invertible T. rref(m) is unique, hence so
-    are the rank, pivots, inverse and canonical solves; only T's rows past
-    the rank may depend on the order, and they only test consistency.
+    and their tag parts form an invertible T. The rref of ``[m | I]`` is
+    unique, hence so are the rank, pivots, inverse, canonical solves and
+    all of T. T's rows past the rank are the reduced rows with zero m part,
+    which span {(0, t) : t m = 0}: a combination using a row with pivot
+    below n keeps that pivot bit. So they are the unique rref of the left
+    kernel of m (see ``left_kernel``).
 
     The record lives in the instance dict, outside the dataclass fields, so
     it takes no part in ``==``, ``hash`` or ``repr``.
@@ -331,11 +337,24 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
 
 
+def left_kernel(m: F2Matrix) -> Subspace:
+    """Left null space {t : t m = 0} as a canonical Subspace of F2^rows:
+    the transform rows past the rank of m's elimination record.
+
+    They are reduced echelon as they stand. After back-substitution each
+    reduced row of ``[m | I]`` has exactly one pivot bit and the rows come
+    by ascending pivot; these rows have zero m part, so their pivots are
+    tag bits and their tag parts are reduced echelon, with no
+    ``from_vectors`` needed.
+    """
+    rec = _elimination(m)
+    return Subspace(m.rows, rec.transform[len(rec.pivots):])
+
+
 def kernel(m: F2Matrix) -> Subspace:
     """Null space {v : m @ v = 0} as a canonical Subspace of F2^cols: the
-    left kernel of m^T, its transform rows past its rank."""
-    rec = _elimination(m.transpose())
-    return Subspace.from_vectors(m.cols, rec.transform[len(rec.pivots):])
+    left kernel of m^T."""
+    return left_kernel(m.transpose())
 
 
 def image(m: F2Matrix) -> Subspace:
@@ -343,16 +362,9 @@ def image(m: F2Matrix) -> Subspace:
     return Subspace.from_vectors(m.rows, m.transpose().bits)
 
 
-def solve(m: F2Matrix, b: int) -> Optional[int]:
-    """Some x with m @ x = b, or None when the system is inconsistent.
-
-    The particular solution is canonical: free variables are zero.
-    """
-    return solve_many(m, (b,))[0]
-
-
 def solve_many(m: F2Matrix, bs: Iterable[int]) -> list[Optional[int]]:
-    """``solve(m, b)`` for each b, all read off one elimination of m.
+    """Some x with m @ x = b for each b (free variables zero), or None
+    where the system is inconsistent, all read off one elimination of m.
 
     With T m = rref(m), m x = b iff rref(m) x = T b: the system is
     consistent iff T b vanishes past the rank, and then x has bit p_i set
@@ -403,12 +415,24 @@ class QuotientMap:
 
 
 def quotient_map(sub: Subspace, sup: Subspace) -> QuotientMap:
-    """Quotient of nested subspaces; raises NotASubspace if sub ⊄ sup."""
+    """Quotient of nested subspaces; raises NotASubspace if sub ⊄ sup.
+
+    The representatives are the rows of ``sup.basis`` whose pivot is not a
+    pivot of ``sub``, with no elimination. Every nonzero vector of sub lies
+    in sup, so its lowest bit is a pivot of sup: sub's pivots are among
+    sup's. A reduced row of sup has no bit at any other pivot of sup, so a
+    row whose own pivot is not one of sub's has no bit at any pivot of sub
+    and is its own canonical representative. There are dim sup - dim sub
+    such rows, independent and already reduced echelon, inside the space
+    of canonical representatives of sup/sub, which has that dimension. So
+    they are its unique reduced echelon basis, the one
+    ``from_vectors([sub.reduce(b) for b in sup.basis])`` would compute.
+    """
     if sub.ambient_dim != sup.ambient_dim:
         raise NotASubspace("ambient dimensions differ")
     if not all(sup.contains(b) for b in sub.basis):
         raise NotASubspace("claimed subspace is not contained in the larger one")
-    reps = Subspace.from_vectors(sup.ambient_dim, [sub.reduce(b) for b in sup.basis])
+    reps = Subspace(sup.ambient_dim, tuple(z for z in sup.basis if not z & -z & sub._pivot_mask))
     qm = QuotientMap(sub=sub, sup=sup, reps=reps)
     assert qm.dim == sup.dim - sub.dim
     return qm

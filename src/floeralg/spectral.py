@@ -9,8 +9,8 @@ x + y_1 + ... + y_(r-1) (y_s in C^(m - s*NL), y_0 = x) solving
     sum_{k=0..s} op_k y_(s-k) = 0   for s = 0..r-1,
 
 and the page differential is the class of the next obstruction
-o_r = sum_{k=1..r} op_k y_(r-k). Spanning vectors b of B_r(m) carry
-antecedent chains w_0 + ... + w_(r-1), w_i in C^(m - 1 + (r-1-i)*NL), with
+o_r = sum_{k=1..r} op_k y_(r-k). Vectors b of B_r(m) carry antecedent
+chains w_0 + ... + w_(r-1), w_i in C^(m - 1 + (r-1-i)*NL), with
 b = sum_{i+k=r-1} op_k w_i: what repairs a lift one page deeper.
 
 A lift or a chain is one bitmask over the generator order, its summands in
@@ -18,10 +18,11 @@ distinct degrees. op_k y_j lands in degree m + 1 - (j+k)*NL, so the part
 of D*lift (D = sum_k op_k, ``FloerComplex.differential_images``) in degree
 m + 1 - s*NL is equation s for s < r and o_r for s = r; the engine reads
 no operator block. A page stores only the degrees with C^m nonzero, each
-with a reduced echelon Z basis and the lift and obstruction of every Z
-generator. Both are linear in the cycle, so the page differential and the
-next page turn combine the stored ones; the paranoid second lift
-recomputes them from perturbed lifts.
+as its two nested reduced echelon bases, of Z and of B, with the lift and
+obstruction of every Z row and the antecedent chain of every B row. All
+three are linear, so the page differential and the next page turn combine
+the stored ones and read coordinates off pivot bits; the paranoid second
+lift recomputes them from perturbed lifts.
 
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from . import f2linalg
@@ -44,21 +44,16 @@ from .floercomplex import FloerComplex, check_product_leibniz, folded_homology
 
 @dataclass(frozen=True)
 class PageDegree:
-    """One degree of page r, stored only if C^m is nonzero. The Z vectors
-    are exactly ``quotient.sup.basis``, in order, so ``quotient.sup.coords``
-    reads Z coordinates; ``lifts[i]`` is the lift of Z vector i and
-    ``obs[i]`` its page-r obstruction. ``b_span`` is an independent span of
-    B_r(m), and ``b_chains[i]`` the antecedent chain of ``b_span[i]``."""
+    """One degree of page r, stored only if C^m is nonzero: the echelon
+    bases of Z_r(m) and B_r(m) are ``quotient.sup`` and ``quotient.sub``.
+    ``lifts[i]`` is the lift of ``quotient.sup.basis[i]`` and ``obs[i]`` its
+    page-r obstruction; ``b_chains[i]`` is the antecedent chain of
+    ``quotient.sub.basis[i]``. So ``quotient.sup.coords`` and
+    ``quotient.sub.coords`` read the coefficients that combine them."""
     lifts: tuple[int, ...]
-    b_span: tuple[int, ...]
     b_chains: tuple[int, ...]
     quotient: QuotientMap
     obs: tuple[int, ...]
-
-    @cached_property
-    def b_matrix(self) -> F2Matrix:
-        """The boundary spanning vectors as columns, built and eliminated once."""
-        return _column_matrix(self.b_span, self.quotient.sup.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ def page0(fc: FloerComplex) -> SpectralPage:
             lifts = tuple(1 << p for p in fc.morse.degree_positions(m))
             quot = f2linalg.quotient_map(Subspace.zero(n), Subspace.full(n))
             obs = tuple(_obstruction(fc, 0, m, lift) for lift in lifts)
-            data[m] = PageDegree(lifts, (), (), quot, obs)
+            data[m] = PageDegree(lifts, (), quot, obs)
     delta = _compute_delta(fc, 0, data)
     return SpectralPage(fc, 0, data, delta)
 
@@ -218,7 +213,7 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
         freedom = _tail_freedom(fc, m, max(r - 1, 0))
         above = fc.morse.degree_offset(t + 1)
         expected_cols = delta[m].transpose().bits
-        b0 = deg.b_span[0] if deg.b_span else 0
+        b0 = next(iter(deg.quotient.sub.basis), 0)
         for idx, q in enumerate(deg.quotient.reps.basis):
             lift = f2linalg._combine(deg.lifts, _z_coords(deg, q ^ b0)) ^ freedom
             image = f2linalg._combine(fc.differential_images, lift)
@@ -239,15 +234,25 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
 
     Only stored degrees are visited: a zero space has only the zero vector,
     so nothing lifts from it and an obstruction landing in it vanishes. The
-    new Z vectors sum_i c_i z_i, over the rows c of the reduced echelon
-    kernel basis of the coefficient map, are reduced echelon: so are the
-    z_i, pivots p_i, and sum c_i z_i has lowest bit p_i for the least i in
-    c and bit c_j at p_j; ``from_vectors`` must give them back unchanged.
-    The kept boundaries' pivot map is back-substituted, not eliminated
-    anew. The zig-zag equations and the obstruction are linear in the
-    lift, so each combined lift is a valid lift; representatives and
-    delta_(r+1) depend only on Z_(r+1) and B_(r+1), not on the bases or
-    lifts that span them.
+    coefficient map sends Z row i to the class of ``obs[i]``; its kernel is
+    the left kernel of the matrix with those classes as rows, read off that
+    matrix's own elimination with no transpose. The new Z vectors
+    sum_i c_i z_i, over the rows c of that reduced echelon kernel basis,
+    are reduced echelon: so are the z_i, pivots p_i, and sum c_i z_i has
+    lowest bit p_i for the least i in c and bit c_j at p_j;
+    ``from_vectors`` must give them back unchanged. The zig-zag equations
+    and the obstruction are linear in the lift, so each combined lift is a
+    valid lift; representatives and delta_(r+1) depend only on Z_(r+1) and
+    B_(r+1), not on the bases or lifts that span them.
+
+    Each boundary candidate goes into one pivot map with its chain packed
+    above bit ``m_dim``; one whose boundary part reduces to zero is already
+    spanned and is dropped. Back-substitution XORs whole packed rows, so
+    each echelon row of B carries the chain of the same combination of
+    kept candidates. Chains extend linearly over B (the kept candidates are
+    a basis), so a repair that combines ``b_chains`` by the coordinates of
+    an obstruction in the echelon basis gets the same chain as over any
+    other basis of B.
 
     Every summand keeps its degree, so lifts and chains are carried whole.
     The repair of a lift adds antecedent chains of the target degree
@@ -278,31 +283,36 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                 except ValueError as exc:
                     raise LiftFailure(f"page {r} obstruction at degree {m} "
                                       f"leaves the cycle space") from exc
-            coeff_kernel = f2linalg.kernel(_column_matrix(cols, tgt.quotient.dim))
+            coeff_kernel = f2linalg.left_kernel(F2Matrix.from_row_ints(cols, tgt.quotient.dim))
 
         lifts = []
         for combo in coeff_kernel.basis:
             lift = f2linalg._combine(deg.lifts, combo)
             obs = f2linalg._combine(deg.obs, combo)
             if tgt is not None and obs:
-                coeff = f2linalg.solve(tgt.b_matrix, obs)
-                if coeff is None:
+                try:
+                    coeff = tgt.quotient.sub.coords(obs)
+                except ValueError as exc:
                     raise LiftFailure(f"obstruction at degree {m} is not a "
-                                      f"boundary despite vanishing class")
+                                      f"boundary despite vanishing class") from exc
                 lift ^= f2linalg._combine(tgt.b_chains, coeff)
             lifts.append(lift)
 
         sigma = m - 1 + r * N
-        candidates = list(zip(deg.b_span, deg.b_chains))
+        candidates = list(zip(deg.quotient.sub.basis, deg.b_chains))
         sdeg = page.data.get(sigma)
         if sdeg is not None:
             candidates += zip(sdeg.obs, sdeg.lifts)
 
         # keep each candidate outside the span of those kept before it
+        b_mask = (1 << m_dim) - 1
         pivots: dict[int, int] = {}
-        kept = [(b, chain) for b, chain in candidates
-                if f2linalg._echelon_insert(pivots, b)]
-        span = Subspace(m_dim, tuple(f2linalg._back_substitute(pivots)))
+        for b, chain in candidates:
+            v = f2linalg._echelon_insert(pivots, b | chain << m_dim)
+            if v and not v & b_mask:
+                del pivots[v & -v]
+        rows = f2linalg._back_substitute(pivots)
+        span = Subspace(m_dim, tuple(v & b_mask for v in rows))
 
         z_vecs = tuple(_degree_part(fc, lift, m) for lift in lifts)
         z_space = Subspace.from_vectors(m_dim, z_vecs)
@@ -324,8 +334,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
             raise LiftFailure(f"page dimensions increased at degree {m}")
 
         obs = tuple(_obstruction(fc, r + 1, m, lift) for lift in lifts)
-        new_data[m] = PageDegree(tuple(lifts), tuple(b for b, _ in kept),
-                                 tuple(c for _, c in kept), quot, obs)
+        new_data[m] = PageDegree(tuple(lifts), tuple(v >> m_dim for v in rows), quot, obs)
 
     delta = _compute_delta(fc, r + 1, new_data)
     if paranoid:
@@ -532,8 +541,8 @@ def _page_product_tables(page: SpectralPage, fc: FloerComplex
 def _product_second_lift(page: SpectralPage, fc: FloerComplex, tables) -> None:
     for (m1, m2), table in tables.items():
         mt = m1 + m2
-        b1 = page.data[m1].b_span[0] if page.data[m1].b_span else 0
-        b2 = page.data[m2].b_span[0] if page.data[m2].b_span else 0
+        b1 = next(iter(page.data[m1].quotient.sub.basis), 0)
+        b2 = next(iter(page.data[m2].quotient.sub.basis), 0)
         if not (b1 or b2):
             continue
         for i, q1 in enumerate(page.reps(m1)):

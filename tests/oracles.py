@@ -4,7 +4,9 @@ Each is the straightforward version the engine used before it was
 optimised: one fresh elimination per call by the column scan
 ``rref_oracle``, which probes column after column for a pivot row where
 the engine files each row under its lowest set bit, so the solve, rank
-and kernel oracles share no elimination code with the engine; ring and
+and kernel oracles share no elimination code with the engine; quotient
+representatives as the echelon basis of every larger-basis row reduced
+modulo the smaller space, where the engine picks rows by pivot bit; ring and
 Leibniz identities checked on every basis pair or triple over frozenset
 elements; the census conjugation and d^2 check computed block by block in
 degree-local coordinates; and the page engine with each zig-zag lift and
@@ -86,6 +88,12 @@ def kernel_oracle(m):
     return Subspace(m.cols, tuple(red[:len(pivots)]))
 
 
+def quotient_reps_oracle(sub, sup):
+    """Echelon basis of the canonical coset representatives of sup/sub: each
+    row of ``sup.basis`` reduced modulo sub, then eliminated."""
+    return Subspace.from_vectors(sup.ambient_dim, [sub.reduce(b) for b in sup.basis])
+
+
 def basis_mul(ring, i, j):
     """e_i e_j as a frozenset of basis indices, decoded bit by bit from the row."""
     mask = ring.rows[i].get(j, 0)
@@ -152,7 +160,7 @@ def z_coords_oracle(deg, vec):
     against the Z vectors as the columns of a matrix."""
     z_matrix = sp._column_matrix(list(deg.quotient.sup.basis),
                                  deg.quotient.sup.ambient_dim)
-    coeff = f2.solve(z_matrix, vec)
+    coeff = f2.solve_many(z_matrix, [vec])[0]
     assert coeff is not None
     return coeff
 
@@ -475,7 +483,7 @@ def slot_turn_page(page):
             if r >= 1:
                 tail.append(0)  # slot for y_r
             if tgt is not None and obs:
-                coeff = f2.solve(tgt.b_matrix, obs)
+                coeff = f2.solve_many(tgt.b_matrix, [obs])[0]
                 if coeff is None:
                     raise LiftFailure(f"obstruction at degree {m} is not a "
                                       f"boundary despite vanishing class")
@@ -501,7 +509,8 @@ def slot_turn_page(page):
         z_space = Subspace.from_vectors(m_dim, z_vecs)
         if z_space.basis != z_vecs:
             raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}")
-        quot = f2.quotient_map(span, z_space)
+        assert all(z_space.contains(b) for b in span.basis)
+        quot = QuotientMap(span, z_space, quotient_reps_oracle(span, z_space))
 
         obs = tuple(obstruction_oracle(fc, r + 1, m, g.vec, g.tail) for g in new_z)
         new_data[m] = SlotDegree(tuple(new_z), tuple(kept), quot, obs)

@@ -235,7 +235,7 @@ def test_criterion_7_multiplicativity():
     assert fcx.check_product_leibniz(fc).ok
     pages = sp.induced_page_product(
         sp.run_to_collapse(fc, paranoid=True).pages, fc, paranoid=True)
-    assert any(page.data[m].b_span and page.dim(m) > 0
+    assert any(page.data[m].quotient.sub.basis and page.dim(m) > 0
                for page in pages for m in range(fc.dimL + 1))
     complexes += 1
     _report(7, f"{complexes} ring complexes: Leibniz, cup product on page 1, "

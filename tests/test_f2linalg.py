@@ -126,12 +126,12 @@ def test_quotient_dims_additive_for_nested_triple():
 
 def test_solve_identity():
     m = f2.F2Matrix.identity(5)
-    assert f2.solve(m, 0b10110) == 0b10110
+    assert f2.solve_many(m, [0b10110])[0] == 0b10110
 
 
 def test_solve_zero_matrix_inconsistent():
-    assert f2.solve(f2.F2Matrix.zeros(3, 4), 0b001) is None
-    assert f2.solve(f2.F2Matrix.zeros(3, 4), 0) == 0
+    assert f2.solve_many(f2.F2Matrix.zeros(3, 4), [0b001])[0] is None
+    assert f2.solve_many(f2.F2Matrix.zeros(3, 4), [0])[0] == 0
 
 
 def test_solve_random_solvable():
@@ -139,7 +139,7 @@ def test_solve_random_solvable():
     for _ in range(50):
         m = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
         b = m.mul_vec(rng.getrandbits(m.cols))
-        x = f2.solve(m, b)
+        x = f2.solve_many(m, [b])[0]
         assert x is not None and m.mul_vec(x) == b
 
 
@@ -152,7 +152,7 @@ def test_solution_set_is_coset_of_kernel():
         ker = f2.kernel(m)
         b = m.mul_vec(rng.getrandbits(cols))
         solutions = {x for x in range(1 << cols) if m.mul_vec(x) == b}
-        x0 = f2.solve(m, b)
+        x0 = f2.solve_many(m, [b])[0]
         assert x0 in solutions
         assert solutions == {x0 ^ v for v in ker.vectors()}
 

@@ -6,7 +6,8 @@ from operator import or_, xor
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kernel_oracle, rank_oracle, rref_oracle, solve_oracle
+from oracles import (kernel_oracle, quotient_reps_oracle, rank_oracle, rref_oracle,
+                     solve_oracle)
 
 from floeralg import f2linalg as f2
 
@@ -61,7 +62,7 @@ def test_rank_nullity(m):
 def test_solutions_are_a_coset_of_kernel(m, b):
     b &= (1 << m.rows) - 1
     solutions = {x for x in range(1 << m.cols) if m.mul_vec(x) == b}
-    x0 = f2.solve(m, b)
+    x0 = f2.solve_many(m, [b])[0]
     if x0 is None:
         assert not solutions
     else:
@@ -97,7 +98,7 @@ def systems(draw, max_dim=MAX_DIM):
 def test_solve_many_matches_one_elimination_per_rhs(system):
     m, bs = system
     assert f2.solve_many(m, bs) == [solve_oracle(m, b) for b in bs]
-    assert [f2.solve(m, b) for b in bs] == [solve_oracle(m, b) for b in bs]
+    assert [f2.solve_many(m, [b])[0] for b in bs] == [solve_oracle(m, b) for b in bs]
 
 
 @given(matrices())
@@ -196,3 +197,40 @@ def test_rref_and_elimination_match_the_column_scan(m):
     t = f2.F2Matrix(m.rows, m.rows, rec.transform)
     assert rank_oracle(t) == m.rows
     assert (t @ m).bits == tuple(red)
+
+
+# -- the two reads that skip an elimination -------------------------------------
+
+
+@st.composite
+def nested_pairs(draw, max_dim=MAX_DIM):
+    """(sub, sup) with sub ⊂ sup, ambient dimension 0 and the extremes sub = 0
+    and sub = sup included."""
+    amb = draw(st.integers(0, max_dim))
+    sup = f2.Subspace.from_vectors(
+        amb, draw(st.lists(st.integers(0, (1 << amb) - 1), max_size=max_dim)))
+    top = (1 << sup.dim) - 1
+    kind = draw(st.sampled_from(["zero", "full", "some"]))
+    masks = {"zero": [], "full": [1 << i for i in range(sup.dim)],
+             "some": draw(st.lists(st.integers(0, top), max_size=max_dim))}[kind]
+    sub = f2.Subspace.from_vectors(amb, [f2._combine(sup.basis, c) for c in masks])
+    return sub, sup
+
+
+@given(nested_pairs())
+def test_quotient_reps_equal_the_reduced_rows_eliminated(pair):
+    sub, sup = pair
+    qm = f2.quotient_map(sub, sup)
+    want = quotient_reps_oracle(sub, sup)
+    assert qm.reps == want and qm.reps.basis == want.basis
+    assert qm.dim == sup.dim - sub.dim
+
+
+@given(st.one_of(matrices(), sparse_matrices()))
+def test_kernels_are_read_off_reduced_echelon(m):
+    # the transform rows past the rank are taken as the basis as they stand
+    for ker, want, amb in ((f2.kernel(m), kernel_oracle(m), m.cols),
+                           (f2.left_kernel(m), kernel_oracle(m.transpose()), m.rows)):
+        assert ker == want and ker.ambient_dim == amb
+        assert is_reduced_echelon(ker.basis)
+        assert f2.Subspace.from_vectors(amb, ker.basis).basis == ker.basis

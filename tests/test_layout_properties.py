@@ -12,13 +12,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (census_oracle, d_squared_oracle, folded_homology_oracle,
-                     lift_slots, slot_pages, slots_chain, tail_freedom_oracle)
+                     lift_slots, slot_pages, slots_chain, solve_oracle,
+                     tail_freedom_oracle)
 
+from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
 from floeralg import serialize
 from floeralg import spectral as sp
-from floeralg.f2linalg import F2Matrix
+from floeralg.f2linalg import F2Matrix, Subspace
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -146,6 +148,38 @@ def test_page_engine_equals_the_slot_tuple_engine(fc):
             assert deg.obs == w.obs
             assert deg.lifts == tuple(slots_chain(fc, m, (g.vec,) + g.tail)
                                       for g in w.z_basis)
-            assert deg.b_span == tuple(b.vec for b in w.b_span)
-            assert deg.b_chains == tuple(slots_chain(fc, m - 1 + (page.r - 1) * N, b.chain)
-                                         for b in w.b_span)
+            # B as a span, and the chains as one linear map on it: each
+            # echelon row's chain is the slot chains combined by the row's
+            # coefficients over the slot engine's spanning vectors
+            vecs = [b.vec for b in w.b_span]
+            chains = [slots_chain(fc, m - 1 + (page.r - 1) * N, b.chain)
+                      for b in w.b_span]
+            assert deg.quotient.sub == Subspace.from_vectors(fc.morse.dim_at(m), vecs)
+            b_matrix = F2Matrix.from_row_ints(vecs, fc.morse.dim_at(m)).transpose()
+            assert len(deg.b_chains) == deg.quotient.sub.dim
+            for b, chain in zip(deg.quotient.sub.basis, deg.b_chains):
+                coeff = solve_oracle(b_matrix, b)
+                assert coeff is not None
+                assert chain == f2._combine(chains, coeff)
+
+
+@SETTINGS
+@given(complexes())
+def test_boundary_chains_are_antecedents(fc):
+    # b = sum_{i+k=r-1} op_k w_i with w_i in degree m - 1 + (r-1-i)*NL, read
+    # through the op_k blocks; page 0 has no boundaries
+    N = fc.NL
+    for page in sp.run_to_collapse(fc).pages:
+        r = page.r
+        for m, deg in page.data.items():
+            assert len(deg.b_chains) == deg.quotient.sub.dim
+            assert r or not deg.b_chains
+            top = m - 1 + (r - 1) * N
+            for b, chain in zip(deg.quotient.sub.basis, deg.b_chains):
+                w0, tail = lift_slots(fc, r, top, chain)
+                ws = (w0,) + tail
+                assert chain == slots_chain(fc, top, ws)
+                out = 0
+                for i, w in enumerate(ws):
+                    out ^= fc.operator(r - 1 - i, top - i * N).mul_vec(w)
+                assert out == b

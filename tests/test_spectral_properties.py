@@ -83,7 +83,7 @@ def test_boundary_spanning_vectors_are_independent(census):
     fc, _ = census
     for page in sp.run_to_collapse(fc).pages:
         for m, deg in page.data.items():
-            vecs = list(deg.b_span)
+            vecs = list(deg.quotient.sub.basis)
             assert len(deg.b_chains) == len(vecs)
             assert Subspace.from_vectors(fc.morse.dim_at(m), vecs).dim == len(vecs)
             assert deg.quotient.sub == Subspace.from_vectors(fc.morse.dim_at(m), vecs)
@@ -216,7 +216,7 @@ def lift_corruptions(fc):
             if m + 1 - r * N not in page.data or not deg.quotient.dim:
                 continue
             # a Z generator that the perturbed first representative uses
-            b = deg.b_span[0] if deg.b_span else 0
+            b = deg.quotient.sub.basis[0] if deg.quotient.sub.basis else 0
             i = next(f2linalg._bits_of(z_coords_oracle(deg, deg.quotient.reps.basis[0] ^ b)))
             for s in range(1, r):
                 y = m - s * N
