@@ -10,15 +10,14 @@ feed the product-Leibniz check and the induced page products of
 :mod:`floeralg.spectral`.
 
 Chains are int bitmasks: bit g is generator g of the global order, which
-sorts by (index, name), so each Morse degree is a contiguous run. A map
-that shifts degree, such as op_k or a change of basis, is one n x n matrix
-over that order: ``MorseComplex.glue`` builds it from per-degree blocks and
-``MorseComplex.cut`` takes it back, and no other code here maps between
-degree-local and global coordinates. D = sum_k op_k is glued once per
-complex, as ``differential_images``; ``d2_report``, the folded homology and
-the page engine of :mod:`floeralg.spectral` read it, and ``operator``
-blocks only the window and E_1 oracles. Each m_l is stored once, as
-bitmask rows.
+sorts by (index, name), so each Morse degree is a contiguous run. Each op_k
+is stored once, as its images op_k(g), one chain per generator, and so is
+D = sum_k op_k, their XOR (``differential_images``); ``d2_report``, the
+folded homology, the product-Leibniz check and the page engine of
+:mod:`floeralg.spectral` read those. ``operator`` cuts a per-degree block
+of op_k on demand, for the window and E_1 oracles only, and
+``MorseComplex.glue`` places per-degree blocks over the generator order,
+for the census change of basis. Each m_l is stored once, as bitmask rows.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -29,7 +28,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import f2linalg
@@ -44,6 +44,7 @@ from .gradedalg import Derivation, GradedRing
 MAX_TOTAL_DIM = 64
 MAX_CENSUS_NL = 10_000
 MAX_DIML = 1000
+MAX_GENERATORS = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,21 @@ class Generator:
 
 
 class MorseComplex:
-    """Morse cochain complex: named critical points and a degree +1 boundary.
+    """Generator layout of a Morse-graded complex: named critical points.
 
     Generators are kept in canonical order, sorted by (index, name), so
     each degree's generators are contiguous: coordinate i of degree m is
     generator ``degree_offset(m) + i``. This class alone knows that layout.
     A map shifting Morse degree by ``shift`` is a family of blocks
     C^m -> C^(m+shift); ``glue`` places them in one n x n matrix over the
-    generator order, and ``cut`` takes such a matrix back to its nonzero
-    blocks.
+    generator order.
     """
 
-    def __init__(self, generators: Sequence[Generator], dimL: int,
-                 boundary: Optional[Mapping[int, F2Matrix]] = None):
+    def __init__(self, generators: Sequence[Generator], dimL: int):
         if dimL > MAX_DIML:
             raise ShapeMismatch(f"dimL {dimL} exceeds {MAX_DIML}")
+        if len(generators) > MAX_GENERATORS:
+            raise ShapeMismatch(f"{len(generators)} generators exceed {MAX_GENERATORS}")
         self.generators = tuple(sorted(generators, key=lambda g: (g.index, g.name)))
         self.dimL = dimL
         names = [g.name for g in self.generators]
@@ -78,24 +79,6 @@ class MorseComplex:
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for pos, g in enumerate(self.generators):
             self._by_degree[g.index] = self._by_degree.get(g.index, ()) + (pos,)
-        self.boundary: dict[int, F2Matrix] = {}
-        boundary = dict(boundary or {})
-        for m in range(dimL + 1):
-            mat = boundary.pop(m, None)
-            shape = (self.dim_at(m + 1), self.dim_at(m))
-            if mat is None:
-                mat = F2Matrix.zeros(*shape)
-            if (mat.rows, mat.cols) != shape:
-                raise ShapeMismatch(f"boundary at degree {m} has shape "
-                                    f"{(mat.rows, mat.cols)}, expected {shape}")
-            self.boundary[m] = mat
-        if boundary:
-            raise ShapeMismatch(f"boundary given at invalid degrees {sorted(boundary)}")
-        for m in range(dimL - 1):
-            comp = self.boundary[m + 1] @ self.boundary[m]
-            if not comp.is_zero():
-                raise NotADifferential(f"Morse boundary does not square to zero "
-                                       f"at degree {m}")
 
     def dim_at(self, m: int) -> int:
         return len(self._by_degree.get(m, ()))
@@ -131,30 +114,20 @@ class MorseComplex:
             rows[tgt:tgt + mat.rows] = [row << src for row in mat.bits]
         return F2Matrix(len(rows), len(rows), tuple(rows))
 
-    def cut(self, matrix: F2Matrix, shift: int) -> dict[int, F2Matrix]:
-        """The nonzero blocks C^m -> C^(m+shift) of an n x n matrix over the
-        generator order, by ascending m; entries outside them are ignored."""
-        out = {}
-        for m, src in self._by_degree.items():
-            mask = (1 << len(src)) - 1
-            bits = tuple(matrix.bits[t] >> src[0] & mask
-                         for t in self._by_degree.get(m + shift, ()))
-            if any(bits):
-                out[m] = F2Matrix(len(bits), len(src), bits)
-        return out
-
 
 class FloerComplex:
     """Validated complex: Morse data, minimal Maslov number, operator family.
 
     Use :func:`assemble` to construct one; the constructor assumes shapes
-    were already checked. ``products`` maps l to a pair table
+    were already checked. ``ops[k]`` is op_k as its images op_k(g), one
+    chain bitmask per generator; ``ops`` must not change once
+    ``differential_images`` is read. ``products`` maps l to a pair table
     ``{(i, j): iterable of k}``, meaning m_l(g_i, g_j) = sum of the g_k; it
     is kept only as ``self.products[l]``, the bitmask rows of m_l.
     """
 
     def __init__(self, morse: MorseComplex, NL: int,
-                 ops: dict[int, dict[int, F2Matrix]],
+                 ops: dict[int, tuple[int, ...]],
                  products: Optional[Mapping[int, Mapping[tuple[int, int], Iterable[int]]]] = None):
         self.morse = morse
         self.NL = NL
@@ -164,8 +137,6 @@ class FloerComplex:
         self.products: Optional[dict[int, tuple[tuple[int, ...], ...]]] = None
         if products is not None:
             self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
-        self._op_images: dict[int, tuple[int, ...]] = {}
-        self._zero_blocks: dict[tuple[int, int], F2Matrix] = {}
 
     @property
     def dimL(self) -> int:
@@ -176,17 +147,14 @@ class FloerComplex:
         return (2 * self.dimL) // self.NL
 
     def operator(self, k: int, m: int) -> F2Matrix:
-        """Matrix of op_k on C^m (zero matrix when absent or out of range)."""
-        mat = self.ops.get(k, {}).get(m)
-        if mat is not None:
-            return mat
+        """Block of op_k on C^m, cut from ``ops[k]``; a zero block of shape
+        (dim C^(m+1-k*NL), dim C^m) when op_k is absent or out of range."""
         t = m + 1 - k * self.NL
-        tgt = self.morse.dim_at(t) if 0 <= t <= self.dimL else 0
-        src = self.morse.dim_at(m) if 0 <= m <= self.dimL else 0
-        # one shared zero block per shape; F2Matrix is frozen
-        if (tgt, src) not in self._zero_blocks:
-            self._zero_blocks[tgt, src] = F2Matrix.zeros(tgt, src)
-        return self._zero_blocks[tgt, src]
+        rows, off = self.morse.dim_at(t), self.morse.degree_offset(t)
+        images, positions = self.ops.get(k), self.morse.degree_positions(m)
+        mask = (1 << rows) - 1
+        cols = [images[g] >> off & mask for g in positions] if images else [0] * len(positions)
+        return F2Matrix.from_row_ints(cols, rows).transpose()
 
     # -- chains ------------------------------------------------------------
 
@@ -198,22 +166,10 @@ class FloerComplex:
         off = self.morse.degree_offset(m)
         return frozenset(p + off for p in f2linalg._bits_of(vec))
 
-    def operator_images(self, k: int) -> tuple[int, ...]:
-        """op_k(g) for every generator g, as chain bitmasks.
-
-        Built on first use and cached: ``ops`` must not change afterwards.
-        """
-        images = self._op_images.get(k)
-        if images is None:
-            glued = self.morse.glue(self.ops.get(k, {}), 1 - k * self.NL)
-            images = self._op_images[k] = glued.transpose().bits
-        return images
-
     @cached_property
     def differential_images(self) -> tuple[int, ...]:
-        """D(g) for every generator g, as chain bitmasks, D = sum_k op_k glued
-        once; like ``operator_images``, ``ops`` must not change afterwards."""
-        return _glued(self.morse, self.NL, self.ops).transpose().bits
+        """D(g) for every generator g, as chain bitmasks: the XOR of the op_k(g)."""
+        return tuple(reduce(xor, images) for images in zip(*self.ops.values()))
 
     @cached_property
     def d2_report(self) -> IdentityReport:
@@ -263,14 +219,17 @@ def _bitmask_rows(n: int, table: Mapping[tuple[int, int], Iterable[int]]
 
 
 def assemble(morse: MorseComplex, NL: int,
-             op_tables: Mapping[int, Mapping[int, F2Matrix]],
+             ops: Mapping[int, Sequence[int]],
              products: Optional[Mapping[int, Mapping[tuple[int, int], Iterable[int]]]] = None,
              ) -> FloerComplex:
-    """Validate operator (and optional product) tables into a FloerComplex.
+    """Validate an operator family (and optional product tables) into a FloerComplex.
 
-    ``op_tables`` supplies op_1..op_nu (op_0 comes from the Morse boundary);
-    missing entries mean zero. Wrong degree shifts raise ShapeMismatch, and
-    a family whose total differential does not square to zero raises
+    ``ops[k]`` is op_k, k = 0..nu, as its images op_k(g): one chain bitmask
+    per generator of ``morse``, in the generator order. op_0 is the Morse
+    boundary; a missing k means zero, and op_0 is always stored. An index
+    outside 0..nu, a wrong number of images or an image with a bit outside
+    its target degree g.index + 1 - k*NL raises ShapeMismatch, and a family
+    whose total differential does not square to zero raises
     NotADifferential naming the first failing convolution index and a
     witness generator. ``NL`` is capped at ``MAX_CENSUS_NL``, as the residue
     reports and the window oracle grow with it.
@@ -280,25 +239,19 @@ def assemble(morse: MorseComplex, NL: int,
     if NL > MAX_CENSUS_NL:
         raise ShapeMismatch(f"NL {NL} exceeds {MAX_CENSUS_NL}")
     nu = (morse.dimL + 1) // NL
-    ops: dict[int, dict[int, F2Matrix]] = {0: dict(morse.boundary)}
-    for k, per_degree in op_tables.items():
-        if k < 1 or k > nu:
-            raise ShapeMismatch(f"operator index {k} outside 1..nu={nu}")
-        ops[k] = {}
-        for m, mat in per_degree.items():
-            t = m + 1 - k * NL
-            if not (0 <= m <= morse.dimL) or not (0 <= t <= morse.dimL):
-                if not mat.is_zero():
-                    raise ShapeMismatch(f"op_{k} at degree {m} maps outside the "
-                                        f"grading range")
-                continue
-            shape = (morse.dim_at(t), morse.dim_at(m))
-            if (mat.rows, mat.cols) != shape:
-                raise ShapeMismatch(f"op_{k} at degree {m} has shape "
-                                    f"{(mat.rows, mat.cols)}, expected {shape}")
-            ops[k][m] = mat
+    n = len(morse.generators)
+    stored = {0: (0,) * n}
+    for k, images in ops.items():
+        if not 0 <= k <= nu:
+            raise ShapeMismatch(f"operator index {k} outside 0..nu={nu}")
+        if len(images) != n:
+            raise ShapeMismatch(f"op_{k} has {len(images)} images for {n} generators")
+        for g, image in zip(morse.generators, images):
+            if image and image & ~morse.degree_mask(g.index + 1 - k * NL):
+                raise ShapeMismatch(f"op_{k}({g.name}) has entries of wrong degree")
+        stored[k] = tuple(images)
 
-    fc = FloerComplex(morse, NL, ops, products)
+    fc = FloerComplex(morse, NL, stored, products)
     for l, table in (products or {}).items():
         if l < 0 or l > fc.products_bound:
             raise ShapeMismatch(f"product index {l} outside 0..{fc.products_bound}")
@@ -340,15 +293,6 @@ class IdentityReport:
     def first_failure(self) -> tuple[int, Union[str, tuple[str, str]]]:
         e = next(e for e in self.entries if not e.ok)
         return e.l, e.witness
-
-
-def _glued(morse: MorseComplex, NL: int,
-           ops: Mapping[int, Mapping[int, F2Matrix]]) -> F2Matrix:
-    """One matrix whose blocks from m to m + 1 - k*NL are the op_k."""
-    total = F2Matrix.zeros(len(morse.generators), len(morse.generators))
-    for k, blocks in ops.items():
-        total = total + morse.glue(blocks, 1 - k * NL)
-    return total
 
 
 def check_d_squared(fc: FloerComplex) -> IdentityReport:
@@ -424,7 +368,7 @@ def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
     for l in range(fc.products_bound + fc.nu + 1):
         splits = []
         for i in range(l + 1):
-            images = fc.operator_images(l - i)
+            images = fc.ops.get(l - i, ())
             if i in nonzero and any(images):
                 splits.append((nonzero[i], images))
         pair = _first_leibniz_failure(splits, len(gens))
@@ -478,10 +422,11 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     second return value gives the folded homology dims predicted by the
     pairing bookkeeping: one class per unpaired generator.
 
-    The operators glue (``MorseComplex.glue``) into one matrix d with op_k
-    as its blocks from m to m + 1 - k*NL, the change of basis into phi with
-    its k-th term as the blocks from m to m - k*NL, and d' = phi^-1 d phi
-    is cut back at shift 1 - l*NL into op'_l. Proof that this is the
+    The base pairs give one n x n matrix d over the generator order, with
+    op_k as its blocks from m to m + 1 - k*NL; the change of basis glues
+    (``MorseComplex.glue``) into phi with its k-th term as the blocks from
+    m to m - k*NL; and column g of d' = phi^-1 d phi, split by the degree
+    masks of g.index + 1 - l*NL, gives op'_l(g). Proof that this is the
     filtered conjugation: matrices whose blocks all run from m to m - k*NL,
     k >= 0, form an algebra, and it is closed under inverse (an inverse is
     a polynomial in its matrix, by Cayley-Hamilton); so phi^-1 is the
@@ -521,24 +466,22 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
     for m in range(dimL + 1):
         expected[m % NL] += len(unused[m])
 
-    layout = MorseComplex(generators, dimL)
-    d = _glued(layout, NL, {
-        k: {m: F2Matrix.from_entries(dims[m + 1 - k * NL], dims[m], pairs)
-            for m, pairs in per.items()}
-        for k, per in base.items()
-    })
+    morse = MorseComplex(generators, dimL)
+    off = morse.degree_offset
+    d = F2Matrix.from_entries(len(generators), len(generators), [
+        (off(m + 1 - k * NL) + tgt, off(m) + src)
+        for k, per in base.items() for m, pairs in per.items() for tgt, src in pairs])
     # filtration-preserving change of basis: invertible blocks in T-degree 0,
     # arbitrary blocks pushing Morse degree down by k*NL
-    phi = layout.glue({m: _random_invertible(rng, dims[m]) for m in range(dimL + 1)}, 0)
+    phi = morse.glue({m: _random_invertible(rng, dims[m]) for m in range(dimL + 1)}, 0)
     for k in range(1, nu + 1):
-        phi = phi + layout.glue({m: _random_matrix(rng, dims[m - k * NL], dims[m])
-                                 for m in range(k * NL, dimL + 1)}, -k * NL)
-    conjugate = phi.inverse() @ d @ phi
-
-    morse = MorseComplex(generators, dimL, layout.cut(conjugate, 1))
-    new_ops = {l: layout.cut(conjugate, 1 - l * NL) for l in range(1, nu + 1)}
-    fc = assemble(morse, NL, new_ops)
-    return fc, expected
+        phi = phi + morse.glue({m: _random_matrix(rng, dims[m - k * NL], dims[m])
+                                for m in range(k * NL, dimL + 1)}, -k * NL)
+    columns = (phi.inverse() @ d @ phi).transpose().bits
+    ops = {l: tuple(col & morse.degree_mask(g.index + 1 - l * NL)
+                    for g, col in zip(morse.generators, columns))
+           for l in range(nu + 1)}
+    return assemble(morse, NL, ops), expected
 
 
 def complex_from_ring(ring: GradedRing, NL: int,
@@ -560,28 +503,27 @@ def complex_from_ring(ring: GradedRing, NL: int,
     position = {g.name: p for p, g in enumerate(morse.generators)}
     cpos = [position[b.name] for b in ring.basis]
 
-    def op_matrices(d: Derivation) -> dict[int, F2Matrix]:
-        entries = [(cpos[h], cpos[g]) for g, img in enumerate(d.images)
-                   for h in f2linalg._bits_of(img)]
-        n = len(cpos)
-        return morse.cut(F2Matrix.from_entries(n, n, entries), d.shift)
+    def images(d: Derivation) -> list[int]:
+        out = [0] * len(cpos)
+        for g, img in enumerate(d.images):
+            out[cpos[g]] = sum(1 << cpos[h] for h in f2linalg._bits_of(img))
+        return out
 
+    ops: dict[int, list[int]] = {}
     if boundary is not None:
         if boundary.shift != 1:
             raise ShapeMismatch(f"boundary derivation shift {boundary.shift} "
                                 f"is not +1")
-        morse = MorseComplex(generators, dimL, op_matrices(boundary))
-
-    op_tables: dict[int, dict[int, F2Matrix]] = {}
+        ops[0] = images(boundary)
     if derivation is not None:
         if derivation.shift != 1 - NL:
             raise ShapeMismatch(f"derivation shift {derivation.shift} does not "
                                 f"match 1 - NL = {1 - NL}")
-        op_tables[1] = op_matrices(derivation)
+        ops[1] = images(derivation)
 
     products = None
     if with_products:
         products = {0: {(cpos[i], cpos[j]): [cpos[k] for k in f2linalg._bits_of(ks)]
                         for i, row in enumerate(ring.rows) for j, ks in row.items()}}
 
-    return assemble(morse, NL, op_tables, products)
+    return assemble(morse, NL, ops, products)

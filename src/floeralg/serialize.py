@@ -19,7 +19,7 @@ import json
 from typing import Any, Iterable
 
 from .errors import InputError, ShapeMismatch
-from .f2linalg import F2Matrix, _bits_of
+from .f2linalg import _bits_of
 from .floercomplex import FloerComplex, Generator, MorseComplex, assemble
 from .gradedalg import BasisElement, GradedRing
 from .maslov import LagrangianLoop
@@ -171,8 +171,8 @@ def complex_to_dict(fc: FloerComplex) -> dict:
     gens = fc.morse.generators
     operators: dict[str, list[list[int]]] = {}
     for k in sorted(fc.ops):
-        # entries() of the glued op_k come out sorted
-        entries = fc.morse.glue(fc.ops[k], 1 - k * fc.NL).entries()
+        entries = sorted((row, col) for col, image in enumerate(fc.ops[k])
+                         for row in _bits_of(image))
         if entries or k == 0:
             operators[str(k)] = [[row, col] for row, col in entries]
 
@@ -284,33 +284,32 @@ def complex_from_dict(data: dict) -> FloerComplex:
     if gens != canonical:
         raise InputError("generators must be listed in canonical order, "
                          "sorted by (index, name)")
-    layout = MorseComplex(gens, dimL)
+    morse = MorseComplex(gens, dimL)
     nu = (dimL + 1) // NL
     n = len(gens)
 
-    ops: dict[int, dict[int, F2Matrix]] = {}
+    ops: dict[int, tuple[int, ...]] = {}
     op_keys: dict[int, str] = {}
     for key, entries in data["operators"].items():
         k = _table_index(key, op_keys, "operator")
-        if entries and k > nu:
+        if not entries:
+            continue
+        if k > nu:
             # no entry fits, and 1 - k * NL may be too long to print
             raise ShapeMismatch(f"operator index {k} outside 1..nu={nu}")
-        seen = set()
+        images = [0] * n
         for row, col in entries:
             if row >= n or col >= n:
                 raise InputError(f"operator {k} entry ({row}, {col}) out of range")
-            if (row, col) in seen:
+            if images[col] >> row & 1:
                 raise InputError(f"operator {k} lists entry ({row}, {col}) twice")
-            seen.add((row, col))
+            images[col] |= 1 << row
             shift = gens[row].index - gens[col].index
             if shift != 1 - k * NL:
                 raise ShapeMismatch(
                     f"op_{k} entry {gens[col].name} -> {gens[row].name} has "
                     f"degree shift {shift}, expected {1 - k * NL}")
-        if entries:
-            ops[k] = layout.cut(F2Matrix.from_entries(n, n, seen), 1 - k * NL)
-
-    morse = MorseComplex(gens, dimL, ops.pop(0, None))
+        ops[k] = tuple(images)
 
     products = None
     if "products" in data:

@@ -19,15 +19,19 @@ of D*lift (D = sum_k op_k, ``FloerComplex.differential_images``) in degree
 m + 1 - s*NL is equation s for s < r and o_r for s = r; the engine reads
 no operator block. A page stores only the degrees with C^m nonzero, each
 as its two nested reduced echelon bases, of Z and of B, with the lift and
-obstruction of every Z row and the antecedent chain of every B row. All
-three are linear, so the page differential and the next page turn combine
-the stored ones and read coordinates off pivot bits; the paranoid second
-lift recomputes them from perturbed lifts.
+obstruction of every Z row and the antecedent chain of every B row. The
+page differential reads the stored obstructions of the representative
+rows; all three are linear, so the next page turn combines the stored
+ones and reads coordinates off pivot bits; the paranoid second lift
+recomputes them from perturbed lifts.
 
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
 checked per residue against the folded homology and against a truncated
-Laurent-window oracle that builds the honest bigraded complex.
+Laurent-window oracle that builds the honest bigraded complex. That oracle
+and the E_1 oracle read per-degree op_k blocks, which
+``FloerComplex.operator`` cuts from the stored images op_k(g), not D, so
+they stay independent of the engine.
 """
 
 from __future__ import annotations
@@ -157,18 +161,20 @@ def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
     """delta_r on every stored degree, from the stored obstructions.
 
     The obstruction o_r(x; y_1..y_(r-1)) = sum_{k=1..r} op_k y_(r-k) (op_0 x
-    for r = 0) is linear in the lift. A representative q = sum c_i z_i of
-    the Z-span has the lift sum c_i lifts[i], so o_r(q) = sum c_i o_r(z_i):
-    the combination of ``deg.obs`` by c = ``deg.quotient.sup.coords(q)``. A
-    target degree not stored is the zero space, where every obstruction
-    vanishes.
+    for r = 0) of Z row i is ``deg.obs[i]``. The representatives are the
+    rows of ``deg.quotient.sup`` whose pivot is not a pivot of B, in order
+    (``f2linalg.quotient_map``), so the obstructions of those rows are the
+    columns, read with no coordinates. A target degree not stored is the
+    zero space, where every obstruction vanishes.
     """
     delta: dict[int, F2Matrix] = {}
     for m, deg in data.items():
         tgt = data.get(m + 1 - r * fc.NL)
+        b_pivots = deg.quotient.sub._pivot_mask
         cols = []
-        for q in deg.quotient.reps.basis:
-            obs = f2linalg._combine(deg.obs, _z_coords(deg, q))
+        for z, obs in zip(deg.quotient.sup.basis, deg.obs):
+            if z & -z & b_pivots:
+                continue
             if tgt is None:
                 if obs:
                     raise LiftFailure(f"page {r} differential escapes the grading "
@@ -473,10 +479,8 @@ def e1_oracle(fc: FloerComplex) -> tuple[dict[int, int], dict[int, F2Matrix]]:
     for m in range(fc.dimL + 1):
         t = m + 1 - fc.NL
         tdim = dims.get(t, 0)
-        cols = []
-        for q in quots[m].reps.basis:
-            img = fc.operator(1, m).mul_vec(q)
-            cols.append(quots[t].coords(img) if tdim else 0)
+        op1 = fc.operator(1, m)
+        cols = [quots[t].coords(op1.mul_vec(q)) if tdim else 0 for q in quots[m].reps.basis]
         deltas[m] = _column_matrix(cols, tdim)
     return dims, deltas
 

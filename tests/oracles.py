@@ -9,10 +9,11 @@ representatives as the echelon basis of every larger-basis row reduced
 modulo the smaller space, where the engine picks rows by pivot bit; ring and
 Leibniz identities checked on every basis pair or triple over frozenset
 elements; the census conjugation and d^2 check computed block by block in
-degree-local coordinates; and the page engine with each zig-zag lift and
+degree-local coordinates, the census glued into the stored images op_k(g)
+only at the end; and the page engine with each zig-zag lift and
 antecedent chain kept as a tuple of degree-local slots. The slot-by-slot
-obstruction reads ``fc.operator`` blocks, not the glued D the engine
-reads, so a wrong D or a wrong chain layout shows.
+obstruction reads ``fc.operator`` blocks, cut from the stored op_k, not
+the D the engine reads, so a wrong D or a wrong chain layout shows.
 """
 
 import itertools
@@ -322,13 +323,12 @@ def census_oracle(seed, dims, NL):
                     acc = acc + pi @ (dj @ pk)
             if not acc.is_zero():
                 per[m] = acc
-        if l == 0:
-            boundary = per
-        else:
-            new_ops[l] = per
+        new_ops[l] = per
 
-    morse = fcx.MorseComplex(generators, dimL, boundary)
-    return fcx.assemble(morse, NL, new_ops), expected
+    # glued only here, into the images op'_l(g) over the generator order
+    morse = fcx.MorseComplex(generators, dimL)
+    ops = {l: morse.glue(per, 1 - l * NL).transpose().bits for l, per in new_ops.items()}
+    return fcx.assemble(morse, NL, ops), expected
 
 
 def folded_homology_oracle(fc):

@@ -267,6 +267,32 @@ def test_ss_run_wide_file_gets_its_verdict(tmp_path):
     assert [v["einf"] for v in report["convergence"]["residues"]] == [10000, 0]
 
 
+def test_ss_run_generator_count_above_the_cap_exit_2(tmp_path):
+    from floeralg import floercomplex as fcx
+
+    n = fcx.MAX_GENERATORS + 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "dimL": 0, "NL": 2, "operators": {},
+        "generators": [{"name": f"x{i:05d}", "index": 0} for i in range(n)]}))
+    r = limited_proc("ss", "run", str(path))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: {n} generators exceed {fcx.MAX_GENERATORS}\n"
+
+
+def test_ss_run_morse_boundary_not_squaring_to_zero_exit_2(tmp_path):
+    # op_0(a) = b and op_0(b) = c: op_0 squared sends a to c, so the
+    # convolution identity l = 0 fails with a as its witness
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "dimL": 2, "NL": 2, "operators": {"0": [[1, 0], [2, 1]]},
+        "generators": [{"name": "a", "index": 0}, {"name": "b", "index": 1},
+                       {"name": "c", "index": 2}]}))
+    r = run_cli("ss", "run", str(path))
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == "error: convolution identity fails at l=0, witness generator a\n"
+
+
 def test_ss_run_rejects_bad_schema(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"dimL": 2}')

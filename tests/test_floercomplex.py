@@ -9,7 +9,6 @@ from floeralg import gradedalg as ga
 from floeralg import serialize
 from floeralg import spectral as sp
 from floeralg.errors import NotADifferential, ShapeMismatch
-from floeralg.f2linalg import F2Matrix
 
 
 def ring_complex(n=2, NL=2, derivation=True, products=True):
@@ -38,9 +37,9 @@ def test_nu_formula():
     fc = fcx.assemble(morse, 2, {})
     assert fc.nu == 2  # dimL=3, NL=2
     assert sorted(fc.ops) == [0]
-    # op_1 and op_2 tables are accepted at their stated degree shifts
-    fc2 = fcx.assemble(morse, 2, {1: {2: F2Matrix.zeros(1, 1)},
-                                  2: {3: F2Matrix.zeros(1, 1)}})
+    # op_1 and op_2 images are accepted at their stated degree shifts:
+    # op_1(g2) = g1 and op_2(g3) = g0
+    fc2 = fcx.assemble(morse, 2, {1: (0, 0, 0b0010, 0), 2: (0, 0, 0, 0b0001)})
     assert sorted(fc2.ops) == [0, 1, 2]
 
 
@@ -48,15 +47,30 @@ def test_assemble_rejects_wrong_shape():
     gens = [fcx.Generator(f"g{i}", i) for i in range(4)]
     morse = fcx.MorseComplex(gens, 3)
     with pytest.raises(ShapeMismatch):
-        fcx.assemble(morse, 2, {1: {2: F2Matrix.zeros(3, 1)}})
+        fcx.assemble(morse, 2, {1: (0,) * 3})  # one image short
     with pytest.raises(ShapeMismatch):
-        fcx.assemble(morse, 2, {5: {}})  # operator index beyond nu
+        fcx.assemble(morse, 2, {5: (0,) * 4})  # operator index beyond nu
+
+
+@pytest.mark.parametrize("k, images, message", [
+    (0, (0b0100, 0, 0, 0), r"^op_0\(g0\) has entries of wrong degree$"),  # g0 -> g2
+    (0, (0, 0, 0, 0b0001), r"^op_0\(g3\) has entries of wrong degree$"),  # past dimL
+    (1, (0, 0b0010, 0, 0), r"^op_1\(g1\) has entries of wrong degree$"),  # g1 -> g1
+    (2, (0, 0, 0b0001, 0), r"^op_2\(g2\) has entries of wrong degree$"),  # below degree 0
+    (3, (0, 0, 0, 0), r"^operator index 3 outside 0..nu=2$"),
+    (1, (0, 0, 0b0010), r"^op_1 has 3 images for 4 generators$"),
+])
+def test_assemble_rejects_images_outside_their_degree(k, images, message):
+    # dimL 3, NL 2: op_k maps degree m to m + 1 - 2k, and nu = 2
+    morse = fcx.MorseComplex([fcx.Generator(f"g{i}", i) for i in range(4)], 3)
+    with pytest.raises(ShapeMismatch, match=message):
+        fcx.assemble(morse, 2, {k: images})
 
 
 def test_assemble_rejects_broken_differential(t2):
-    bad = {1: dict(t2.ops[1])}
-    m = bad[1][2]
-    bad[1][2] = m + F2Matrix.from_dense([[1], [0]])  # op1(x1x2) += x1
+    bad = {1: list(t2.ops[1])}
+    top, x1 = t2.morse.position_of("x1x2"), t2.morse.position_of("x1")
+    bad[1][top] ^= 1 << x1  # op1(x1x2) += x1
     with pytest.raises(NotADifferential) as err:
         fcx.assemble(t2.morse, 2, bad)
     assert "witness" in str(err.value)
@@ -69,9 +83,9 @@ def test_perfect_morse_t2_reduces_to_op1_squared(t2):
 
 
 def test_check_d_squared_detects_single_bit_corruption(t2):
-    ops = {k: dict(v) for k, v in t2.ops.items() if k >= 1}
-    ops[1][2] = ops[1][2] + F2Matrix.from_dense([[1], [0]])
-    broken = fcx.FloerComplex(t2.morse, 2, {0: t2.ops[0], **ops})
+    op_1 = list(t2.ops[1])
+    op_1[t2.morse.position_of("x1x2")] ^= 1 << t2.morse.position_of("x1")
+    broken = fcx.FloerComplex(t2.morse, 2, {0: t2.ops[0], 1: tuple(op_1)})
     report = fcx.check_d_squared(broken)
     assert not report.ok
     l, witness = report.first_failure
@@ -95,10 +109,9 @@ def test_folded_homology_morse_only():
     # op_0 nonzero, higher zero: folded homology = folded Morse cohomology
     gens = [fcx.Generator("a", 0), fcx.Generator("b", 1), fcx.Generator("c", 1),
             fcx.Generator("d", 2)]
-    boundary = {0: F2Matrix.from_dense([[1], [1]]),
-                1: F2Matrix.from_dense([[1, 1]])}
-    morse = fcx.MorseComplex(gens, 2, boundary)
-    fc = fcx.assemble(morse, 2, {})
+    # op_0(a) = b + c, op_0(b) = op_0(c) = d
+    morse = fcx.MorseComplex(gens, 2)
+    fc = fcx.assemble(morse, 2, {0: (0b0110, 0b1000, 0b1000, 0)})
     # H^0 = ker = 0... over the fold: residue 0 holds degrees {0, 2}
     hf = fcx.folded_homology(fc)
     # Morse cohomology: H^0 = 0 (a maps to b+c), H^1 = ker/im = 1/1... compute:

@@ -1,10 +1,12 @@
-"""Property tests: glued operator families against the block-by-block
-oracles.
+"""Property tests: operator families stored as images over the generator
+order, against the block-by-block oracles.
 
-``MorseComplex.glue`` and ``cut`` are the only map between degree-local
-and global coordinates, and the census conjugation, the d^2 check, the
-folded homology, the paranoid tail system and the page engine's lifts run
-on glued matrices; the oracles in ``oracles.py`` do each block by block.
+Each op_k is stored once, as its images op_k(g), and D as their XOR; the
+census conjugation, the d^2 check, the folded homology, the paranoid tail
+system and the page engine's lifts run on those. ``MorseComplex.glue``
+places per-degree blocks over the generator order and
+``FloerComplex.operator`` cuts a block back out; the oracles in
+``oracles.py`` do each computation block by block.
 """
 
 import random
@@ -61,18 +63,30 @@ def test_d_squared_equals_the_blockwise_check(dims, NL, seed, flips):
     # complexes fail some identity and the witnesses are compared too
     fc, _ = fcx.random_complex_census(seed, dims, NL)
     rng = random.Random(seed)
-    ops = {k: dict(per) for k, per in fc.ops.items()}
+    ops = {k: list(images) for k, images in fc.ops.items()}
     slots = [(k, m) for k in range(fc.nu + 1) for m in range(fc.dimL + 1)
              if 0 <= m + 1 - k * NL <= fc.dimL and dims[m] and dims[m + 1 - k * NL]]
     for _ in range(flips if slots else 0):
         k, m = rng.choice(slots)
         t = m + 1 - k * NL
-        mat = ops.setdefault(k, {}).get(m) or F2Matrix.zeros(dims[t], dims[m])
-        bits = list(mat.bits)
-        bits[rng.randrange(dims[t])] ^= 1 << rng.randrange(dims[m])
-        ops[k][m] = F2Matrix(mat.rows, mat.cols, tuple(bits))
-    bad = fcx.FloerComplex(fc.morse, NL, ops)
+        tgt = fc.morse.degree_positions(t)[rng.randrange(dims[t])]
+        ops[k][fc.morse.degree_positions(m)[rng.randrange(dims[m])]] ^= 1 << tgt
+    bad = fcx.FloerComplex(fc.morse, NL, {k: tuple(v) for k, v in ops.items()})
     assert fcx.check_d_squared(bad) == d_squared_oracle(bad)
+
+
+def cut(morse, matrix, shift):
+    """The nonzero blocks C^m -> C^(m+shift) of an n x n matrix over the
+    generator order, by ascending m; entries outside them are ignored."""
+    out = {}
+    for m in range(morse.dimL + 1):
+        src = morse.degree_positions(m)
+        mask = (1 << len(src)) - 1
+        bits = tuple(matrix.bits[t] >> morse.degree_offset(m) & mask
+                     for t in morse.degree_positions(m + shift))
+        if any(bits):
+            out[m] = F2Matrix(len(bits), len(src), bits)
+    return out
 
 
 @SETTINGS
@@ -89,10 +103,31 @@ def test_cut_undoes_glue(dims, data):
                                       min_size=rows, max_size=rows))
             blocks[m] = F2Matrix(rows, cols, tuple(bits))
     glued = morse.glue(blocks, shift)
-    assert morse.cut(glued, shift) == {m: b for m, b in blocks.items() if not b.is_zero()}
+    assert cut(morse, glued, shift) == {m: b for m, b in blocks.items() if not b.is_zero()}
     # degree m starts after the generators of lower degree, occupied or not
     assert ([morse.degree_offset(m) for m in range(-1, len(dims) + 1)]
             == [sum(dims[:max(m, 0)]) for m in range(-1, len(dims) + 1)])
+
+
+@SETTINGS
+@given(complexes())
+def test_operator_blocks_glue_back_to_the_stored_images(fc):
+    # op_k cut into its blocks and glued again is ops[k]; a k past nu, a
+    # negative k and degrees outside 0..dimL give zero blocks of the shape
+    # (dim C^(m+1-k*NL), dim C^m), zero when either degree is empty
+    morse = fc.morse
+    for k in range(fc.nu + 1):
+        blocks = {m: fc.operator(k, m) for m in range(fc.dimL + 1)}
+        assert morse.glue(blocks, 1 - k * fc.NL).transpose().bits == fc.ops.get(
+            k, (0,) * len(morse.generators))
+    for k in (-1, fc.nu + 1):
+        for m in range(-1, fc.dimL + 2):
+            t = m + 1 - k * fc.NL
+            assert fc.operator(k, m) == F2Matrix.zeros(morse.dim_at(t), morse.dim_at(m))
+    for m in (-1, fc.dimL + 1):
+        for k in range(fc.nu + 1):
+            t = m + 1 - k * fc.NL
+            assert fc.operator(k, m) == F2Matrix.zeros(morse.dim_at(t), 0)
 
 
 @SETTINGS

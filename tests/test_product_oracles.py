@@ -19,7 +19,6 @@ from floeralg import gradedalg as ga
 from floeralg import serialize
 from floeralg import spectral as sp
 from floeralg.errors import LeibnizFailure, LiftFailure
-from floeralg.f2linalg import F2Matrix
 
 
 # -- frozenset chains --------------------------------------------------------
@@ -162,7 +161,7 @@ def corrupted(seed):
     d = rng.choice(ga.enumerate_derivations(ring, -1))
     fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
     morse, NL = fc.morse, fc.NL
-    ops = {k: dict(v) for k, v in fc.ops.items()}
+    ops = {k: list(v) for k, v in fc.ops.items()}
     products = pair_tables(fc)
     target = seed % 3
     if target < 2:
@@ -179,11 +178,10 @@ def corrupted(seed):
                  if 0 <= m + 1 - NL <= morse.dimL and morse.dim_at(m)
                  and morse.dim_at(m + 1 - NL)]
         m = rng.choice(slots)
-        rows, cols = morse.dim_at(m + 1 - NL), morse.dim_at(m)
-        flip = F2Matrix.from_entries(rows, cols, [(rng.randrange(rows), rng.randrange(cols))])
-        ops.setdefault(1, {})
-        ops[1][m] = ops[1].get(m, F2Matrix.zeros(rows, cols)) + flip
-    return fcx.FloerComplex(morse, NL, ops, products), products
+        tgt = morse.degree_positions(m + 1 - NL)[rng.randrange(morse.dim_at(m + 1 - NL))]
+        src = morse.degree_positions(m)[rng.randrange(morse.dim_at(m))]
+        ops.setdefault(1, [0] * len(morse.generators))[src] ^= 1 << tgt
+    return fcx.FloerComplex(morse, NL, {k: tuple(v) for k, v in ops.items()}, products), products
 
 
 CORRUPTION_SEEDS = range(45)

@@ -23,25 +23,23 @@ def corpus(seeds=range(8), dims_list=((1, 2, 2, 1), (2, 2, 2), (1, 3, 3, 1),
 
 
 def all_operator_families(dims, NL):
-    """Every operator family with valid shapes on the given degree pattern."""
+    """Every operator family with valid degree shifts on the given degree
+    pattern, as images over the generator order."""
     dimL = len(dims) - 1
     nu = (dimL + 1) // NL
-    slots = []
+    offset = [sum(dims[:m]) for m in range(dimL + 1)]
+    slots = []  # one per admissible entry: (k, source, target generator)
     for k in range(nu + 1):
         for m in range(dimL + 1):
             t = m + 1 - k * NL
-            if 0 <= t <= dimL and dims[m] and dims[t]:
-                slots.append((k, m, dims[t], dims[m]))
-    total_bits = sum(r * c for _, _, r, c in slots)
-    for assignment in range(1 << total_bits):
+            if 0 <= t <= dimL:
+                slots += [(k, offset[m] + j, offset[t] + i)
+                          for i in range(dims[t]) for j in range(dims[m])]
+    for assignment in range(1 << len(slots)):
         ops = {}
-        off = 0
-        for k, m, r, c in slots:
-            bits = (assignment >> off) & ((1 << (r * c)) - 1)
-            off += r * c
-            entries = [(i, j) for i in range(r) for j in range(c)
-                       if (bits >> (i * c + j)) & 1]
-            ops.setdefault(k, {})[m] = f2.F2Matrix.from_entries(r, c, entries)
+        for bit, (k, src, tgt) in enumerate(slots):
+            images = ops.setdefault(k, [0] * sum(dims))
+            images[src] |= (assignment >> bit & 1) << tgt
         yield ops
 
 
@@ -203,10 +201,9 @@ def test_exhaustive_small_complexes():
     for dims, NL in configs:
         gens = [fcx.Generator(f"c{m}_{i:02d}", m)
                 for m in range(len(dims)) for i in range(dims[m])]
+        morse = fcx.MorseComplex(gens, len(dims) - 1)
         for ops in all_operator_families(dims, NL):
-            boundary = ops.pop(0, {})
             try:
-                morse = fcx.MorseComplex(gens, len(dims) - 1, boundary)
                 fc = fcx.assemble(morse, NL, ops)
             except NotADifferential:
                 continue
@@ -226,9 +223,10 @@ def test_exhaustive_small_complexes():
 
 
 def test_broken_differential_raises_lift_failure(t2):
-    ops = {k: dict(v) for k, v in t2.ops.items()}
-    ops[1][2] = ops[1][2] + f2.F2Matrix.from_dense([[1], [0]])
-    broken = fcx.FloerComplex(t2.morse, 2, ops)  # bypasses assemble validation
+    op_1 = list(t2.ops[1])
+    op_1[t2.morse.position_of("x1x2")] ^= 1 << t2.morse.position_of("x1")
+    # bypasses assemble validation
+    broken = fcx.FloerComplex(t2.morse, 2, {0: t2.ops[0], 1: tuple(op_1)})
     with pytest.raises(LiftFailure):
         sp.run_to_collapse(broken)
 
@@ -380,7 +378,7 @@ def test_census_page_dumps_match_the_pinned_hash():
 @pytest.mark.parametrize("dimL", [200, 1000])
 def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, dimL):
     # empty degrees cost nothing, so the work follows the pages, not dimL;
-    # the folded oracle reads the glued D and eliminates once per occupied
+    # the folded oracle reads D and eliminates once per occupied
     # residue, with no per-degree operator block
     fc = fcx.assemble(fcx.MorseComplex([fcx.Generator("x", 0)], dimL), 2, {})
     calls = operator_calls = 0
