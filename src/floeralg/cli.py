@@ -312,8 +312,8 @@ def cmd_corpus(seed, count, dims, nl, out, paranoid, fmt):
         census_ok = {v.residue: v.folded for v in conv.residues} == expected
         dims1, deltas1 = spectral.e1_oracle(fc)
         page1 = collapse.pages[1]
-        e1_ok = all(page1.dim(m) == dims1[m] and page1.delta_matrix(m) == deltas1[m]
-                    for m in range(fc.dimL + 1))
+        e1_ok = (all(page1.dim(m) == dims1[m] for m in range(fc.dimL + 1))
+                 and all(cols == deltas1[m] for m, cols in page1.delta.items()))
         items.append({
             "seed": item_seed,
             "file": os.path.basename(path),

@@ -87,9 +87,5 @@ class DegenerateFrame(InputError):
     """Frame is rank-deficient or orthonormalization failed to converge."""
 
 
-class BasepointMismatch(InputError):
-    """Loops to concatenate are not based at the same subspace."""
-
-
 class InsufficientSampling(FloeralgError):
     """Consecutive loop samples are too far apart for a trustworthy winding."""

@@ -302,15 +302,16 @@ def check_d_squared(fc: FloerComplex) -> IdentityReport:
     of degree m, its part in degree m + 2 - l*NL fixes l and, for each split
     i + j = l, the middle degree m + 1 - j*NL; so it is the sum over i + j = l
     of op_i op_j (g). The witness is the first such g in the generator order:
-    the first nonzero column of the lowest failing degree.
+    the first nonzero column of the lowest failing degree. The nonzero
+    columns are picked out once, so a valid complex costs no scan per l.
     """
     images = fc.differential_images
-    square = [f2linalg._combine(images, image) for image in images]
+    square = (f2linalg._combine(images, image) for image in images)
+    nonzero = [(g, col) for g, col in zip(fc.morse.generators, square) if col]
     entries = []
     for l in range(2 * fc.nu + 1):
-        witness = next((g.name for g, col in zip(fc.morse.generators, square)
-                        if col and col & fc.morse.degree_mask(g.index + 2 - l * fc.NL)),
-                       None)
+        witness = next((g.name for g, col in nonzero
+                        if col & fc.morse.degree_mask(g.index + 2 - l * fc.NL)), None)
         entries.append(IdentityEntry(l, witness is None, witness))
     return IdentityReport(tuple(entries))
 

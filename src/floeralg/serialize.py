@@ -296,7 +296,7 @@ def complex_from_dict(data: dict) -> FloerComplex:
             continue
         if k > nu:
             # no entry fits, and 1 - k * NL may be too long to print
-            raise ShapeMismatch(f"operator index {k} outside 1..nu={nu}")
+            raise ShapeMismatch(f"operator index {k} outside 0..nu={nu}")
         images = [0] * n
         for row, col in entries:
             if row >= n or col >= n:

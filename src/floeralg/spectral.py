@@ -19,11 +19,12 @@ of D*lift (D = sum_k op_k, ``FloerComplex.differential_images``) in degree
 m + 1 - s*NL is equation s for s < r and o_r for s = r; the engine reads
 no operator block. A page stores only the degrees with C^m nonzero, each
 as its two nested reduced echelon bases, of Z and of B, with the lift and
-obstruction of every Z row and the antecedent chain of every B row. The
-page differential reads the stored obstructions of the representative
-rows; all three are linear, so the next page turn combines the stored
-ones and reads coordinates off pivot bits; the paranoid second lift
-recomputes them from perturbed lifts.
+obstruction of every Z row and the antecedent chain of every B row, and
+the page stores the class of every obstruction, computed once; the page
+differential is those of the representative rows, kept as its columns.
+All are linear, so the next page turn takes its coefficient kernel from
+the classes, combines the stored vectors and reads coordinates off pivot
+bits; the paranoid second lift recomputes classes from perturbed lifts.
 
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
@@ -51,7 +52,8 @@ class PageDegree:
     """One degree of page r, stored only if C^m is nonzero: the echelon
     bases of Z_r(m) and B_r(m) are ``quotient.sup`` and ``quotient.sub``.
     ``lifts[i]`` is the lift of ``quotient.sup.basis[i]`` and ``obs[i]`` its
-    page-r obstruction; ``b_chains[i]`` is the antecedent chain of
+    page-r obstruction, whose class the page stores in
+    ``SpectralPage.classes``; ``b_chains[i]`` is the antecedent chain of
     ``quotient.sub.basis[i]``. So ``quotient.sup.coords`` and
     ``quotient.sub.coords`` read the coefficients that combine them."""
     lifts: tuple[int, ...]
@@ -62,9 +64,16 @@ class PageDegree:
 
 @dataclass(frozen=True)
 class SpectralPage:
+    """Page r: ``data`` holds the stored degrees. For a stored degree m with
+    target t = m + 1 - r*NL, ``classes[m][i]`` is the page-r class of
+    ``data[m].obs[i]``, coordinates over ``reps(t)`` (0 if t is not stored),
+    and ``delta[m]`` is delta_r at m kept as its columns: an F2Matrix whose
+    row j is the class of the obstruction of ``reps(m)[j]``. ``delta_matrix``
+    transposes it to the dim(t) x dim(m) matrix of delta_r."""
     fc: FloerComplex
     r: int
     data: dict[int, PageDegree]
+    classes: dict[int, tuple[int, ...]]
     delta: dict[int, F2Matrix]
     product: Optional[dict[tuple[int, int], list[list[int]]]] = None
 
@@ -79,7 +88,7 @@ class SpectralPage:
 
     def delta_matrix(self, m: int) -> F2Matrix:
         if m in self.delta:
-            return self.delta[m]
+            return self.delta[m].transpose()
         t = m + 1 - self.r * self.fc.NL
         return F2Matrix.zeros(self.dim(t), self.dim(m))
 
@@ -90,10 +99,6 @@ class SpectralPage:
 
     def is_collapsed(self) -> bool:
         return all(mat.is_zero() for mat in self.delta.values())
-
-
-def _column_matrix(cols: list[int], ambient: int) -> F2Matrix:
-    return F2Matrix.from_row_ints(cols, ambient).transpose()
 
 
 def _degree_part(fc: FloerComplex, chain: int, t: int) -> int:
@@ -152,49 +157,47 @@ def page0(fc: FloerComplex) -> SpectralPage:
             quot = f2linalg.quotient_map(Subspace.zero(n), Subspace.full(n))
             obs = tuple(_obstruction(fc, 0, m, lift) for lift in lifts)
             data[m] = PageDegree(lifts, (), quot, obs)
-    delta = _compute_delta(fc, 0, data)
-    return SpectralPage(fc, 0, data, delta)
+    return SpectralPage(fc, 0, data, *_classify(fc, 0, data))
 
 
-def _compute_delta(fc: FloerComplex, r: int, data: dict[int, PageDegree]
-                   ) -> dict[int, F2Matrix]:
-    """delta_r on every stored degree, from the stored obstructions.
+def _classify(fc: FloerComplex, r: int, data: dict[int, PageDegree]
+              ) -> tuple[dict[int, tuple[int, ...]], dict[int, F2Matrix]]:
+    """The page-r class of every stored obstruction, and delta_r from them.
 
     The obstruction o_r(x; y_1..y_(r-1)) = sum_{k=1..r} op_k y_(r-k) (op_0 x
-    for r = 0) of Z row i is ``deg.obs[i]``. The representatives are the
-    rows of ``deg.quotient.sup`` whose pivot is not a pivot of B, in order
-    (``f2linalg.quotient_map``), so the obstructions of those rows are the
-    columns, read with no coordinates. A target degree not stored is the
-    zero space, where every obstruction vanishes.
+    for r = 0) of Z row i is ``deg.obs[i]``; its class is its coordinates in
+    the target quotient. A target degree not stored is the zero space,
+    where every obstruction vanishes and every class is 0. The
+    representatives are the rows of ``deg.quotient.sup`` whose pivot is not
+    a pivot of B, in order (``f2linalg.quotient_map``), so the classes of
+    those rows are the columns of delta_r, kept as the rows of ``delta[m]``.
     """
+    classes: dict[int, tuple[int, ...]] = {}
     delta: dict[int, F2Matrix] = {}
     for m, deg in data.items():
         tgt = data.get(m + 1 - r * fc.NL)
+        if tgt is None and any(deg.obs):
+            raise LiftFailure(f"page {r} differential escapes the grading "
+                              f"range at degree {m}")
+        try:
+            classes[m] = (tuple(map(tgt.quotient.coords, deg.obs)) if tgt
+                          else (0,) * len(deg.obs))
+        except ValueError as exc:
+            raise LiftFailure(f"page {r} obstruction at degree {m} leaves "
+                              f"the cycle space") from exc
         b_pivots = deg.quotient.sub._pivot_mask
-        cols = []
-        for z, obs in zip(deg.quotient.sup.basis, deg.obs):
-            if z & -z & b_pivots:
-                continue
-            if tgt is None:
-                if obs:
-                    raise LiftFailure(f"page {r} differential escapes the grading "
-                                      f"range at degree {m}")
-                cols.append(0)
-            else:
-                try:
-                    cols.append(tgt.quotient.coords(obs))
-                except ValueError as exc:
-                    raise LiftFailure(f"page {r} obstruction at degree {m} leaves "
-                                      f"the cycle space") from exc
-        delta[m] = _column_matrix(cols, tgt.quotient.dim if tgt else 0)
+        cols = [c for z, c in zip(deg.quotient.sup.basis, classes[m])
+                if not z & -z & b_pivots]
+        delta[m] = F2Matrix.from_row_ints(cols, tgt.quotient.dim if tgt else 0)
     _assert_delta_squares(fc, r, delta)
-    return delta
+    return classes, delta
 
 
 def _assert_delta_squares(fc: FloerComplex, r: int, delta: dict[int, F2Matrix]) -> None:
+    """delta_t delta_m = 0: as columns, the rows of ``delta[m] @ delta[t]``."""
     for m, mat in delta.items():
         t = m + 1 - r * fc.NL
-        if t in delta and not (delta[t] @ mat).is_zero():
+        if t in delta and not (mat @ delta[t]).is_zero():
             raise LiftFailure(f"page {r} differential does not square to zero "
                               f"at degree {m}")
 
@@ -218,7 +221,7 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
             continue
         freedom = _tail_freedom(fc, m, max(r - 1, 0))
         above = fc.morse.degree_offset(t + 1)
-        expected_cols = delta[m].transpose().bits
+        expected_cols = delta[m].bits
         b0 = next(iter(deg.quotient.sub.basis), 0)
         for idx, q in enumerate(deg.quotient.reps.basis):
             lift = f2linalg._combine(deg.lifts, _z_coords(deg, q ^ b0)) ^ freedom
@@ -240,12 +243,12 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
 
     Only stored degrees are visited: a zero space has only the zero vector,
     so nothing lifts from it and an obstruction landing in it vanishes. The
-    coefficient map sends Z row i to the class of ``obs[i]``; its kernel is
-    the left kernel of the matrix with those classes as rows, read off that
-    matrix's own elimination with no transpose. The new Z vectors
-    sum_i c_i z_i, over the rows c of that reduced echelon kernel basis,
-    are reduced echelon: so are the z_i, pivots p_i, and sum c_i z_i has
-    lowest bit p_i for the least i in c and bit c_j at p_j;
+    coefficient map sends Z row i to its stored class ``page.classes[m][i]``;
+    its kernel is the left kernel of the matrix with those classes as rows,
+    read off that matrix's own elimination with no transpose. The new Z
+    vectors sum_i c_i z_i, over the rows c of that reduced echelon kernel
+    basis, are reduced echelon: so are the z_i, pivots p_i, and sum c_i z_i
+    has lowest bit p_i for the least i in c and bit c_j at p_j;
     ``from_vectors`` must give them back unchanged. The zig-zag equations
     and the obstruction are linear in the lift, so each combined lift is a
     valid lift; representatives and delta_(r+1) depend only on Z_(r+1) and
@@ -277,19 +280,10 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         tgt = page.data.get(m + 1 - r * N)
 
         if tgt is None:
-            if any(deg.obs):
-                raise LiftFailure(f"obstruction escapes the grading range at "
-                                  f"degree {m}")
             coeff_kernel = Subspace.full(len(deg.lifts))
         else:
-            cols = []
-            for o in deg.obs:
-                try:
-                    cols.append(tgt.quotient.coords(o))
-                except ValueError as exc:
-                    raise LiftFailure(f"page {r} obstruction at degree {m} "
-                                      f"leaves the cycle space") from exc
-            coeff_kernel = f2linalg.left_kernel(F2Matrix.from_row_ints(cols, tgt.quotient.dim))
+            coeff_kernel = f2linalg.left_kernel(
+                F2Matrix.from_row_ints(page.classes[m], tgt.quotient.dim))
 
         lifts = []
         for combo in coeff_kernel.basis:
@@ -342,10 +336,10 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         obs = tuple(_obstruction(fc, r + 1, m, lift) for lift in lifts)
         new_data[m] = PageDegree(tuple(lifts), tuple(v >> m_dim for v in rows), quot, obs)
 
-    delta = _compute_delta(fc, r + 1, new_data)
+    classes, delta = _classify(fc, r + 1, new_data)
     if paranoid:
         _second_lift_check(fc, r + 1, new_data, delta)
-    return SpectralPage(fc, r + 1, new_data, delta)
+    return SpectralPage(fc, r + 1, new_data, classes, delta)
 
 
 @dataclass(frozen=True)
@@ -464,9 +458,10 @@ def check_convergence(collapse: CollapseResult) -> ConvergenceReport:
 def e1_oracle(fc: FloerComplex) -> tuple[dict[int, int], dict[int, F2Matrix]]:
     """Independent E_1 data from raw kernels and images of op_0 and op_1.
 
-    Returns the cohomology dimension of (C, op_0) per degree and the matrix
-    of the map induced by op_1 in the canonical echelon coset bases. Built
-    from f2linalg primitives only, bypassing the page engine.
+    Returns the cohomology dimension of (C, op_0) per degree and the map
+    induced by op_1 in the canonical echelon coset bases, kept as its
+    columns like ``SpectralPage.delta``. Built from f2linalg primitives
+    only, bypassing the page engine.
     """
     quots: dict[int, QuotientMap] = {}
     for m in range(fc.dimL + 1):
@@ -481,7 +476,7 @@ def e1_oracle(fc: FloerComplex) -> tuple[dict[int, int], dict[int, F2Matrix]]:
         tdim = dims.get(t, 0)
         op1 = fc.operator(1, m)
         cols = [quots[t].coords(op1.mul_vec(q)) if tdim else 0 for q in quots[m].reps.basis]
-        deltas[m] = _column_matrix(cols, tdim)
+        deltas[m] = F2Matrix.from_row_ints(cols, tdim)
     return dims, deltas
 
 
@@ -571,8 +566,8 @@ def _page_leibniz(page: SpectralPage, fc: FloerComplex, tables) -> None:
     """delta_r(ab) = delta_r(a) b + a delta_r(b) on all basis pairs."""
     r = page.r
     N = fc.NL
-    # delta_r of each basis class, once per degree
-    d_of = {m: page.delta_matrix(m).transpose().bits for m in range(fc.dimL + 1)}
+    # delta_r of each basis class: the columns, as stored
+    d_of = {m: mat.bits for m, mat in page.delta.items()}
 
     def classes_product(m1: int, c1: int, m2: int, c2: int) -> int:
         table = tables.get((m1, m2))
@@ -589,7 +584,7 @@ def _page_leibniz(page: SpectralPage, fc: FloerComplex, tables) -> None:
             continue
         for i, da in enumerate(d_of[m1]):
             for j, db in enumerate(d_of[m2]):
-                lhs = f2linalg._combine(d_of[mt], table[i][j])
+                lhs = f2linalg._combine(d_of.get(mt, ()), table[i][j])
                 t1 = classes_product(m1 + 1 - r * N, da, m2, 1 << j)
                 t2 = classes_product(m1, 1 << i, m2 + 1 - r * N, db)
                 if lhs != t1 ^ t2:

@@ -12,7 +12,11 @@ import math
 import numpy as np
 
 from floeralg import maslov as mv
-from floeralg.errors import BasepointMismatch
+from floeralg.errors import InputError
+
+
+class BasepointMismatch(InputError):
+    """Loops to concatenate are not based at the same subspace."""
 
 
 def det_squared(frame):

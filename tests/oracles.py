@@ -28,6 +28,11 @@ from floeralg.errors import LiftFailure
 from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
 
 
+def column_matrix(cols, ambient):
+    """The matrix whose columns are the ints ``cols``, each over ``ambient`` rows."""
+    return F2Matrix.from_row_ints(cols, ambient).transpose()
+
+
 def rref_oracle(row_ints, cols, pivot_limit=None):
     """Reduced row echelon form on int-packed rows.
 
@@ -159,11 +164,22 @@ def check_leibniz_all_pairs(d):
 def z_coords_oracle(deg, vec):
     """Coordinates of a vector of the Z-span in ``deg.quotient.sup``, solved
     against the Z vectors as the columns of a matrix."""
-    z_matrix = sp._column_matrix(list(deg.quotient.sup.basis),
-                                 deg.quotient.sup.ambient_dim)
+    z_matrix = column_matrix(list(deg.quotient.sup.basis),
+                             deg.quotient.sup.ambient_dim)
     coeff = f2.solve_many(z_matrix, [vec])[0]
     assert coeff is not None
     return coeff
+
+
+def class_oracle(deg, vec):
+    """Page-class coordinates of a vector of the Z-span of ``deg``: solved
+    against the representatives and the B basis as the columns of one
+    matrix, the coefficients of the representatives."""
+    quot = deg.quotient
+    basis = quot.reps.basis + quot.sub.basis
+    coeff = solve_oracle(column_matrix(list(basis), quot.sup.ambient_dim), vec)
+    assert coeff is not None
+    return coeff & ((1 << quot.dim) - 1)
 
 
 def lift_slots(fc, r, m, lift):
@@ -198,7 +214,7 @@ def delta_oracle(fc, r, data):
             obs = obstruction_oracle(fc, r, m, vec, tail)
             assert tgt or not obs
             cols.append(tgt.quotient.coords(obs) if tgt else 0)
-        delta[m] = sp._column_matrix(cols, tgt.quotient.dim if tgt else 0)
+        delta[m] = column_matrix(cols, tgt.quotient.dim if tgt else 0)
     return delta
 
 
@@ -422,8 +438,8 @@ class SlotDegree:
 
     @cached_property
     def b_matrix(self):
-        return sp._column_matrix([b.vec for b in self.b_span],
-                                 self.quotient.sup.ambient_dim)
+        return column_matrix([b.vec for b in self.b_span],
+                             self.quotient.sup.ambient_dim)
 
 
 def obstruction_oracle(fc, r, m, vec, tail):
@@ -449,13 +465,13 @@ def slot_page0(fc):
             quot = f2.quotient_map(Subspace.zero(n), Subspace.full(n))
             obs = tuple(obstruction_oracle(fc, 0, m, g.vec, g.tail) for g in z)
             data[m] = SlotDegree(z, (), quot, obs)
-    return sp.SpectralPage(fc, 0, data, sp._compute_delta(fc, 0, data))
+    return sp.SpectralPage(fc, 0, data, *sp._classify(fc, 0, data))
 
 
 def slot_turn_page(page):
     """The page turn with tuple tails and chains, one slot per degree; the
-    delta of each page is ``spectral._compute_delta`` of its obstructions,
-    and there is no second lift."""
+    classes and delta of each page are ``spectral._classify`` of its
+    obstructions, and there is no second lift."""
     fc = page.fc
     r = page.r
     N = fc.NL
@@ -471,7 +487,7 @@ def slot_turn_page(page):
             coeff_kernel = Subspace.full(len(deg.z_basis))
         else:
             cols = [tgt.quotient.coords(o) for o in deg.obs]
-            coeff_kernel = f2.kernel(sp._column_matrix(cols, tgt.quotient.dim))
+            coeff_kernel = f2.kernel(column_matrix(cols, tgt.quotient.dim))
 
         z_vecs = [g.vec for g in deg.z_basis]
         z_tails = list(zip(*(g.tail for g in deg.z_basis)))
@@ -515,7 +531,7 @@ def slot_turn_page(page):
         obs = tuple(obstruction_oracle(fc, r + 1, m, g.vec, g.tail) for g in new_z)
         new_data[m] = SlotDegree(tuple(new_z), tuple(kept), quot, obs)
 
-    return sp.SpectralPage(fc, r + 1, new_data, sp._compute_delta(fc, r + 1, new_data))
+    return sp.SpectralPage(fc, r + 1, new_data, *sp._classify(fc, r + 1, new_data))
 
 
 def slot_pages(fc):

@@ -199,7 +199,7 @@ def test_operator_key_beyond_nu_exits_2_before_its_shift_is_printed(tmp_path):
     path.write_text(json.dumps(data))
     r = CliRunner().invoke(main, ["ss", "run", str(path)])
     assert (r.exit_code, r.stdout) == (2, "")
-    assert r.stderr == f"error: operator index {'9' * 4300} outside 1..nu=1\n"
+    assert r.stderr == f"error: operator index {'9' * 4300} outside 0..nu=1\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -92,6 +92,37 @@ def test_check_d_squared_detects_single_bit_corruption(t2):
     assert witness is not None
 
 
+def test_check_d_squared_picks_out_nonzero_columns_once(monkeypatch):
+    # a valid complex at the generator cap with nu = 500: D^2 has no nonzero
+    # column, so none of the 1,001 identities reads a degree mask or walks
+    # the generators again
+    gens = [fcx.Generator(f"x{m:03d}_{i}", m) for m in range(1000) for i in range(10)]
+    morse = fcx.MorseComplex(gens, 999)
+    # op_0 sends each generator of even degree to its twin one degree up
+    fc = fcx.assemble(morse, 2, {0: tuple(1 << (g + 10) if g // 10 % 2 == 0 else 0
+                                          for g in range(len(gens)))})
+    walks = mask_calls = 0
+
+    class CountingTuple(tuple):
+        def __iter__(self):
+            nonlocal walks
+            walks += 1
+            return super().__iter__()
+
+    degree_mask = fcx.MorseComplex.degree_mask
+
+    def counting_mask(*args):
+        nonlocal mask_calls
+        mask_calls += 1
+        return degree_mask(*args)
+
+    monkeypatch.setattr(fcx.MorseComplex, "degree_mask", counting_mask)
+    monkeypatch.setattr(morse, "generators", CountingTuple(morse.generators))
+    report = fcx.check_d_squared(fc)
+    assert fc.nu == 500 and report.ok and len(report.entries) == 1001
+    assert (mask_calls, walks) == (0, 1)
+
+
 # -- folded homology -------------------------------------------------------------
 
 

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from floeralg import maslov as mv
-from floeralg.errors import (
-    BasepointMismatch,
-    DegenerateFrame,
-    InsufficientSampling,
-    NotLagrangian,
-)
+from floeralg.errors import DegenerateFrame, InsufficientSampling, NotLagrangian
 
 
 def random_real_invertible(rng, n):
@@ -263,7 +258,7 @@ def test_basepoint_mismatch_detected():
     a = loops.rotating_loop(2, 64)
     c = loops.rotating_loop(2, 64, factor=1)
     shifted = mv.LagrangianLoop(2, c.samples[16:] + c.samples[:16])
-    with pytest.raises(BasepointMismatch):
+    with pytest.raises(loops.BasepointMismatch):
         loops.concatenate(a, shifted)
 
 

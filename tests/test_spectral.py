@@ -163,7 +163,7 @@ def test_e1_identification_on_corpus():
         dims1, deltas1 = sp.e1_oracle(fc)
         for m in range(fc.dimL + 1):
             assert page1.dim(m) == dims1[m]
-            assert page1.delta_matrix(m) == deltas1[m]
+            assert page1.delta_matrix(m) == deltas1[m].transpose()
 
 
 def test_window_oracle_matches_folded_on_corpus():
@@ -214,7 +214,7 @@ def test_exhaustive_small_complexes():
             page1 = res.pages[1]
             for m in range(fc.dimL + 1):
                 assert page1.dim(m) == dims1[m]
-                assert page1.delta_matrix(m) == deltas1[m]
+                assert page1.delta_matrix(m) == deltas1[m].transpose()
             valid += 1
     assert valid > 100  # the sweep is not vacuous
 
@@ -375,6 +375,40 @@ def test_census_page_dumps_match_the_pinned_hash():
     assert digest.hexdigest() == PAGE_DUMP_SHA256
 
 
+def test_each_obstruction_is_classified_once_per_page(monkeypatch):
+    # each page classifies every Z-row obstruction of a degree whose target
+    # is stored once, when it is built; the next page turn reads those
+    # classes and makes no class read of its own
+    counts = {"classify": 0, "elsewhere": 0}
+    inside = False
+    coords = f2.QuotientMap.coords
+    classify = sp._classify
+
+    def counting_coords(self, v):
+        counts["classify" if inside else "elsewhere"] += 1
+        return coords(self, v)
+
+    def flagged_classify(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return classify(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(f2.QuotientMap, "coords", counting_coords)
+    monkeypatch.setattr(sp, "_classify", flagged_classify)
+    expected = 0
+    for pattern in CENSUS_PATTERNS:
+        dims = [int(d) for d in pattern.split(",")]
+        for NL in range(2, 8):
+            fc, _ = fcx.random_complex_census(0, dims, NL)
+            for page in sp.run_to_collapse(fc, paranoid=False).pages:
+                expected += sum(len(deg.obs) for m, deg in page.data.items()
+                                if m + 1 - page.r * NL in page.data)
+    assert counts == {"classify": expected, "elsewhere": 0}
+
+
 @pytest.mark.parametrize("dimL", [200, 1000])
 def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, dimL):
     # empty degrees cost nothing, so the work follows the pages, not dimL;
@@ -411,7 +445,8 @@ def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, di
 def test_chain_complex_costs_a_few_eliminations_per_degree_visit(monkeypatch):
     # one generator per degree: each stored degree of each page reads its
     # coset representatives and coefficient kernel without an elimination
-    # or a transpose of their own
+    # of their own, and delta_r is kept and read as its columns, with no
+    # transpose at all
     dimL = 200
     fc = fcx.assemble(fcx.MorseComplex(
         [fcx.Generator(f"x{i}", i) for i in range(dimL + 1)], dimL), 2, {})
@@ -434,4 +469,4 @@ def test_chain_complex_costs_a_few_eliminations_per_degree_visit(monkeypatch):
     visits = sum(len(page.data) for page in collapse.pages)
     assert visits == (dimL + 1) * len(collapse.pages)
     assert counts["rref"] <= 3 * visits
-    assert counts["transpose"] <= 2 * visits
+    assert counts["transpose"] == 0

@@ -12,15 +12,15 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (basis_mul, delta_oracle, lift_slots, obstruction_oracle,
-                     slots_chain, z_coords_oracle)
+from oracles import (basis_mul, class_oracle, delta_oracle, lift_slots,
+                     obstruction_oracle, slots_chain, z_coords_oracle)
 
 from floeralg import f2linalg
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
 from floeralg import spectral as sp
 from floeralg.errors import LiftFailure
-from floeralg.f2linalg import Subspace
+from floeralg.f2linalg import F2Matrix, Subspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -170,6 +170,28 @@ def test_stored_obstructions_and_delta_match_the_oracle_on_census():
         assert_obs_and_delta_match_the_oracle(fc)
 
 
+@SETTINGS
+@given(st.one_of(census_complexes().map(lambda census: census[0]),
+                 ring_complexes().map(lambda ring_fc: ring_fc[1])))
+def test_stored_classes_match_the_oracle_and_give_delta(fc):
+    # each Z row's class is its obstruction's class in the target page (0
+    # where the target is not stored), and delta_r's columns are the class
+    # rows of the representatives
+    for page in sp.run_to_collapse(fc).pages:
+        for m, deg in page.data.items():
+            t = m + 1 - page.r * fc.NL
+            tgt = page.data.get(t)
+            assert page.classes[m] == tuple(class_oracle(tgt, o) if tgt else 0
+                                            for o in deg.obs)
+            rows = []
+            for q in page.reps(m):
+                c = z_coords_oracle(deg, q)
+                assert c & (c - 1) == 0  # a representative is one Z row
+                rows.append(c.bit_length() - 1)
+            assert page.delta[m] == F2Matrix.from_row_ints(
+                [page.classes[m][i] for i in rows], page.dim(t))
+
+
 def corruptions(fc):
     """(page, degree, data with one obstruction moved by a nonzero target class)."""
     for page in sp.run_to_collapse(fc).pages:
@@ -194,7 +216,7 @@ def test_corrupted_obstruction_fails_the_second_lift(monkeypatch):
     seen = 0
     for fc in fixed_census():
         for page, m, data in corruptions(fc):
-            delta = sp._compute_delta(fc, page.r, data)
+            delta = sp._classify(fc, page.r, data)[1]
             assert delta[m] != page.delta[m]
             with pytest.raises(LiftFailure, match="depends on the lift"):
                 sp._second_lift_check(fc, page.r, data, delta)
@@ -239,7 +261,7 @@ def test_corrupted_lift_fails_the_second_lift():
     for fc in (fcx.random_complex_census(seed, dims, NL)[0]
                for seed in range(10) for dims, NL in shapes):
         for page, m, data in lift_corruptions(fc):
-            assert sp._compute_delta(fc, page.r, data) == page.delta
+            assert sp._classify(fc, page.r, data)[1] == page.delta
             with pytest.raises(LiftFailure, match="breaks the zig-zag equations"):
                 sp._second_lift_check(fc, page.r, data, page.delta)
             seen += 1
