@@ -10,14 +10,16 @@ feed the product-Leibniz check and the induced page products of
 :mod:`floeralg.spectral`.
 
 Chains are int bitmasks: bit g is generator g of the global order, which
-sorts by (index, name), so each Morse degree is a contiguous run. Each op_k
-is stored once, as its images op_k(g), one chain per generator, and so is
-D = sum_k op_k, their XOR (``differential_images``); ``d2_report``, the
-folded homology, the product-Leibniz check and the page engine of
-:mod:`floeralg.spectral` read those. ``operator`` cuts a per-degree block
-of op_k on demand, for the window and E_1 oracles only, and
-``MorseComplex.glue`` places per-degree blocks over the generator order,
-for the census change of basis. Each m_l is stored once, as bitmask rows.
+sorts by (index, name), so each Morse degree is a contiguous run, located
+by one prefix table of degree starts in ``MorseComplex``; every cut of a
+chain to one degree is ``MorseComplex.part``. Each op_k is stored once, as
+its images op_k(g), one chain per generator, and so is D = sum_k op_k,
+their XOR (``differential_images``); ``d2_report``, the folded homology,
+the product-Leibniz check and the page engine of :mod:`floeralg.spectral`
+read those. ``operator`` cuts a per-degree block of op_k on demand, for the
+window and E_1 oracles only, and ``MorseComplex.glue`` places per-degree
+blocks over the generator order, for the census change of basis. Each m_l
+is stored once, as bitmask rows.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -26,9 +28,9 @@ nothing here counts holomorphic objects.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import xor
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -58,10 +60,14 @@ class MorseComplex:
 
     Generators are kept in canonical order, sorted by (index, name), so
     each degree's generators are contiguous: coordinate i of degree m is
-    generator ``degree_offset(m) + i``. This class alone knows that layout.
-    A map shifting Morse degree by ``shift`` is a family of blocks
-    C^m -> C^(m+shift); ``glue`` places them in one n x n matrix over the
-    generator order.
+    generator ``degree_offset(m) + i``. This class alone knows that layout,
+    as one prefix table ``_starts``: ``_starts[m]`` is the position where
+    degree m starts, for m = 0..dimL + 1, built in one counting pass. Every
+    lookup is one range test and an index into it, so any degree, negative
+    or past dimL, may be asked for and is empty there. ``part`` cuts a
+    chain down to one degree. A map shifting Morse degree by ``shift`` is a
+    family of blocks C^m -> C^(m+shift); ``glue`` places them in one n x n
+    matrix over the generator order.
     """
 
     def __init__(self, generators: Sequence[Generator], dimL: int):
@@ -76,28 +82,36 @@ class MorseComplex:
             raise ShapeMismatch("duplicate generator names")
         if any(not (0 <= g.index <= dimL) for g in self.generators):
             raise ShapeMismatch("generator index outside [0, dimL]")
-        self._by_degree: dict[int, tuple[int, ...]] = {}
-        for pos, g in enumerate(self.generators):
-            self._by_degree[g.index] = self._by_degree.get(g.index, ()) + (pos,)
-
-    def dim_at(self, m: int) -> int:
-        return len(self._by_degree.get(m, ()))
-
-    def dims(self) -> list[int]:
-        return [self.dim_at(m) for m in range(self.dimL + 1)]
-
-    def degree_positions(self, m: int) -> tuple[int, ...]:
-        return self._by_degree.get(m, ())
+        counts = [0] * (dimL + 2)
+        for g in self.generators:
+            counts[g.index + 1] += 1
+        self._starts = list(accumulate(counts))
 
     def degree_offset(self, m: int) -> int:
         """Number of generators of degree below m: the position where degree
-        m starts, occupied or not."""
-        pos = self._by_degree.get(m)
-        return pos[0] if pos else bisect_left(self.generators, m, key=lambda g: g.index)
+        m starts, occupied or not (0 below degree 0, n above dimL)."""
+        if 0 <= m <= self.dimL:
+            return self._starts[m]
+        return 0 if m < 0 else self._starts[-1]
+
+    def dim_at(self, m: int) -> int:
+        return self._starts[m + 1] - self._starts[m] if 0 <= m <= self.dimL else 0
+
+    def degree_positions(self, m: int) -> range:
+        return range(self._starts[m], self._starts[m + 1]) if 0 <= m <= self.dimL else range(0)
 
     def degree_mask(self, m: int) -> int:
         """Chain bitmask of every generator of Morse degree m."""
-        return ((1 << self.dim_at(m)) - 1) << self.degree_offset(m)
+        if not 0 <= m <= self.dimL:
+            return 0
+        return (1 << self._starts[m + 1]) - (1 << self._starts[m])
+
+    def part(self, chain: int, m: int) -> int:
+        """Degree-local vector of the part of a chain in degree m (0 if C^m is zero)."""
+        if not 0 <= m <= self.dimL:
+            return 0
+        lo, hi = self._starts[m], self._starts[m + 1]
+        return chain >> lo & ((1 << (hi - lo)) - 1)
 
     def position_of(self, name: str) -> int:
         for pos, g in enumerate(self.generators):
@@ -150,11 +164,10 @@ class FloerComplex:
         """Block of op_k on C^m, cut from ``ops[k]``; a zero block of shape
         (dim C^(m+1-k*NL), dim C^m) when op_k is absent or out of range."""
         t = m + 1 - k * self.NL
-        rows, off = self.morse.dim_at(t), self.morse.degree_offset(t)
         images, positions = self.ops.get(k), self.morse.degree_positions(m)
-        mask = (1 << rows) - 1
-        cols = [images[g] >> off & mask for g in positions] if images else [0] * len(positions)
-        return F2Matrix.from_row_ints(cols, rows).transpose()
+        cols = ([self.morse.part(images[g], t) for g in positions] if images
+                else [0] * len(positions))
+        return F2Matrix.from_row_ints(cols, self.morse.dim_at(t)).transpose()
 
     # -- chains ------------------------------------------------------------
 
@@ -198,14 +211,8 @@ class FloerComplex:
         out = 0
         for x in f2linalg._bits_of(v1 << self.morse.degree_offset(m1)):
             out ^= f2linalg._combine(rows[x], b)
-        mt = m1 + m2
-        if mt > self.dimL:
-            return None if out else 0
-        off = self.morse.degree_offset(mt)
-        vec = out >> off
-        if vec << off != out or vec >> self.morse.dim_at(mt):
-            return None
-        return vec
+        vec = self.morse.part(out, m1 + m2)
+        return vec if vec << self.morse.degree_offset(m1 + m2) == out else None
 
 
 def _bitmask_rows(n: int, table: Mapping[tuple[int, int], Iterable[int]]

@@ -75,14 +75,14 @@ class GradedRing:
         self.label = label
         if not (0 <= unit < len(self.basis)) or self.basis[unit].degree != 0:
             raise ValueError("unit must be a degree-0 basis element")
-        self._by_degree: dict[int, tuple[int, ...]] = {}
-        self._degree_masks: dict[int, int] = {}  # degree -> its basis as a bitmask
+        by_degree: dict[int, list[int]] = {}
         for i, b in enumerate(self.basis):
             if b.degree < 0:
                 raise ValueError("negative basis degree")
-            self._by_degree.setdefault(b.degree, ())
-            self._by_degree[b.degree] += (i,)
-            self._degree_masks[b.degree] = self._degree_masks.get(b.degree, 0) | 1 << i
+            by_degree.setdefault(b.degree, []).append(i)
+        self._by_degree = {d: tuple(idx) for d, idx in by_degree.items()}
+        # degree -> its basis as a bitmask
+        self._degree_masks = {d: sum(1 << i for i in idx) for d, idx in by_degree.items()}
         # position of each basis index inside its degree, per degree
         self._positions = {d: {g: p for p, g in enumerate(idx)}
                            for d, idx in self._by_degree.items()}
@@ -522,20 +522,6 @@ class VanishingCertificate:
     shift: int
     generators: tuple[GeneratorFate, ...]
     closure_argument: str
-
-    def replay(self, ring: GradedRing) -> bool:
-        """Re-verify the certificate against a ring."""
-        if self.shift > -2 or not ring.is_degree_one_generated():
-            return False
-        if tuple(sorted(ring.dims_by_degree().items())) != self.ring_dims:
-            return False
-        for fate in self.generators:
-            if fate.image_degree != 1 + self.shift or fate.image_dim != 0:
-                return False
-            if len(ring.degree_basis(fate.image_degree)) != 0:
-                return False
-        names = {ring.basis[g].name for g in ring.degree_basis(1)}
-        return names == {f.name for f in self.generators}
 
     def to_dict(self) -> dict:
         return {

@@ -17,7 +17,8 @@ A lift or a chain is one bitmask over the generator order, its summands in
 distinct degrees. op_k y_j lands in degree m + 1 - (j+k)*NL, so the part
 of D*lift (D = sum_k op_k, ``FloerComplex.differential_images``) in degree
 m + 1 - s*NL is equation s for s < r and o_r for s = r; the engine reads
-no operator block. A page stores only the degrees with C^m nonzero, each
+no operator block, and cuts every chain to one degree with
+``MorseComplex.part``. A page stores only the degrees with C^m nonzero, each
 as its two nested reduced echelon bases, of Z and of B, with the lift and
 obstruction of every Z row and the antecedent chain of every B row, and
 the page stores the class of every obstruction, computed once; the page
@@ -32,7 +33,8 @@ checked per residue against the folded homology and against a truncated
 Laurent-window oracle that builds the honest bigraded complex. That oracle
 and the E_1 oracle read per-degree op_k blocks, which
 ``FloerComplex.operator`` cuts from the stored images op_k(g), not D, so
-they stay independent of the engine.
+they stay independent of the engine; the window oracle visits only the
+stored operator keys, as an absent op_k has only zero blocks.
 """
 
 from __future__ import annotations
@@ -101,16 +103,11 @@ class SpectralPage:
         return all(mat.is_zero() for mat in self.delta.values())
 
 
-def _degree_part(fc: FloerComplex, chain: int, t: int) -> int:
-    """Degree-local vector of the part of a chain in degree t (0 if C^t is zero)."""
-    return (chain & fc.morse.degree_mask(t)) >> fc.morse.degree_offset(t)
-
-
 def _obstruction(fc: FloerComplex, r: int, m: int, lift: int) -> int:
     """Page-r obstruction of the lift of a cycle of degree m: the part of
     D*lift in degree m + 1 - r*NL (see the module docstring)."""
-    return _degree_part(fc, f2linalg._combine(fc.differential_images, lift),
-                        m + 1 - r * fc.NL)
+    return fc.morse.part(f2linalg._combine(fc.differential_images, lift),
+                         m + 1 - r * fc.NL)
 
 
 def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> int:
@@ -230,7 +227,7 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
                 raise LiftFailure(f"page {r} lift at degree {m} breaks the "
                                   f"zig-zag equations")
             try:
-                coords = tgt.quotient.coords(_degree_part(fc, image, t))
+                coords = tgt.quotient.coords(fc.morse.part(image, t))
             except ValueError as exc:
                 raise LiftFailure("second lift left the cycle space") from exc
             if coords != expected_cols[idx]:
@@ -314,7 +311,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         rows = f2linalg._back_substitute(pivots)
         span = Subspace(m_dim, tuple(v & b_mask for v in rows))
 
-        z_vecs = tuple(_degree_part(fc, lift, m) for lift in lifts)
+        z_vecs = tuple(fc.morse.part(lift, m) for lift in lifts)
         z_space = Subspace.from_vectors(m_dim, z_vecs)
         if z_space.basis != z_vecs:
             raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}")
@@ -404,7 +401,7 @@ def window_homology_dims(fc: FloerComplex) -> dict[int, int]:
         tgt, tsize = offsets(blocks(l + 1))
         entries = []
         for (p, m), o in src.items():
-            for k in range(fc.nu + 1):
+            for k in fc.ops:
                 key = (p + k, m + 1 - k * N)
                 if key not in tgt:
                     continue

@@ -8,9 +8,10 @@ and kernel oracles share no elimination code with the engine; quotient
 representatives as the echelon basis of every larger-basis row reduced
 modulo the smaller space, where the engine picks rows by pivot bit; ring and
 Leibniz identities checked on every basis pair or triple over frozenset
-elements; the census conjugation and d^2 check computed block by block in
-degree-local coordinates, the census glued into the stored images op_k(g)
-only at the end; and the page engine with each zig-zag lift and
+elements, and a vanishing certificate replayed against its ring; the census
+conjugation and d^2 check computed block by block in degree-local
+coordinates, the census glued into the stored images op_k(g) only at the
+end; and the page engine with each zig-zag lift and
 antecedent chain kept as a tuple of degree-local slots. The slot-by-slot
 obstruction reads ``fc.operator`` blocks, cut from the stored op_k, not
 the D the engine reads, so a wrong D or a wrong chain layout shows.
@@ -143,6 +144,22 @@ def check_associative(ring):
         if left != right:
             return False
     return True
+
+
+def replay_certificate(cert, ring):
+    """Re-verify a vanishing certificate against a ring: every degree-1
+    generator is listed, with an image degree 1 + shift that is empty."""
+    if cert.shift > -2 or not ring.is_degree_one_generated():
+        return False
+    if tuple(sorted(ring.dims_by_degree().items())) != cert.ring_dims:
+        return False
+    for fate in cert.generators:
+        if fate.image_degree != 1 + cert.shift or fate.image_dim != 0:
+            return False
+        if len(ring.degree_basis(fate.image_degree)) != 0:
+            return False
+    names = {ring.basis[g].name for g in ring.degree_basis(1)}
+    return names == {f.name for f in cert.generators}
 
 
 def check_leibniz_all_pairs(d):

@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from floeralg import gradedalg as ga
-from oracles import check_associative, check_commutative, check_unit
+from oracles import (check_associative, check_commutative, check_unit,
+                     replay_certificate)
 
 from floeralg.errors import (
     InconsistentExtension,
@@ -238,13 +239,13 @@ def test_vanishing_certificate_exterior():
     ring = ga.build_exterior(3)
     cert = ga.vanishing_lemma(ring, -3)
     assert all(f.image_degree == -2 and f.image_dim == 0 for f in cert.generators)
-    assert cert.replay(ring)
+    assert replay_certificate(cert, ring)
 
 
 def test_vanishing_certificate_truncated_poly():
     ring = ga.build_truncated_poly(5)
     cert = ga.vanishing_lemma(ring, -2)
-    assert cert.replay(ring)
+    assert replay_certificate(cert, ring)
 
 
 def test_vanishing_not_applicable_at_shift_minus_one(ext2):
@@ -258,7 +259,7 @@ def test_vanishing_matches_enumeration_oracle():
         ring = ga.build_exterior(n)
         for shift in range(-2, -(n + 2), -1):
             cert = ga.vanishing_lemma(ring, shift)
-            assert cert.replay(ring)
+            assert replay_certificate(cert, ring)
             derivs = ga.enumerate_derivations(ring, shift)
             assert len(derivs) == 1 and derivs[0].is_zero()
 

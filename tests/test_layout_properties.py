@@ -218,3 +218,28 @@ def test_boundary_chains_are_antecedents(fc):
                 for i, w in enumerate(ws):
                     out ^= fc.operator(r - 1 - i, top - i * N).mul_vec(w)
                 assert out == b
+
+
+# dims whose first or last degree (or both) may be forced empty
+padded_dims = st.tuples(st.integers(0, 2), dims_lists, st.integers(0, 2)).map(
+    lambda t: [0] * t[0] + t[1] + [0] * t[2])
+
+
+@SETTINGS
+@given(padded_dims, st.integers(2, 5), st.data())
+def test_layout_lookups_equal_a_scan_of_the_generators(dims, NL, data):
+    # every m in -2*NL..dimL + 3, since callers ask below degree 0 and past
+    # dimL; the generators are given shuffled, the layout sorts them
+    gens = [fcx.Generator(f"g{m}_{i}", m) for m, d in enumerate(dims) for i in range(d)]
+    random.Random(len(gens)).shuffle(gens)
+    morse = fcx.MorseComplex(gens, len(dims) - 1)
+    n = len(gens)
+    chain = data.draw(st.integers(0, (1 << n) - 1))
+    for m in range(-2 * NL, morse.dimL + 4):
+        positions = [p for p, g in enumerate(morse.generators) if g.index == m]
+        assert morse.dim_at(m) == len(positions)
+        assert morse.degree_offset(m) == sum(g.index < m for g in morse.generators)
+        assert list(morse.degree_positions(m)) == positions
+        assert morse.degree_mask(m) == sum(1 << p for p in positions)
+        assert morse.part(chain, m) == sum((chain >> p & 1) << i
+                                           for i, p in enumerate(positions))
