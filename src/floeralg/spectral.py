@@ -19,13 +19,20 @@ of D*lift (D = sum_k op_k, ``FloerComplex.differential_images``) in degree
 m + 1 - s*NL is equation s for s < r and o_r for s = r; the engine reads
 no operator block, and cuts every chain to one degree with
 ``MorseComplex.part``. A page stores only the degrees with C^m nonzero, each
-as its two nested reduced echelon bases, of Z and of B, with the lift and
-obstruction of every Z row and the antecedent chain of every B row, and
-the page stores the class of every obstruction, computed once; the page
-differential is those of the representative rows, kept as its columns.
+as its two nested reduced echelon bases, of Z and of B, with the lift,
+D*lift and obstruction of every Z row and the antecedent chain of every B
+row, and the page stores the class of every obstruction, computed once; the
+page differential is those of the representative rows, kept as its columns.
 All are linear, so the next page turn takes its coefficient kernel from
 the classes, combines the stored vectors and reads coordinates off pivot
 bits; the paranoid second lift recomputes classes from perturbed lifts.
+
+A page turn does only what the page changes. A degree with no nonzero
+obstruction in or out keeps its lifts, chains and quotient (the proof is in
+``turn_page``), and its next obstruction is one cut of the stored D*lift;
+an all-zero class tuple and delta matrix are shared per shape. The page
+products likewise keep a degree pair's table while the quotients it reads
+stay unchanged (``induced_page_product``).
 
 Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
@@ -40,7 +47,9 @@ stored operator keys, as an absent op_k has only zero blocks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
+from operator import xor
 from typing import Optional
 
 from . import f2linalg
@@ -53,15 +62,16 @@ from .floercomplex import FloerComplex, check_product_leibniz, folded_homology
 class PageDegree:
     """One degree of page r, stored only if C^m is nonzero: the echelon
     bases of Z_r(m) and B_r(m) are ``quotient.sup`` and ``quotient.sub``.
-    ``lifts[i]`` is the lift of ``quotient.sup.basis[i]`` and ``obs[i]`` its
-    page-r obstruction, whose class the page stores in
-    ``SpectralPage.classes``; ``b_chains[i]`` is the antecedent chain of
-    ``quotient.sub.basis[i]``. So ``quotient.sup.coords`` and
-    ``quotient.sub.coords`` read the coefficients that combine them."""
+    ``lifts[i]`` is the lift of ``quotient.sup.basis[i]``, ``images[i]`` is
+    D*``lifts[i]``, and ``obs[i]`` is its page-r obstruction, whose class the
+    page stores in ``SpectralPage.classes``; ``b_chains[i]`` is the
+    antecedent chain of ``quotient.sub.basis[i]``. So ``quotient.sup.coords``
+    and ``quotient.sub.coords`` read the coefficients that combine them."""
     lifts: tuple[int, ...]
     b_chains: tuple[int, ...]
     quotient: QuotientMap
     obs: tuple[int, ...]
+    images: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -103,11 +113,27 @@ class SpectralPage:
         return all(mat.is_zero() for mat in self.delta.values())
 
 
-def _obstruction(fc: FloerComplex, r: int, m: int, lift: int) -> int:
-    """Page-r obstruction of the lift of a cycle of degree m: the part of
-    D*lift in degree m + 1 - r*NL (see the module docstring)."""
-    return fc.morse.part(f2linalg._combine(fc.differential_images, lift),
-                         m + 1 - r * fc.NL)
+def _obstructions(fc: FloerComplex, r: int, m: int, images: tuple[int, ...]
+                  ) -> tuple[int, ...]:
+    """Page-r obstructions of lifts of cycles of degree m, from their images
+    D*lift: the parts in degree m + 1 - r*NL (see the module docstring)."""
+    t = m + 1 - r * fc.NL
+    return tuple(fc.morse.part(image, t) for image in images)
+
+
+@functools.lru_cache(maxsize=256)
+def _zero_classes(rows: int) -> tuple[int, ...]:
+    """The all-zero class tuple of ``rows`` Z rows, one per length."""
+    return (0,) * rows
+
+
+@functools.lru_cache(maxsize=256)
+def _zero_delta(rows: int, cols: int) -> F2Matrix:
+    """The zero delta of one shape, ranked once: ``page_to_dict`` reads the
+    rank of every delta, and an F2Matrix keeps its elimination."""
+    mat = F2Matrix.zeros(rows, cols)
+    f2linalg.rank(mat)
+    return mat
 
 
 def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> int:
@@ -150,10 +176,11 @@ def page0(fc: FloerComplex) -> SpectralPage:
     for m in range(fc.dimL + 1):
         n = fc.morse.dim_at(m)
         if n:
-            lifts = tuple(1 << p for p in fc.morse.degree_positions(m))
+            positions = fc.morse.degree_positions(m)
+            lifts = tuple(1 << p for p in positions)
+            images = tuple(fc.differential_images[p] for p in positions)
             quot = f2linalg.quotient_map(Subspace.zero(n), Subspace.full(n))
-            obs = tuple(_obstruction(fc, 0, m, lift) for lift in lifts)
-            data[m] = PageDegree(lifts, (), quot, obs)
+            data[m] = PageDegree(lifts, (), quot, _obstructions(fc, 0, m, images), images)
     return SpectralPage(fc, 0, data, *_classify(fc, 0, data))
 
 
@@ -168,6 +195,7 @@ def _classify(fc: FloerComplex, r: int, data: dict[int, PageDegree]
     representatives are the rows of ``deg.quotient.sup`` whose pivot is not
     a pivot of B, in order (``f2linalg.quotient_map``), so the classes of
     those rows are the columns of delta_r, kept as the rows of ``delta[m]``.
+    A degree whose classes are all 0 gets the shared zero tuple and matrix.
     """
     classes: dict[int, tuple[int, ...]] = {}
     delta: dict[int, F2Matrix] = {}
@@ -177,15 +205,20 @@ def _classify(fc: FloerComplex, r: int, data: dict[int, PageDegree]
             raise LiftFailure(f"page {r} differential escapes the grading "
                               f"range at degree {m}")
         try:
-            classes[m] = (tuple(map(tgt.quotient.coords, deg.obs)) if tgt
-                          else (0,) * len(deg.obs))
+            found = tuple(map(tgt.quotient.coords, deg.obs)) if tgt else ()
         except ValueError as exc:
             raise LiftFailure(f"page {r} obstruction at degree {m} leaves "
                               f"the cycle space") from exc
+        tdim = tgt.quotient.dim if tgt else 0
+        if not any(found):
+            classes[m] = _zero_classes(len(deg.obs))
+            delta[m] = _zero_delta(deg.quotient.dim, tdim)
+            continue
+        classes[m] = found
         b_pivots = deg.quotient.sub._pivot_mask
-        cols = [c for z, c in zip(deg.quotient.sup.basis, classes[m])
+        cols = [c for z, c in zip(deg.quotient.sup.basis, found)
                 if not z & -z & b_pivots]
-        delta[m] = F2Matrix.from_row_ints(cols, tgt.quotient.dim if tgt else 0)
+        delta[m] = F2Matrix.from_row_ints(cols, tdim)
     _assert_delta_squares(fc, r, delta)
     return classes, delta
 
@@ -194,7 +227,7 @@ def _assert_delta_squares(fc: FloerComplex, r: int, delta: dict[int, F2Matrix]) 
     """delta_t delta_m = 0: as columns, the rows of ``delta[m] @ delta[t]``."""
     for m, mat in delta.items():
         t = m + 1 - r * fc.NL
-        if t in delta and not (mat @ delta[t]).is_zero():
+        if t in delta and not mat.is_zero() and not (mat @ delta[t]).is_zero():
             raise LiftFailure(f"page {r} differential does not square to zero "
                               f"at degree {m}")
 
@@ -206,10 +239,10 @@ def _second_lift_check(fc: FloerComplex, r: int, data: dict[int, PageDegree],
     Representatives are perturbed by a boundary generator and lifts by a
     homogeneous zig-zag solution, which covers both choices the canonical
     computation makes. Each obstruction is read from D*lift of its
-    perturbed lift, not combined from the stored ``obs``, so a wrong stored
-    one shows. The same product checks the lift: it lies in the degrees
-    m + 1 - s*NL, s >= 0, and its parts above s = r, the zig-zag equations,
-    must vanish.
+    perturbed lift, multiplied afresh, not combined from the stored ``obs``
+    or ``images``, so a wrong stored one shows. The same product checks the
+    lift: it lies in the degrees m + 1 - s*NL, s >= 0, and its parts above
+    s = r, the zig-zag equations, must vanish.
     """
     for m, deg in data.items():
         t = m + 1 - r * fc.NL
@@ -267,12 +300,32 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
     r+1, w'_i lies in degree m - 1 + (r-i)*NL: a kept boundary's chain
     0 + w_0 + ... + w_(r-1) is unchanged, and the boundary o_r(g) of a Z
     generator g of degree m - 1 + r*NL has the lift of g as its chain.
+
+    A degree m whose stored obstructions are all 0, and whose source
+    sigma = m - 1 + r*NL is not stored or has only zero obstructions, is
+    carried over unchanged. Its classes are all 0, so the coefficient kernel
+    is the whole space with the unit rows as its reduced echelon basis: each
+    new lift is an old one, and with a zero obstruction none needs a
+    repair. Every incoming candidate o_r(g) is 0 and is dropped, and the
+    kept ones are the rows of B, reduced echelon already, so
+    back-substitution XORs nothing and B, its chains and the quotient stay.
+    The delta_r columns out of m and into m (the classes of the obstructions
+    of sigma) are 0, so the rank bookkeeping reads dim V_(r+1)(m) =
+    dim V_r(m), which the unchanged quotient has. Such a degree runs no
+    elimination: its Z vectors are compared with ``quotient.sup.basis`` row
+    by row, so a corrupted stored lift still fails, and its next
+    obstructions are cuts of the stored D*lift.
     """
     fc = page.fc
     r = page.r
     N = fc.NL
     new_data: dict[int, PageDegree] = {}
     for m, deg in page.data.items():
+        sigma = m - 1 + r * N
+        sdeg = page.data.get(sigma)
+        if not any(deg.obs) and not (sdeg and any(sdeg.obs)):
+            new_data[m] = _carried(fc, r + 1, m, deg)
+            continue
         m_dim = fc.morse.dim_at(m)
         tgt = page.data.get(m + 1 - r * N)
 
@@ -295,9 +348,7 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
                 lift ^= f2linalg._combine(tgt.b_chains, coeff)
             lifts.append(lift)
 
-        sigma = m - 1 + r * N
         candidates = list(zip(deg.quotient.sub.basis, deg.b_chains))
-        sdeg = page.data.get(sigma)
         if sdeg is not None:
             candidates += zip(sdeg.obs, sdeg.lifts)
 
@@ -330,13 +381,24 @@ def turn_page(page: SpectralPage, paranoid: bool = True) -> SpectralPage:
         if quot.dim > page.dim(m):
             raise LiftFailure(f"page dimensions increased at degree {m}")
 
-        obs = tuple(_obstruction(fc, r + 1, m, lift) for lift in lifts)
-        new_data[m] = PageDegree(tuple(lifts), tuple(v >> m_dim for v in rows), quot, obs)
+        images = tuple(f2linalg._combine(fc.differential_images, lift) for lift in lifts)
+        new_data[m] = PageDegree(tuple(lifts), tuple(v >> m_dim for v in rows), quot,
+                                 _obstructions(fc, r + 1, m, images), images)
 
     classes, delta = _classify(fc, r + 1, new_data)
     if paranoid:
         _second_lift_check(fc, r + 1, new_data, delta)
     return SpectralPage(fc, r + 1, new_data, classes, delta)
+
+
+def _carried(fc: FloerComplex, r: int, m: int, deg: PageDegree) -> PageDegree:
+    """Degree m of page r, carried over from page r - 1 (see ``turn_page``):
+    the same lifts, chains and quotient, and the next obstructions cut from
+    the stored D*lift. The same object when those are unchanged too."""
+    if tuple(fc.morse.part(lift, m) for lift in deg.lifts) != deg.quotient.sup.basis:
+        raise LiftFailure(f"dependent or non-echelon cycle basis at degree {m}")
+    obs = _obstructions(fc, r, m, deg.images)
+    return deg if obs == deg.obs else dataclasses.replace(deg, obs=obs)
 
 
 @dataclass(frozen=True)
@@ -486,6 +548,18 @@ def induced_page_product(pages, fc: FloerComplex, paranoid: bool = True):
     they never reach the leading coefficient. Checks: representative
     independence (under paranoid mode) and the page Leibniz rule for the
     differential, on every basis pair.
+
+    A degree pair (m1, m2) keeps the previous page's table when the
+    quotients at m1, m2 and m1 + m2 are unchanged (m1 + m2 past dimL, or
+    stored on neither page, counts as unchanged). Each entry is the class,
+    in the target quotient, of the product of a representative of m1 and
+    one of m2; the quotients fix the representatives and the class map, so
+    they fix every entry. The second lift runs only on the pairs built on
+    this page: on a kept pair it would compute the same function of the
+    same representatives, quotients and table as where the pair was built.
+    The Leibniz check is skipped on a page whose delta is identically zero,
+    where all three of its terms are 0. The tables are shared between
+    pages and must not be changed.
     """
     if fc.products is None:
         raise ProductsAbsent("complex has no product tables")
@@ -494,30 +568,68 @@ def induced_page_product(pages, fc: FloerComplex, paranoid: bool = True):
         l, wit = rep.first_failure
         raise LeibnizFailure(f"product tables break the Leibniz identity at "
                              f"l={l}, witnesses {wit}")
+    rows = fc.product_rows(0)
     out = []
+    prev = None
     for page in pages:
-        tables = _page_product_tables(page, fc)
+        tables, fresh = _page_product_tables(page, fc, rows, prev)
         if paranoid:
-            _product_second_lift(page, fc, tables)
-        _page_leibniz(page, fc, tables)
-        out.append(dataclasses.replace(page, product=tables))
+            _product_second_lift(page, fc, rows, fresh)
+        if not page.is_collapsed():
+            _page_leibniz(page, fc, tables)
+        prev = dataclasses.replace(page, product=tables)
+        out.append(prev)
     return out
 
 
-def _page_product_tables(page: SpectralPage, fc: FloerComplex
-                         ) -> dict[tuple[int, int], list[list[int]]]:
-    """Page classes of m_0 on every pair of representatives, per degree pair."""
+def _m0_products(fc: FloerComplex, rows, m1: int, v1: int, m2: int,
+                 vecs) -> list[Optional[int]]:
+    """m_0(v1, v) for each v in ``vecs``, read through the rows of m_0, for
+    degree-local vectors of degrees m1 and m2: each the degree-local vector
+    of the product in degree m1 + m2, or None when the product has support
+    outside that degree (always the case for a nonzero product beyond
+    dimL). The chains m_0(v1, g) over the generators g of degree m2 are
+    summed once, and each v combines them."""
+    morse = fc.morse
+    positions = morse.degree_positions(m2)
+    left = [0] * len(positions)
+    for x in f2linalg._bits_of(v1 << morse.degree_offset(m1)):
+        left = list(map(xor, left, rows[x][positions.start:positions.stop]))
+    mt = m1 + m2
+    shift = morse.degree_offset(mt)
+    out: list[Optional[int]] = []
+    for v in vecs:
+        chain = f2linalg._combine(left, v)
+        vec = morse.part(chain, mt)
+        out.append(vec if vec << shift == chain else None)
+    return out
+
+
+def _page_product_tables(page: SpectralPage, fc: FloerComplex, rows,
+                         prev: Optional[SpectralPage]):
+    """Page classes of m_0 on every pair of representatives, per pair of
+    stored degrees with a nonzero page, and the pairs among them built here
+    rather than kept from ``prev``, the previous page with its tables (see
+    ``induced_page_product``)."""
+    changed = page.data.keys()  # no previous page: build every pair
+    if prev is not None:
+        changed = {m for m in page.data.keys() | prev.data.keys()
+                   if _quotient(page, m) != _quotient(prev, m)}
+        if not changed:
+            return prev.product, {}
+    degrees = [m for m, deg in page.data.items() if deg.quotient.dim]
     tables: dict[tuple[int, int], list[list[int]]] = {}
-    for m1 in range(fc.dimL + 1):
-        for m2 in range(fc.dimL + 1):
-            if page.dim(m1) == 0 or page.dim(m2) == 0:
-                continue
+    fresh: dict[tuple[int, int], list[list[int]]] = {}
+    for m1 in degrees:
+        for m2 in degrees:
             mt = m1 + m2
+            if not (m1 in changed or m2 in changed or mt in changed):
+                tables[(m1, m2)] = prev.product[(m1, m2)]
+                continue
             table = []
             for q1 in page.reps(m1):
                 row = []
-                for q2 in page.reps(m2):
-                    vec = fc.product_vec(m1, q1, m2, q2)
+                for vec in _m0_products(fc, rows, m1, q1, m2, page.reps(m2)):
                     if vec is None:
                         raise LeibnizFailure("product escapes the grading")
                     if mt > fc.dimL:
@@ -530,20 +642,27 @@ def _page_product_tables(page: SpectralPage, fc: FloerComplex
                             f"page {page.r} product of degrees ({m1},{m2}) "
                             f"leaves the cycle space") from exc
                 table.append(row)
-            tables[(m1, m2)] = table
-    return tables
+            tables[(m1, m2)] = fresh[(m1, m2)] = table
+    return tables, fresh
 
 
-def _product_second_lift(page: SpectralPage, fc: FloerComplex, tables) -> None:
+def _quotient(page: SpectralPage, m: int) -> Optional[QuotientMap]:
+    deg = page.data.get(m)
+    return deg.quotient if deg else None
+
+
+def _product_second_lift(page: SpectralPage, fc: FloerComplex, rows, tables) -> None:
+    """Representative independence on the pairs of ``tables``: each product
+    of representatives moved by a boundary has the class in the table."""
     for (m1, m2), table in tables.items():
         mt = m1 + m2
         b1 = next(iter(page.data[m1].quotient.sub.basis), 0)
         b2 = next(iter(page.data[m2].quotient.sub.basis), 0)
         if not (b1 or b2):
             continue
+        perturbed = [q2 ^ b2 for q2 in page.reps(m2)]
         for i, q1 in enumerate(page.reps(m1)):
-            for j, q2 in enumerate(page.reps(m2)):
-                vec = fc.product_vec(m1, q1 ^ b1, m2, q2 ^ b2)
+            for j, vec in enumerate(_m0_products(fc, rows, m1, q1 ^ b1, m2, perturbed)):
                 if vec is None:
                     raise LeibnizFailure("perturbed product escapes the grading")
                 if mt > fc.dimL:

@@ -14,7 +14,10 @@ coordinates, the census glued into the stored images op_k(g) only at the
 end; and the page engine with each zig-zag lift and
 antecedent chain kept as a tuple of degree-local slots. The slot-by-slot
 obstruction reads ``fc.operator`` blocks, cut from the stored op_k, not
-the D the engine reads, so a wrong D or a wrong chain layout shows.
+the D the engine reads, so a wrong D or a wrong chain layout shows. The
+page products are built afresh on every page, over all (dimL + 1)^2 degree
+pairs, with one ``FloerComplex.product_vec`` per pair of representatives,
+where the engine keeps a table while its quotients are unchanged.
 """
 
 import itertools
@@ -25,7 +28,7 @@ from functools import cached_property
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
 from floeralg import spectral as sp
-from floeralg.errors import LiftFailure
+from floeralg.errors import LeibnizFailure, LiftFailure
 from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
 
 
@@ -557,3 +560,32 @@ def slot_pages(fc):
     for _ in range(fc.nu + 1):
         pages.append(slot_turn_page(pages[-1]))
     return pages
+
+
+def page_product_tables(page, fc):
+    """Page classes of m_0 on every pair of representatives, per degree pair."""
+    tables = {}
+    for m1 in range(fc.dimL + 1):
+        for m2 in range(fc.dimL + 1):
+            if page.dim(m1) == 0 or page.dim(m2) == 0:
+                continue
+            mt = m1 + m2
+            table = []
+            for q1 in page.reps(m1):
+                row = []
+                for q2 in page.reps(m2):
+                    vec = fc.product_vec(m1, q1, m2, q2)
+                    if vec is None:
+                        raise LeibnizFailure("product escapes the grading")
+                    if mt > fc.dimL:
+                        row.append(0)
+                        continue
+                    try:
+                        row.append(page.class_coords(mt, vec))
+                    except ValueError as exc:
+                        raise LeibnizFailure(
+                            f"page {page.r} product of degrees ({m1},{m2}) "
+                            f"leaves the cycle space") from exc
+                table.append(row)
+            tables[(m1, m2)] = table
+    return tables

@@ -7,12 +7,19 @@ through chains. They read op_k through ``fc.operator(k, m)`` and m_l from
 pair tables (built by the test, or read back from the serialized triples),
 never from the bitmask views they check. Reports and tables must agree
 exactly, witnesses included, on valid complexes and on seeded single-entry
-corruptions of m_0, m_1 and op_1.
+corruptions of m_0, m_1 and op_1. The tables are those ``induced_page_product``
+attaches to every page, so one kept from a page where it no longer holds
+shows; on Hypothesis ring complexes they must also equal
+``oracles.page_product_tables``, the builder that multiplied afresh on every
+page through ``FloerComplex.product_vec``.
 """
 
 import random
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
@@ -215,14 +222,32 @@ def test_leibniz_matches_oracle_on_corruptions():
 # -- page products ---------------------------------------------------------------
 
 
+def oracle_products(pages, fc, tables):
+    """Each page's tables by ``page_tables_oracle``, or LeibnizFailure if
+    the oracle fails on some page."""
+    out = [outcome(page_tables_oracle, page, fc, tables) for page in pages]
+    return LeibnizFailure if LeibnizFailure in out else out
+
+
+def engine_products(pages, fc, paranoid):
+    try:
+        return [page.product for page in sp.induced_page_product(pages, fc, paranoid)]
+    except LeibnizFailure:
+        return LeibnizFailure
+
+
 def assert_page_tables_match(fc, tables):
+    """``induced_page_product`` on every page against the oracle, plain and
+    paranoid: LeibnizFailure where the product tables break the Leibniz
+    identity, and otherwise each page's tables, which no check may reject."""
     try:
         pages = sp.run_to_collapse(fc, paranoid=False).pages
     except LiftFailure:
         return 0
-    for page in pages:
-        assert outcome(sp._page_product_tables, page, fc) == \
-            outcome(page_tables_oracle, page, fc, tables)
+    expected = (oracle_products(pages, fc, tables)
+                if leibniz_oracle(fc, tables).ok else LeibnizFailure)
+    for paranoid in (False, True):
+        assert engine_products(pages, fc, paranoid) == expected
     return len(pages)
 
 
@@ -234,6 +259,59 @@ def test_page_tables_match_oracle(t2, mixed_boundary):
     for seed in CORRUPTION_SEEDS:
         pages += assert_page_tables_match(*corrupted(seed))
     assert pages > 0
+
+
+def test_page_tables_match_oracle_past_the_leibniz_checks(monkeypatch):
+    # with the product-Leibniz gate and the page Leibniz check passed, the
+    # corruptions that break the Leibniz identity reach the table builder
+    # too, and its outcome must be the oracle's on every page
+    gate = fcx.IdentityReport((fcx.IdentityEntry(0, True, None),))
+    monkeypatch.setattr(sp, "check_product_leibniz", lambda fc: gate)
+    monkeypatch.setattr(sp, "_page_leibniz", lambda *args: None)
+    reached = 0
+    for seed in CORRUPTION_SEEDS:
+        fc, tables = corrupted(seed)
+        try:
+            pages = sp.run_to_collapse(fc, paranoid=False).pages
+        except LiftFailure:
+            continue
+        assert engine_products(pages, fc, False) == oracle_products(pages, fc, tables), seed
+        reached += not leibniz_oracle(fc, tables).ok
+    assert reached >= len(CORRUPTION_SEEDS) // 3
+
+
+@st.composite
+def ring_complexes(draw):
+    """A ring complex at NL 2 with products: F2[a]/(a^(n+1)), n <= 13, with
+    op_1 a -> 1 or 0, or an exterior ring of rank <= 4 with some generators
+    sent to 1 and, at rank >= 3, maybe the Morse boundary x_a -> x_b x_c
+    (then x_b and x_c go to 0, as d^2 = 0 needs)."""
+    if draw(st.booleans()):
+        ring = ga.build_truncated_poly(draw(st.integers(1, 13)))
+        down = ga.enumerate_derivations(ring, -1)
+        return fcx.complex_from_ring(ring, 2, derivation=draw(st.sampled_from(down)),
+                                     with_products=True)
+    n = draw(st.integers(1, 4))
+    ring = ga.build_exterior(n)
+    gens = ring.degree_basis(1)
+    up, free = None, range(n)
+    if n >= 3 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        up = ga.derivation_from_generator_values(
+            ring, 1, {gens[a]: ring.mul(frozenset({gens[b]}), frozenset({gens[c]}))})
+        free = [i for i in range(n) if i not in (b, c)]
+    sent = draw(st.sets(st.sampled_from(free)))
+    down = ga.derivation_from_generator_values(ring, -1, {gens[i]: ring.one() for i in sent})
+    return fcx.complex_from_ring(ring, 2, derivation=down, boundary=up, with_products=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_complexes(), st.booleans())
+def test_page_tables_match_both_oracles_on_ring_complexes(fc, paranoid):
+    pages = sp.run_to_collapse(fc, paranoid=False).pages
+    got = engine_products(pages, fc, paranoid)
+    assert got == oracle_products(pages, fc, pair_tables(fc))
+    assert got == [oracles.page_product_tables(page, fc) for page in pages]
 
 
 def test_product_vec_matches_chain_product(t2, mixed_boundary):

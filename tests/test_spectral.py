@@ -375,6 +375,45 @@ def test_census_page_dumps_match_the_pinned_hash():
     assert digest.hexdigest() == PAGE_DUMP_SHA256
 
 
+def rings_workload_complexes():
+    """The ring complexes of the benchmark's rings workload at NL 2, with
+    products: F2[a]/(a^(n+1)) for n = 5..13 (op_1: a -> 1 for odd n), and
+    exterior rings of rank 2..5 (op_1 sends the first half of the generators
+    to 1), rank 3 and 5 also with x1 -> 1 and the Morse boundary x1 -> x2 x3."""
+    for n in range(5, 14):
+        ring = ga.build_truncated_poly(n)
+        down = {ring.degree_basis(1)[0]: ring.one()} if n % 2 else {}
+        yield fcx.complex_from_ring(ring, 2, with_products=True,
+                                    derivation=ga.derivation_from_generator_values(ring, -1, down))
+    for n in range(2, 6):
+        ring = ga.build_exterior(n)
+        gens = ring.degree_basis(1)
+        down = ga.derivation_from_generator_values(
+            ring, -1, {g: ring.one() for g in gens[:(n + 1) // 2]})
+        yield fcx.complex_from_ring(ring, 2, derivation=down, with_products=True)
+        if n in (3, 5):
+            down = ga.derivation_from_generator_values(ring, -1, {gens[0]: ring.one()})
+            up = ga.derivation_from_generator_values(
+                ring, 1, {gens[0]: ring.mul(frozenset({gens[1]}), frozenset({gens[2]}))})
+            yield fcx.complex_from_ring(ring, 2, derivation=down, boundary=up,
+                                        with_products=True)
+
+
+PRODUCT_DUMP_SHA256 = "7b6fb66529e5fa5a0c15a24cd32b46ee871ab20bd4f8a6802bc2d2a363712564"
+
+
+def test_page_product_tables_match_the_pinned_hash(t2):
+    # every page's product table over t2 and the rings workload's complexes,
+    # so a table carried over from a page where it no longer holds shows here
+    digest = hashlib.sha256()
+    for fc in (t2, *rings_workload_complexes()):
+        pages = sp.induced_page_product(sp.run_to_collapse(fc).pages, fc)
+        digest.update(serialize.canonical_json(
+            [{f"{m1},{m2}": table for (m1, m2), table in page.product.items()}
+             for page in pages]).encode())
+    assert digest.hexdigest() == PRODUCT_DUMP_SHA256
+
+
 def test_each_obstruction_is_classified_once_per_page(monkeypatch):
     # each page classifies every Z-row obstruction of a degree whose target
     # is stored once, when it is built; the next page turn reads those
@@ -470,3 +509,67 @@ def test_chain_complex_costs_a_few_eliminations_per_degree_visit(monkeypatch):
     assert visits == (dimL + 1) * len(collapse.pages)
     assert counts["rref"] <= 3 * visits
     assert counts["transpose"] == 0
+
+
+def test_chain_complex_eliminates_only_where_an_obstruction_is_nonzero(monkeypatch):
+    # D = 0, so no degree has a nonzero obstruction in or out and every
+    # page carries every degree over, with no elimination: not in the turn,
+    # the second lift or the page dumps, which read the ranks of shared
+    # zero deltas (ranked once per process, so the first run goes uncounted)
+    dimL = 200
+    fc = fcx.assemble(fcx.MorseComplex(
+        [fcx.Generator(f"x{i}", i) for i in range(dimL + 1)], dimL), 2, {})
+    for page in sp.run_to_collapse(fc).pages:
+        sp.page_to_dict(page, verbose=True)
+    calls = 0
+    rref = f2._rref_ints
+
+    def counting_rref(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(f2, "_rref_ints", counting_rref)
+    pages = sp.run_to_collapse(fc, paranoid=True).pages
+    for page in pages:
+        sp.page_to_dict(page, verbose=True)
+    monkeypatch.undo()
+
+    def obstructed(page, m):
+        source = page.data.get(m - 1 + page.r * fc.NL)
+        return any(page.data[m].obs) or bool(source and any(source.obs))
+
+    changing = sum(obstructed(page, m) for page in pages[:-1] for m in page.data)
+    assert changing == 0
+    assert calls <= changing
+    # each page keeps the very PageDegree objects of the page before
+    for page, nxt in zip(pages, pages[1:]):
+        assert nxt.data.keys() == page.data.keys()
+        assert all(nxt.data[m] is deg for m, deg in page.data.items())
+
+
+def test_products_of_unchanged_pages_cost_nothing(monkeypatch):
+    # F2[a]/(a^13) with op_1 = 0: D = 0, so every page equals page 0 and
+    # keeps its tables; only page 0 multiplies
+    ring = ga.build_truncated_poly(12)
+    fc = fcx.complex_from_ring(ring, 2, derivation=ga.derivation_from_generator_values(
+        ring, -1, {}), with_products=True)
+    pages = sp.run_to_collapse(fc).pages
+    calls = 0
+    m0_products = sp._m0_products
+    product_vec = fcx.FloerComplex.product_vec
+
+    def counting(original):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(sp, "_m0_products", counting(m0_products))
+    monkeypatch.setattr(fcx.FloerComplex, "product_vec", counting(product_vec))
+    first = sp.induced_page_product(pages[:1], fc)
+    page0_calls, calls = calls, 0
+    every = sp.induced_page_product(pages, fc)
+    assert calls == page0_calls > 0
+    assert all(page.product == first[0].product for page in every)

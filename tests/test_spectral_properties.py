@@ -268,6 +268,85 @@ def test_corrupted_lift_fails_the_second_lift():
     assert seen >= 20
 
 
+# -- carried degrees -----------------------------------------------------------
+
+
+def carried_degrees(fc):
+    """(page r, page r + 1, degree m) for each degree with no nonzero
+    obstruction in or out on page r, which page r + 1 carries over: the
+    same quotient object."""
+    pages = sp.run_to_collapse(fc).pages
+    for page, nxt in zip(pages, pages[1:]):
+        for m, deg in page.data.items():
+            sdeg = page.data.get(m - 1 + page.r * fc.NL)
+            if not any(deg.obs) and not (sdeg and any(sdeg.obs)):
+                assert nxt.data[m].quotient is deg.quotient
+                yield page, nxt, m
+
+
+def with_degree(page, m, **fields):
+    return dataclasses.replace(page, data={**page.data, m: dataclasses.replace(
+        page.data[m], **fields)})
+
+
+def test_corrupted_lift_of_a_carried_degree_fails_the_turn():
+    # flip the first generator of degree m in one stored lift: its Z part
+    # no longer matches the stored echelon basis
+    seen = 0
+    for fc in fixed_census():
+        for page, _, m in carried_degrees(fc):
+            lifts = page.data[m].lifts
+            if not lifts:
+                continue
+            broken = with_degree(page, m, lifts=(
+                lifts[0] ^ 1 << fc.morse.degree_offset(m),) + lifts[1:])
+            with pytest.raises(LiftFailure, match="dependent or non-echelon cycle basis"):
+                sp.turn_page(broken, paranoid=False)
+            seen += 1
+    assert seen >= 50
+
+
+def test_corrupted_image_of_a_carried_degree_fails_the_second_lift(monkeypatch):
+    # move the stored D*lift of a representative's Z row by a representative
+    # of the next page's target: the next obstruction, cut from it, moves
+    # delta, and only the second lift, which multiplies by D afresh, sees it
+    monkeypatch.setattr(sp, "_assert_delta_squares", lambda *args: None)
+    shapes = CENSUS_SHAPES + [((2, 2, 2, 2, 2, 2, 2), 2), ((1, 2, 3, 3, 2, 1), 2)]
+    seen = 0
+    for fc in (fcx.random_complex_census(seed, dims, NL)[0]
+               for seed in range(3) for dims, NL in shapes):
+        for page, nxt, m in carried_degrees(fc):
+            deg = page.data[m]
+            t = m + 1 - nxt.r * fc.NL
+            if not (nxt.dim(t) and deg.quotient.dim):
+                continue
+            i = deg.quotient.sup.basis.index(deg.quotient.reps.basis[0])
+            images = list(deg.images)
+            images[i] ^= nxt.reps(t)[0] << fc.morse.degree_offset(t)
+            broken = with_degree(page, m, images=tuple(images))
+            assert sp.turn_page(broken, paranoid=False).delta[m] != nxt.delta[m]
+            with pytest.raises(LiftFailure, match="depends on the lift"):
+                sp.turn_page(broken, paranoid=True)
+            seen += 1
+    assert seen >= 20
+
+
+def test_corrupted_obstruction_of_a_carried_degree_fails_the_second_lift(monkeypatch):
+    monkeypatch.setattr(sp, "_assert_delta_squares", lambda *args: None)
+    seen = 0
+    for fc in fixed_census():
+        carried = {(nxt.r, m) for _, nxt, m in carried_degrees(fc)}
+        for page, m, data in corruptions(fc):
+            if (page.r, m) not in carried:
+                continue
+            delta = sp._classify(fc, page.r, data)[1]
+            assert delta[m] != page.delta[m]
+            with pytest.raises(LiftFailure, match="depends on the lift"):
+                sp._second_lift_check(fc, page.r, data, delta)
+            seen += 1
+    assert seen >= 10
+
+
 def test_the_page_engine_reads_no_operator_block(monkeypatch):
     # lifts, obstructions, tail repairs and the second lift all read D
     complexes = fixed_census()
