@@ -10,6 +10,10 @@ the public API: ``one``, ``element``, ``mul`` and ``Derivation.apply`` take
 and return them, converting to and from bitmasks, and addition is symmetric
 difference.
 
+The Leibniz derivations of one shift form an F2 subspace, and
+``derivation_basis`` finds a basis of it from one kernel. The built-in rings
+are built and checked once per process and shared by every caller.
+
 The module also houses the degree-shift vanishing argument: on a ring
 generated in degree one, every Leibniz derivation lowering degree by two or
 more kills the generators (their image degree is negative) and therefore,
@@ -18,7 +22,7 @@ since the kernel of a derivation is a subring, kills everything.
 Derivations are only defined here on rings that meet three hypotheses:
 generation by the unit and the degree-1 part, the two-sided unit law, and
 associativity on triples (g, b, c) with g of degree 1. Every derivation
-entry point (``derivation_from_generator_values``, ``iter_derivations``,
+entry point (``derivation_from_generator_values``, ``derivation_basis``,
 ``check_leibniz``, ``vanishing_lemma``) checks them once per ring through
 :meth:`GradedRing.require_leibniz_hypotheses` and raises
 ``NotDegreeOneGenerated`` or ``RingAxiomFailure``, both input errors that
@@ -27,9 +31,11 @@ the CLI reports with exit 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import xor
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import f2linalg
 from .errors import (
@@ -154,11 +160,9 @@ class GradedRing:
         Verified constructively: close the degree-1 span under
         multiplication and compare dimensions in every degree.
         """
-        cached = self.__dict__.get("_deg1_generated")
-        if cached is None:
-            cached = self._verify_degree_one_generated()
-            self.__dict__["_deg1_generated"] = cached
-        return cached
+        if "_deg1_generated" not in self.__dict__:
+            self.__dict__["_deg1_generated"] = self._verify_degree_one_generated()
+        return self.__dict__["_deg1_generated"]
 
     def _verify_degree_one_generated(self) -> bool:
         dims = self.dims_by_degree()
@@ -206,8 +210,9 @@ class GradedRing:
 
         Checked once per ring and cached, over the nonzero table entries
         as bitmask rows: for each degree-1 g, the row of g b is compared
-        with g applied to each entry of the row of b, O(n_1 nnz) for n_1
-        generators and nnz nonzero entries.
+        with g applied to each entry of the row of b. Under the unit law
+        b = 1 cannot fail, nor can b with g b = 0 and b c = 0 for c != 1
+        (both sides are then 0), so those b are skipped.
         """
         if not self.is_degree_one_generated():
             raise NotDegreeOneGenerated(f"{self.label} is not generated in degree 1")
@@ -225,10 +230,10 @@ class GradedRing:
                 return (f"{self.label} breaks the unit law at {name}: "
                         f"{names[self.unit]} is not a two-sided unit")
 
+        wide = {b for b, row in enumerate(rows) if len(row) > 1}
         for g in self.degree_basis(1):
             row_g = rows[g]
-            g_unit = [row_g.get(k, 0) for k in range(len(names))]  # g e_k
-            for b, row_b in enumerate(rows):
+            for b in sorted(wide.union(row_g) - {self.unit}):
                 gb = row_g.get(b, 0)
                 if not gb:
                     left = {}
@@ -241,10 +246,10 @@ class GradedRing:
                             acc[c] = acc.get(c, 0) ^ v
                     left = {c: v for c, v in acc.items() if v}
                 right = {}
-                for c, v in row_b.items():
+                for c, v in rows[b].items():
                     # one-element masks are shared objects: an O(1) identity test
                     k = v.bit_length() - 1
-                    w = g_unit[k] if v is units[k] else _mask_mul(rows, units[g], v)
+                    w = row_g.get(k, 0) if v is units[k] else _mask_mul(rows, units[g], v)
                     if w:
                         right[c] = w
                 if left != right:
@@ -282,11 +287,13 @@ class GradedRing:
         return f"GradedRing({self.label}, dim={self.dim})"
 
 
+@functools.lru_cache
 def build_exterior(n: int) -> GradedRing:
     """Exterior algebra on n degree-1 generators over F2.
 
     Basis: square-free monomials, one per subset of generators; squares of
-    generators vanish; no signs in characteristic two.
+    generators vanish; no signs in characteristic two. Built once per
+    process and shared, so its table must not change.
     """
     if not (1 <= n <= MAX_EXTERIOR_GENERATORS):
         raise SizeLimit(f"exterior algebra supported for 1 <= n <= "
@@ -317,8 +324,10 @@ def build_exterior(n: int) -> GradedRing:
     return GradedRing(basis, unit=0, mult=mult, label=f"exterior_{n}")
 
 
+@functools.lru_cache
 def build_truncated_poly(n: int) -> GradedRing:
-    """F2[a]/(a^(n+1)) with deg(a) = 1: the mod-2 cohomology ring of RP^n."""
+    """F2[a]/(a^(n+1)) with deg(a) = 1: the mod-2 cohomology ring of RP^n.
+    Built once per process and shared, like ``build_exterior``."""
     if n < 1:
         raise SizeLimit(f"truncated polynomial ring supported for n >= 1, got {n}")
     if n > MAX_TRUNCATED_DEGREE:
@@ -397,9 +406,10 @@ def check_leibniz(d: Derivation) -> bool:
     """True iff d(ab) = d(a) b + a d(b) for all ring elements a and b.
 
     Checks d(1) = 0 and the pairs (g, b), g a degree-1 basis element and b
-    any basis element, after ``require_leibniz_hypotheses``. On such a ring
-    this is equivalent to the identity on all basis pairs. Both sides are
-    linear in a and in b, so induct on the degree of a basis element a:
+    any basis element (``_leibniz_residue`` is zero), after
+    ``require_leibniz_hypotheses``. On such a ring this is equivalent to the
+    identity on all basis pairs. Both sides are linear in a and in b, so
+    induct on the degree of a basis element a:
 
     - degree 0: a is the unit, and d(1 b) = d(b) = d(1) b + 1 d(b) by the
       unit law and d(1) = 0;
@@ -411,20 +421,49 @@ def check_leibniz(d: Derivation) -> bool:
                       = (d(g) a' + g d(a')) b + (g a') d(b)
                       = d(g a') b + (g a') d(b).                    [pair (g, a')]
     """
-    ring = d.ring
-    ring.require_leibniz_hypotheses()
-    rows, units = ring.rows, ring._units
-    images = d.images
-    if images[ring.unit]:
-        return False
+    d.ring.require_leibniz_hypotheses()
+    return not _leibniz_residue(d.ring, d.images)
+
+
+def _leibniz_residue(ring: GradedRing, images: Sequence[int]) -> int:
+    """What ``check_leibniz`` tests, as one int, zero iff every test passes
+    and linear in the images: d(1) in bits 0..dim - 1, then for the p-th
+    degree-1 generator g and basis element b, d(g b) + d(g) b + g d(b) from
+    bit dim (1 + p dim + b) on."""
+    rows, units, dim = ring.rows, ring._units, ring.dim
+    residue, offset = images[ring.unit], dim
     for g in ring.degree_basis(1):
         row_g, dg = rows[g], images[g]
-        for b in range(ring.dim):
-            lhs = f2linalg._combine(images, row_g.get(b, 0))
-            rhs = _mask_mul(rows, dg, units[b]) ^ _mask_mul(rows, units[g], images[b])
-            if lhs != rhs:
-                return False
-    return True
+        for b, db in enumerate(images):
+            r = _mask_mul(rows, dg, units[b]) if dg else 0
+            if b in row_g:
+                r ^= f2linalg._combine(images, row_g[b])
+            if db:
+                r ^= _mask_mul(rows, units[g], db)
+            if r:
+                residue |= r << offset
+            offset += dim
+    return residue
+
+
+def _extend(ring: GradedRing, images: list[int]) -> tuple[int, ...]:
+    """``images`` filled in above degree 1, linearly in its degree-1 values:
+    d(e) is the sum of d(g) f + g d(f) over the pairs (g, f) of a preimage of
+    e under the product, which a ring generated in degree one has. This is
+    the one Leibniz derivation with those values, if there is one."""
+    rows, units = ring.rows, ring._units
+    for d in sorted(ring.degrees()):
+        if d < 2:
+            continue
+        pair_cols, preimages = ring._product_preimages(d)
+        for e, coords in zip(ring.degree_basis(d), preimages):
+            img = 0
+            for p in f2linalg._bits_of(coords):
+                g, f = pair_cols[p]
+                img ^= _mask_mul(rows, images[g], units[f])
+                img ^= _mask_mul(rows, units[g], images[f])
+            images[e] = img
+    return tuple(images)
 
 
 def derivation_from_generator_values(ring: GradedRing, shift: int,
@@ -445,36 +484,26 @@ def derivation_from_generator_values(ring: GradedRing, shift: int,
             images[g] |= 1 << i  # OR: a repeated index counts once
         if images[g] & ~target:
             raise ValueError("generator value has wrong degree")
-
-    rows, units = ring.rows, ring._units
-    for d in sorted(ring.degrees()):
-        if d < 2:
-            continue
-        pair_cols, preimages = ring._product_preimages(d)
-        for e, coords in zip(ring.degree_basis(d), preimages):
-            if coords is None:
-                raise NotDegreeOneGenerated(
-                    f"degree {d} element not reachable from degree-1 products")
-            img = 0
-            for p in f2linalg._bits_of(coords):
-                g, f = pair_cols[p]
-                img ^= _mask_mul(rows, images[g], units[f])
-                img ^= _mask_mul(rows, units[g], images[f])
-            images[e] = img
-
-    result = Derivation(ring, shift, tuple(images))
-    if not check_leibniz(result):
+    result = Derivation(ring, shift, _extend(ring, images))
+    if _leibniz_residue(ring, result.images):
         raise InconsistentExtension(
             "Leibniz extension of the generator values contradicts a ring relation")
     return result
 
 
-def iter_derivations(ring: GradedRing, shift: int):
-    """Yield all Leibniz derivations of the given shift, in canonical order.
+def derivation_basis(ring: GradedRing, shift: int) -> Iterator[Derivation]:
+    """Yield a basis of the Leibniz derivations of the given shift, lazily.
 
-    Generator assignments run in lexicographic order of their concatenated
-    coordinate vectors; assignments whose Leibniz extension contradicts a
-    relation are skipped.
+    Bit p t + q of a generator assignment puts the q-th of the t elements of
+    degree 1 + shift into the value of the p-th degree-1 generator. The
+    extension and its residue are linear in the assignment, so the
+    derivations are the extensions of one kernel. Each unit assignment e_a
+    is extended, and its residue filed by lowest set bit in one echelon map
+    with the extension beside it. A kept residue is that of e_b plus earlier
+    kept e_c, so one of e_a that reduces to zero leaves a kernel vector with
+    highest bit a and no bit at an earlier one's highest bit: the basis
+    comes out fully reduced and ascending by highest bit, each element as
+    soon as it is found.
     """
     ring.require_leibniz_hypotheses()
     gens = ring.degree_basis(1)
@@ -484,20 +513,33 @@ def iter_derivations(ring: GradedRing, shift: int):
     if 1 << total_bits > MAX_ENUMERATION_ASSIGNMENTS:
         raise SizeLimit(f"2^{total_bits} generator assignments exceed the "
                         f"enumeration bound")
-    for assignment in range(1 << total_bits):
-        values = {}
-        for p, g in enumerate(gens):
-            chunk = (assignment >> (p * t)) & ((1 << t) - 1)
-            values[g] = frozenset(target[q] for q in f2linalg._bits_of(chunk))
-        try:
-            yield derivation_from_generator_values(ring, shift, values)
-        except InconsistentExtension:
-            continue
+    pivots: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for a in range(total_bits):
+        images = [0] * ring.dim
+        images[gens[a // t]] = 1 << target[a % t]
+        images = _extend(ring, images)
+        r = _leibniz_residue(ring, images)
+        while r and r & -r in pivots:
+            kept, kept_images = pivots[r & -r]
+            r, images = r ^ kept, tuple(map(xor, images, kept_images))
+        if r:
+            pivots[r & -r] = (r, images)
+        else:
+            yield Derivation(ring, shift, images)
 
 
 def enumerate_derivations(ring: GradedRing, shift: int) -> list[Derivation]:
-    """All Leibniz derivations of the given shift, by exhausting generator values."""
-    return list(iter_derivations(ring, shift))
+    """All Leibniz derivations of the given shift, ordered by assignment.
+
+    With b(c) the sum of the basis b_i of ``derivation_basis`` over the set
+    bits i of c, c < c' gives b(c) < b(c'): above the highest bit i where
+    c and c' differ they agree, and only b_i has b_i's highest bit. So the
+    list is b(0), b(1), ..., and its first nonzero element is b_0.
+    """
+    elements = [(0,) * ring.dim]
+    for d in derivation_basis(ring, shift):
+        elements += [tuple(map(xor, x, d.images)) for x in elements]
+    return [Derivation(ring, shift, x) for x in elements]
 
 
 @dataclass(frozen=True)
@@ -580,16 +622,6 @@ class TopClassWitness:
     identity_holds: bool
     d_top_nonzero: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "generator_order": list(self.generator_order),
-            "y": list(self.y),
-            "top_class": list(self.top_class),
-            "d_top": list(self.d_top),
-            "identity_x1_d_top_equals_top": self.identity_holds,
-            "d_top_nonzero": self.d_top_nonzero,
-        }
-
 
 def top_class_nonvanishing(d: Derivation) -> TopClassWitness:
     """Witness that a nonzero shift -1 Leibniz derivation has d(top) != 0.
@@ -597,8 +629,7 @@ def top_class_nonvanishing(d: Derivation) -> TopClassWitness:
     Implements the basis-completion argument on an exterior algebra: pick a
     generator x1 with d(x1) = 1, keep the remaining generators, and verify
     x1 * d(top) = top directly in the structure table. The direct value
-    d(top) is recorded alongside, so exhaustive evaluation and the
-    constructive identity can be compared by the caller.
+    d(top) is recorded alongside, for the caller to compare.
     """
     ring = d.ring
     if d.is_zero():

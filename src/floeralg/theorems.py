@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import f2linalg
 from .errors import HypothesisFailure
 from .gradedalg import (
     GradedRing,
@@ -23,14 +24,10 @@ from .gradedalg import (
     VanishingCertificate,
     build_exterior,
     build_truncated_poly,
-    derivation_from_generator_values,
-    enumerate_derivations,
-    iter_derivations,
+    derivation_basis,
     top_class_nonvanishing,
     vanishing_lemma,
 )
-
-EXHAUSTIVE_ENUMERATION_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -81,37 +78,24 @@ def _vanishing_induction(ring: GradedRing, NL: int, displaceable: bool,
     nu = (dim_l + 1) // NL
     dims = tuple(sorted(ring.dims_by_degree().items()))
 
+    certificates, witness = (), None
     if NL >= 3:
         certificates = tuple(vanishing_lemma(ring, 1 - r * NL)
                              for r in range(1, nu + 1))
-        einf_nonzero = any(k for _, k in dims)
-        contradiction = displaceable and einf_nonzero
-        return AudinVerdict(
-            ring_label=ring.label, n=n, NL=NL, nu=nu,
-            pages_forced_equal=True,
-            einf_dims=dims,
-            hf_assumption=displaceable,
-            verdict="contradiction" if contradiction else "consistent",
-            certificates=certificates,
-            witness=None,
-            warnings=warnings,
-        )
-
-    first_nonzero = next((d for d in iter_derivations(ring, -1)
-                          if not d.is_zero()), None)
-    witness = None
-    if first_nonzero is not None:
-        witness = {
-            "kind": "nonzero_shift_minus_one_derivation",
-            "generator_values": first_nonzero.generator_values(),
-        }
+    else:
+        # the first nonzero derivation by assignment (``enumerate_derivations``)
+        first_nonzero = next(derivation_basis(ring, -1), None)
+        if first_nonzero is not None:
+            witness = {"kind": "nonzero_shift_minus_one_derivation",
+                       "generator_values": first_nonzero.generator_values()}
+    contradiction = NL >= 3 and displaceable and any(k for _, k in dims)
     return AudinVerdict(
         ring_label=ring.label, n=n, NL=NL, nu=nu,
-        pages_forced_equal=False,
+        pages_forced_equal=NL >= 3,
         einf_dims=dims,
         hf_assumption=displaceable,
-        verdict="consistent",
-        certificates=(),
+        verdict="contradiction" if contradiction else "consistent",
+        certificates=certificates,
         witness=witness,
         warnings=warnings,
     )
@@ -160,22 +144,9 @@ class MaslovTwoReport:
     NL: int
     delta1_nonzero_forced: bool
     forcing_certificates: tuple[VanishingCertificate, ...]
-    exhaustive: bool
     nonzero_derivations: int
     witnesses: tuple[TopClassWitness, ...]
     all_top_nonvanishing: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "NL": self.NL,
-            "delta1_nonzero_forced": self.delta1_nonzero_forced,
-            "forcing_certificates": [c.to_dict() for c in self.forcing_certificates],
-            "exhaustive": self.exhaustive,
-            "nonzero_derivations": self.nonzero_derivations,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "all_top_nonvanishing": self.all_top_nonvanishing,
-        }
 
 
 def maslov_two_disc_argument(n: int) -> MaslovTwoReport:
@@ -186,9 +157,10 @@ def maslov_two_disc_argument(n: int) -> MaslovTwoReport:
     shift reasons (their shifts are 1 - 2r <= -3) and the limit would equal
     the nonzero torus ring; so under the displaceability assumption some
     shift -1 derivation is nonzero. Every nonzero shift -1 derivation moves
-    the top class: for n up to the enumeration limit this is checked
-    exhaustively, beyond it a constructive witness is produced for the
-    canonical derivation and the identity argument recorded.
+    the top class p, for every n, by one rank: d -> d(p) is linear on the
+    derivations, so with a basis d_1..d_k (``derivation_basis``) every
+    nonzero d has d(p) != 0 iff the d_i(p) have rank k. There are 2^k - 1
+    nonzero derivations, and the witness checks x1 d_1(p) = p.
     """
     if n < 2:
         raise HypothesisFailure("torus dimension must be >= 2")
@@ -196,22 +168,18 @@ def maslov_two_disc_argument(n: int) -> MaslovTwoReport:
     nu = (n + 1) // 2
     forcing = tuple(vanishing_lemma(ring, 1 - 2 * r) for r in range(2, nu + 1))
 
-    exhaustive = n <= EXHAUSTIVE_ENUMERATION_LIMIT
-    if exhaustive:
-        derivs = [d for d in enumerate_derivations(ring, -1) if not d.is_zero()]
-    else:
-        canonical = {ring.degree_basis(1)[0]: frozenset({ring.unit})}  # x1 -> 1, rest -> 0
-        derivs = [derivation_from_generator_values(ring, -1, canonical)]
-    witnesses = tuple(top_class_nonvanishing(d) for d in derivs)
+    basis = list(derivation_basis(ring, -1))
+    top = ring.degree_basis(n)[0]
+    moved = f2linalg.F2Matrix.from_row_ints([d.images[top] for d in basis], ring.dim)
+    w = top_class_nonvanishing(basis[0])
     return MaslovTwoReport(
         n=n, NL=2,
         delta1_nonzero_forced=True,
         forcing_certificates=forcing,
-        exhaustive=exhaustive,
-        nonzero_derivations=len(derivs) if exhaustive else 2 ** n - 1,
-        witnesses=witnesses,
-        all_top_nonvanishing=all(w.identity_holds and w.d_top_nonzero
-                                 for w in witnesses),
+        nonzero_derivations=2 ** len(basis) - 1,
+        witnesses=(w,),
+        all_top_nonvanishing=(f2linalg.rank(moved) == len(basis)
+                              and w.identity_holds and w.d_top_nonzero),
     )
 
 

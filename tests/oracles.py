@@ -8,7 +8,9 @@ and kernel oracles share no elimination code with the engine; quotient
 representatives as the echelon basis of every larger-basis row reduced
 modulo the smaller space, where the engine picks rows by pivot bit; ring and
 Leibniz identities checked on every basis pair or triple over frozenset
-elements, and a vanishing certificate replayed against its ring; the census
+elements, and a vanishing certificate replayed against its ring; every
+derivation of a shift found by trying each generator assignment, where the
+engine solves one kernel; the census
 conjugation and d^2 check computed block by block in degree-local
 coordinates, the census glued into the stored images op_k(g) only at the
 end; and the page engine with each zig-zag lift and
@@ -27,6 +29,7 @@ from functools import cached_property
 
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
+from floeralg import gradedalg as ga
 from floeralg import spectral as sp
 from floeralg.errors import LeibnizFailure, LiftFailure
 from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
@@ -179,6 +182,27 @@ def check_leibniz_all_pairs(d):
             if lhs != rhs:
                 return False
     return True
+
+
+def derivations_oracle(ring, shift):
+    """Every Leibniz derivation of the shift, by brute force: each of the
+    2^(n_1 t) generator assignments in turn, as an integer (bit p t + q puts
+    the q-th basis element of degree 1 + shift into the value of the p-th
+    degree-1 generator), is extended and kept when every basis pair passes.
+    A Leibniz derivation is fixed by its generator values, so the extension
+    ``gradedalg._extend`` is the only candidate for each assignment."""
+    gens = ring.degree_basis(1)
+    target = ring.degree_basis(1 + shift) if 1 + shift >= 0 else ()
+    t = len(target)
+    found = []
+    for assignment in range(1 << (len(gens) * t)):
+        images = [0] * ring.dim
+        for a in f2._bits_of(assignment):
+            images[gens[a // t]] |= 1 << target[a % t]
+        d = ga.Derivation(ring, shift, ga._extend(ring, images))
+        if check_leibniz_all_pairs(d):
+            found.append(d)
+    return found
 
 
 def z_coords_oracle(deg, vec):

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -400,6 +401,42 @@ def _ring_file(tmp_path, names, mult):
     path.write_text(json.dumps({"basis": [{"name": n, "degree": d} for n, d in names],
                                 "unit": 0, "mult": mult}))
     return str(path)
+
+
+def _zero_product_ring(tmp_path, n):
+    """A unit and n degree-1 generators whose products are all zero."""
+    return _ring_file(tmp_path, [("1", 0)] + [(f"x{i}", 1) for i in range(1, n + 1)],
+                      [[0, 0, [0]]] + [[0, i, [i]] for i in range(1, n + 1)]
+                      + [[i, 0, [i]] for i in range(1, n + 1)])
+
+
+def test_derivations_of_twenty_generators_in_seconds(tmp_path):
+    # 2^20 generator assignments, of which only 0 is consistent: the bound
+    # holds for 20 extensions, not for a search that tries each assignment
+    start = time.monotonic()
+    r = limited_proc("derivations", "enumerate", "--ring-file",
+                     _zero_product_ring(tmp_path, 20), "--shift", "-1")
+    assert time.monotonic() - start < 10
+    assert (r.returncode, r.stderr) == (0, "")
+    data = json.loads(r.stdout)
+    assert (data["count"], data["nonzero"], len(data["derivations"])) == (1, 0, 1)
+    assert not any(data["derivations"][0]["generator_values"].values())
+
+
+@pytest.mark.parametrize("maslov, code", [("3", 0), ("2", 2)])
+def test_audin_ring_of_6000_generators_in_seconds(tmp_path, maslov, code):
+    # the ring check skips the pairs that cannot fail; NL 2 still hits the
+    # cap on generator assignments before any extension
+    start = time.monotonic()
+    r = limited_proc("audin", "ring", "--ring-file", _zero_product_ring(tmp_path, 6000),
+                     "--maslov", maslov, "--displaceable")
+    assert time.monotonic() - start < 10
+    assert r.returncode == code
+    if code == 2:
+        assert r.stderr == ("error: 2^6000 generator assignments exceed the "
+                            "enumeration bound\n")
+    else:
+        assert json.loads(r.stdout)["verdict"] == "contradiction"
 
 
 # 1 a = 0 but a 1 = a; F2[a]/(a^4) without a^2 a = a^3, so (a a) a != a (a a);

@@ -6,7 +6,9 @@ element); ``check_leibniz_all_pairs`` tests every basis pair. The two must
 agree on every linear map, Leibniz or not, over a ring that meets
 ``require_leibniz_hypotheses``. That check (unit law and associativity on
 degree-1 triples, over bitmask rows) must agree with ``check_unit`` and the
-all-triples ``check_associative`` on seeded single-entry corruptions.
+all-triples ``check_associative`` on seeded single-entry corruptions. The
+derivations of a shift, found from one kernel, must be the brute-force
+``derivations_oracle`` list, in its order.
 """
 
 import random
@@ -15,7 +17,13 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_associative, check_leibniz_all_pairs, check_unit, mult_table
+from oracles import (
+    check_associative,
+    check_leibniz_all_pairs,
+    check_unit,
+    derivations_oracle,
+    mult_table,
+)
 
 from floeralg import f2linalg as f2
 from floeralg import gradedalg as ga
@@ -144,6 +152,63 @@ def test_rebased_rings_have_the_same_derivations():
         assert len(ga.enumerate_derivations(ring, -1)) == 2 ** n
 
 
+def zero_products(n):
+    """A unit and n degree-1 generators whose products are all zero: for
+    n >= 2 every nonzero shift -1 assignment is inconsistent."""
+    basis = [ga.BasisElement("1", 0)] + [ga.BasisElement(f"x{i}", 1) for i in range(1, n + 1)]
+    mult = {(0, 0): (0,)}
+    for i in range(1, n + 1):
+        mult[0, i] = mult[i, 0] = (i,)
+    return ga.GradedRing(basis, 0, mult, label=f"zero_products_{n}")
+
+
+def one_relation():
+    """The exterior algebra on a, b, c modulo bc = ab + ac, so abc = 0. A
+    shift -1 derivation has d(a) = d(b) = d(c): its only nonzero one sends
+    all three to 1, a kernel vector of three assignment bits."""
+    names = ["1", "a", "b", "c", "ab", "ac"]
+    basis = [ga.BasisElement(n, len(n) if n != "1" else 0) for n in names]
+    mult = {(0, i): (i,) for i in range(6)} | {(i, 0): (i,) for i in range(6)}
+    mult |= {(1, 2): (4,), (2, 1): (4,), (1, 3): (5,), (3, 1): (5,),
+             (2, 3): (4, 5), (3, 2): (4, 5)}
+    return ga.GradedRing(basis, 0, mult, label="one_relation")
+
+
+ENUMERATED = [ga.build_exterior(n) for n in range(1, 5)] + \
+    [ga.build_truncated_poly(n) for n in range(1, 7)] + RINGS[-2:] + \
+    [zero_products(1), zero_products(3), one_relation(), rebased(one_relation(), 3)]
+
+
+def _assignment_bits(ring, shift):
+    return len(ring.degree_basis(1)) * len(ring.degree_basis(1 + shift) if 1 + shift >= 0 else ())
+
+
+@st.composite
+def ring_shifts(draw):
+    """A ring and a shift of at most 12 generator-assignment bits."""
+    ring = draw(st.sampled_from(ENUMERATED))
+    return ring, draw(st.sampled_from([s for s in range(-3, 4)
+                                       if _assignment_bits(ring, s) <= 12]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_shifts())
+def test_derivations_match_the_brute_force_oracle(case):
+    ring, shift = case
+    oracle = derivations_oracle(ring, shift)
+    assert [d.images for d in ga.enumerate_derivations(ring, shift)] == [d.images for d in oracle]
+    # the NL = 2 witness is the first nonzero shift -1 derivation
+    first = next((d for d in derivations_oracle(ring, -1) if not d.is_zero()), None)
+    witness = th.audin_general(ring, 2).witness
+    assert (witness and witness["generator_values"]) == (first and first.generator_values())
+
+
+def test_oracle_rings_cover_inconsistent_assignments_and_dependencies():
+    assert [len(derivations_oracle(r, -1)) for r in ENUMERATED[-4:]] == [2, 1, 2, 2]
+    assert [d.generator_values() for d in ga.enumerate_derivations(one_relation(), -1)] == [
+        {"a": (), "b": (), "c": ()}, {"a": ("1",), "b": ("1",), "c": ("1",)}]
+
+
 def non_unital():
     # 1 a = 0 but a 1 = a
     return ga.GradedRing([ga.BasisElement("1", 0), ga.BasisElement("a", 1)], 0,
@@ -161,7 +226,7 @@ def test_derivation_entry_points_require_the_ring_hypotheses():
     for call in calls:
         with pytest.raises(RingAxiomFailure, match="unit law at a"):
             call()
-    # an input error of its own, not a contradiction iter_derivations skips
+    # an input error of its own, not a contradiction the derivation search skips
     assert not issubclass(RingAxiomFailure, InconsistentExtension)
 
 

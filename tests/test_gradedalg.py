@@ -175,7 +175,9 @@ def test_derivation_equality_is_by_ring_shift_and_images(ext2):
     b = ga.derivation_from_generator_values(ext2, -1, {x1: ext2.one(), x2: frozenset()})
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != ga.Derivation(ext2, -1, (0,) * ext2.dim)
-    rebuilt = ga.build_exterior(2)
+    # built-in rings are shared, so an equal ring is built past the cache
+    assert ga.build_exterior(2) is ext2
+    rebuilt = ga.build_exterior.__wrapped__(2)
     assert ga.Derivation(rebuilt, -1, a.images) != a
     # a repeated index counts once, as in a frozenset
     assert ga.derivation_from_generator_values(

@@ -1,7 +1,9 @@
 """Theorem drivers: vanishing induction, top-class argument, projective spaces."""
 
+import random
+
 import pytest
-from oracles import replay_certificate
+from oracles import derivations_oracle, replay_certificate
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
@@ -113,40 +115,64 @@ def test_general_rejects_sphere():
 # -- maslov two ------------------------------------------------------------
 
 
+def _nonzero_oracle(n):
+    return [d for d in derivations_oracle(ga.build_exterior(n), -1) if not d.is_zero()]
+
+
 def test_maslov_two_exhaustive_n2():
+    # the rank certifies every nonzero derivation the brute-force search finds
     rep = th.maslov_two_disc_argument(2)
-    assert rep.exhaustive and rep.nonzero_derivations == 3
-    assert len(rep.witnesses) == 3 and rep.all_top_nonvanishing
+    assert rep.nonzero_derivations == len(_nonzero_oracle(2)) == 3
+    assert len(rep.witnesses) == 1 and rep.all_top_nonvanishing
 
 
 def test_maslov_two_exhaustive_n3():
     rep = th.maslov_two_disc_argument(3)
-    assert rep.nonzero_derivations == 7 and rep.all_top_nonvanishing
+    assert rep.nonzero_derivations == len(_nonzero_oracle(3)) == 7
+    assert rep.all_top_nonvanishing
 
 
 def test_maslov_two_constructive_n6():
+    # the witness is the first basis derivation, x1 -> 1
     rep = th.maslov_two_disc_argument(6)
-    assert not rep.exhaustive
     assert len(rep.witnesses) == 1
+    assert rep.witnesses[0].generator_order[0] == "x1"
     assert rep.all_top_nonvanishing
     assert rep.nonzero_derivations == 2 ** 6 - 1
 
 
 def test_maslov_two_branches_agree_small():
-    # constructive witness is among the exhaustive ones with identical verdicts
+    # the rank verdict agrees with checking each nonzero derivation the
+    # brute-force oracle finds on its own
     for n in (2, 3, 4):
         rep = th.maslov_two_disc_argument(n)
-        assert rep.exhaustive
-        assert all(w.identity_holds and w.d_top_nonzero for w in rep.witnesses)
-        canonical = {g: (ga.build_exterior(n).one() if i == 0 else frozenset())
-                     for i, g in enumerate(ga.build_exterior(n).degree_basis(1))}
-        ring = ga.build_exterior(n)
-        d = ga.derivation_from_generator_values(
-            ring, -1,
-            {g: (ring.one() if i == 0 else frozenset())
-             for i, g in enumerate(ring.degree_basis(1))})
-        w = ga.top_class_nonvanishing(d)
-        assert w.identity_holds and w.d_top_nonzero
+        assert rep.all_top_nonvanishing
+        top = frozenset(ga.build_exterior(n).degree_basis(n))
+        for d in _nonzero_oracle(n):
+            w = ga.top_class_nonvanishing(d)
+            assert w.identity_holds and w.d_top_nonzero and d.apply(top)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_maslov_two_counts_nonzero_derivations(n):
+    rep = th.maslov_two_disc_argument(n)
+    assert rep.nonzero_derivations == 2 ** n - 1 and rep.all_top_nonvanishing
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (5, 2), (6, 3)])
+def test_maslov_two_wrong_basis_fails_the_rank(monkeypatch, n, seed):
+    # one basis derivation duplicated over another: the witness still holds,
+    # but the values on the top class have rank n - 1
+    def duplicated(ring, shift):
+        basis = list(ga.derivation_basis(ring, shift))
+        i, j = random.Random(seed).sample(range(len(basis)), 2)
+        basis[j] = basis[i]
+        return iter(basis)
+
+    monkeypatch.setattr(th, "derivation_basis", duplicated)
+    rep = th.maslov_two_disc_argument(n)
+    assert rep.witnesses[0].identity_holds and rep.witnesses[0].d_top_nonzero
+    assert not rep.all_top_nonvanishing
 
 
 def test_maslov_two_forcing_certificates():
