@@ -219,16 +219,13 @@ def cmd_derivations_enumerate(kind, n, ring_file, shift, fmt):
         ring = _build_ring(kind, n)
     else:
         raise click.UsageError("give either --kind with --n, or --ring-file")
-    derivs = gradedalg.enumerate_derivations(ring, shift)
+    values = gradedalg.derivation_generator_values(ring, shift)
     data = {
         "ring": ring.label,
         "shift": shift,
-        "count": len(derivs),
-        "nonzero": sum(not d.is_zero() for d in derivs),
-        "derivations": [
-            {"generator_values": {g: list(v) for g, v in d.generator_values().items()}}
-            for d in derivs
-        ],
+        "count": len(values),
+        "nonzero": len(values) - 1,
+        "derivations": [{"generator_values": vals} for vals in values],
     }
 
     def table(d):

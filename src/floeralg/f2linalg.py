@@ -11,8 +11,8 @@ of subspaces is payload equality; they read coordinates off the pivot bits.
 
 One routine eliminates: a row's pivot is its lowest set bit, each row goes
 into a pivot map (``_echelon_insert``), and the map is back-substituted, so
-a zero row costs nothing and no column is probed. Each matrix is eliminated
-at most once: ``rank``, ``solve_many``, ``left_kernel`` and ``inverse`` all
+a zero row costs nothing and no column is probed. ``rank`` only counts the
+rows kept in that map. ``solve_many``, ``left_kernel`` and ``inverse``
 read one :class:`Elimination` record, the reduced row echelon form of
 ``[m | I]``, computed on first use and kept on the matrix. A right-hand
 side then costs one pass over the transform rows, not a fresh elimination
@@ -256,8 +256,13 @@ def _rref_ints(row_ints: Iterable[int]) -> tuple[list[int], list[int]]:
 
 
 def rank(m: F2Matrix) -> int:
-    """Row rank over F2 by Gaussian elimination."""
-    return len(_elimination(m).pivots)
+    """Row rank over F2: the rows kept when m's rows are filed into one
+    pivot map. Kept rows have distinct lowest bits, so they are independent,
+    and a row that reduces to 0 lies in their span. Nothing else is kept."""
+    pivots: dict[int, int] = {}
+    for v in m.bits:
+        _echelon_insert(pivots, v)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -355,11 +360,6 @@ def kernel(m: F2Matrix) -> Subspace:
     """Null space {v : m @ v = 0} as a canonical Subspace of F2^cols: the
     left kernel of m^T."""
     return left_kernel(m.transpose())
-
-
-def image(m: F2Matrix) -> Subspace:
-    """Column span of m as a canonical Subspace of F2^rows."""
-    return Subspace.from_vectors(m.rows, m.transpose().bits)
 
 
 def solve_many(m: F2Matrix, bs: Iterable[int]) -> list[Optional[int]]:

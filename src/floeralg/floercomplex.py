@@ -16,10 +16,10 @@ chain to one degree is ``MorseComplex.part``. Each op_k is stored once, as
 its images op_k(g), one chain per generator, and so is D = sum_k op_k,
 their XOR (``differential_images``); ``d2_report``, the folded homology,
 the product-Leibniz check and the page engine of :mod:`floeralg.spectral`
-read those. ``operator`` cuts a per-degree block of op_k on demand, for the
-window and E_1 oracles only, and ``MorseComplex.glue`` places per-degree
-blocks over the generator order, for the census change of basis. Each m_l
-is stored once, as bitmask rows.
+read those. The window and E_1 oracles of :mod:`floeralg.spectral` read
+each ``ops[k]`` on its own, not D, and ``MorseComplex.glue`` places
+per-degree blocks over the generator order, for the census change of
+basis. Each m_l is stored once, as bitmask rows.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -159,15 +159,6 @@ class FloerComplex:
     @property
     def products_bound(self) -> int:
         return (2 * self.dimL) // self.NL
-
-    def operator(self, k: int, m: int) -> F2Matrix:
-        """Block of op_k on C^m, cut from ``ops[k]``; a zero block of shape
-        (dim C^(m+1-k*NL), dim C^m) when op_k is absent or out of range."""
-        t = m + 1 - k * self.NL
-        images, positions = self.ops.get(k), self.morse.degree_positions(m)
-        cols = ([self.morse.part(images[g], t) for g in positions] if images
-                else [0] * len(positions))
-        return F2Matrix.from_row_ints(cols, self.morse.dim_at(t)).transpose()
 
     # -- chains ------------------------------------------------------------
 

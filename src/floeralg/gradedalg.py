@@ -542,6 +542,18 @@ def enumerate_derivations(ring: GradedRing, shift: int) -> list[Derivation]:
     return [Derivation(ring, shift, x) for x in elements]
 
 
+def derivation_generator_values(ring: GradedRing, shift: int) -> list[dict[str, list[str]]]:
+    """``generator_values`` (as lists) of each of ``enumerate_derivations``,
+    in order: the basis cut to degree 1 (a linear cut), combined that way.
+    A derivation is the one Leibniz extension of its degree-1 values and the
+    basis is independent, so only the first of the 2^dim is zero."""
+    gens = ring.degree_basis(1)
+    values = [(0,) * len(gens)]
+    for d in derivation_basis(ring, shift):
+        values += [tuple(x ^ d.images[g] for x, g in zip(v, gens)) for v in values]
+    return [{ring.basis[g].name: list(ring._names(x)) for g, x in zip(gens, v)} for v in values]
+
+
 @dataclass(frozen=True)
 class GeneratorFate:
     name: str

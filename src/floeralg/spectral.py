@@ -38,10 +38,9 @@ Pages collapse at nu + 1 for degree reasons: op-degree bookkeeping pushes
 every later differential into negative Morse degrees. Convergence is
 checked per residue against the folded homology and against a truncated
 Laurent-window oracle that builds the honest bigraded complex. That oracle
-and the E_1 oracle read per-degree op_k blocks, which
-``FloerComplex.operator`` cuts from the stored images op_k(g), not D, so
-they stay independent of the engine; the window oracle visits only the
-stored operator keys, as an absent op_k has only zero blocks.
+and the E_1 oracle cut their columns from each stored ``fc.ops[k]`` on its
+own, not from D, so they stay independent of the engine; the window oracle
+visits only the stored operator keys, as an absent op_k is zero.
 """
 
 from __future__ import annotations
@@ -129,11 +128,9 @@ def _zero_classes(rows: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=256)
 def _zero_delta(rows: int, cols: int) -> F2Matrix:
-    """The zero delta of one shape, ranked once: ``page_to_dict`` reads the
-    rank of every delta, and an F2Matrix keeps its elimination."""
-    mat = F2Matrix.zeros(rows, cols)
-    f2linalg.rank(mat)
-    return mat
+    """The zero delta of one shape, shared by every page (not ranked ahead:
+    a rank is one pass over its rows)."""
+    return F2Matrix.zeros(rows, cols)
 
 
 def _tail_freedom(fc: FloerComplex, m: int, depth: int) -> int:
@@ -439,43 +436,41 @@ def window_homology_dims(fc: FloerComplex) -> dict[int, int]:
     Builds the Laurent complex over T-powers in [-W, W], W = 2 nu + 2, and
     computes the homology of total degrees 0..NL-1, which are far enough
     from the window boundary that no chain, boundary or image is truncated.
+    Degree l holds the blocks T^p C^m, m = l - p*NL, and op_k maps block p
+    to block p + k of degree l + 1. Each differential, l = -1..NL-1, is
+    ranked once, as the pivots left by its columns in one pivot map: column
+    g of block p is ``part(ops[k][g], m + 1 - k*NL)`` at the offset of block
+    p + k, OR-ed over the keys k whose block is in the window. It reads each
+    op_k, never D, so a wrong D still shows.
     """
-    W = 2 * fc.nu + 2
-    N = fc.NL
+    W, N, morse = 2 * fc.nu + 2, fc.NL, fc.morse
 
-    def blocks(l: int) -> list[tuple[int, int]]:
-        out = []
+    def offsets(l: int) -> tuple[dict[int, int], int]:
+        off, size = {}, 0
         for p in range(-W, W + 1):
+            dim = morse.dim_at(l - p * N)
+            if dim:
+                off[p] = size
+                size += dim
+        return off, size
+
+    layout = {l: offsets(l) for l in range(-1, N + 1)}
+    ranks = {}
+    for l in range(-1, N):
+        tgt = layout[l + 1][0]
+        pivots: dict[int, int] = {}
+        for p in layout[l][0]:
             m = l - p * N
-            if 0 <= m <= fc.dimL and fc.morse.dim_at(m) > 0:
-                out.append((p, m))
-        return out
-
-    def offsets(bl: list[tuple[int, int]]) -> tuple[dict, int]:
-        off, acc = {}, 0
-        for p, m in bl:
-            off[(p, m)] = acc
-            acc += fc.morse.dim_at(m)
-        return off, acc
-
-    def dmatrix(l: int) -> F2Matrix:
-        src, ssize = offsets(blocks(l))
-        tgt, tsize = offsets(blocks(l + 1))
-        entries = []
-        for (p, m), o in src.items():
-            for k in fc.ops:
-                key = (p + k, m + 1 - k * N)
-                if key not in tgt:
-                    continue
-                for (i, j) in fc.operator(k, m).entries():
-                    entries.append((tgt[key] + i, o + j))
-        return F2Matrix.from_entries(tsize, ssize, entries)
-
-    out = {}
-    for l in range(N):
-        _, size = offsets(blocks(l))
-        out[l] = size - f2linalg.rank(dmatrix(l)) - f2linalg.rank(dmatrix(l - 1))
-    return out
+            keys = [(images, m + 1 - k * N, tgt[p + k])
+                    for k, images in fc.ops.items() if p + k in tgt]
+            for g in morse.degree_positions(m):
+                col = 0
+                for images, t, o in keys:
+                    if images[g]:
+                        col |= morse.part(images[g], t) << o
+                f2linalg._echelon_insert(pivots, col)
+        ranks[l] = len(pivots)
+    return {l: layout[l][1] - ranks[l] - ranks[l - 1] for l in range(N)}
 
 
 @dataclass(frozen=True)
@@ -519,24 +514,29 @@ def e1_oracle(fc: FloerComplex) -> tuple[dict[int, int], dict[int, F2Matrix]]:
 
     Returns the cohomology dimension of (C, op_0) per degree and the map
     induced by op_1 in the canonical echelon coset bases, kept as its
-    columns like ``SpectralPage.delta``. Built from f2linalg primitives
-    only, bypassing the page engine.
+    columns like ``SpectralPage.delta``. The op_0 and op_1 columns of C^m
+    are cut from ``fc.ops``, not D: the cycles are the left kernel of the
+    op_0 columns as rows (the block's kernel), the boundaries span the op_0
+    columns of C^(m-1), and op_1 q is the XOR of op_1 columns at q's bits.
+    Built from f2linalg primitives only, bypassing the page engine.
     """
+    morse = fc.morse
+
+    def columns(k: int, m: int) -> list[int]:
+        images, t = fc.ops.get(k), m + 1 - k * fc.NL
+        return [morse.part(images[g], t) if images else 0 for g in morse.degree_positions(m)]
+
     quots: dict[int, QuotientMap] = {}
-    for m in range(fc.dimL + 1):
-        cycles = f2linalg.kernel(fc.operator(0, m))
-        below = fc.operator(0, m - 1)
-        bounds = f2linalg.image(below) if m > 0 else Subspace.zero(fc.morse.dim_at(m))
-        quots[m] = f2linalg.quotient_map(bounds, cycles)
-    dims = {m: quots[m].dim for m in quots}
     deltas: dict[int, F2Matrix] = {}
-    for m in range(fc.dimL + 1):
-        t = m + 1 - fc.NL
-        tdim = dims.get(t, 0)
-        op1 = fc.operator(1, m)
-        cols = [quots[t].coords(op1.mul_vec(q)) if tdim else 0 for q in quots[m].reps.basis]
+    for m in range(fc.dimL + 1):  # op_1 lands below m, in a degree already done
+        cycles = f2linalg.left_kernel(F2Matrix.from_row_ints(columns(0, m), morse.dim_at(m + 1)))
+        bounds = Subspace.from_vectors(morse.dim_at(m), columns(0, m - 1))
+        quots[m] = f2linalg.quotient_map(bounds, cycles)
+        tgt = quots.get(m + 1 - fc.NL)
+        tdim, op1 = (tgt.dim if tgt else 0), columns(1, m)
+        cols = [tgt.coords(f2linalg._combine(op1, q)) if tdim else 0 for q in quots[m].reps.basis]
         deltas[m] = F2Matrix.from_row_ints(cols, tdim)
-    return dims, deltas
+    return {m: q.dim for m, q in quots.items()}, deltas
 
 
 def induced_page_product(pages, fc: FloerComplex, paranoid: bool = True):

@@ -15,11 +15,14 @@ conjugation and d^2 check computed block by block in degree-local
 coordinates, the census glued into the stored images op_k(g) only at the
 end; and the page engine with each zig-zag lift and
 antecedent chain kept as a tuple of degree-local slots. The slot-by-slot
-obstruction reads ``fc.operator`` blocks, cut from the stored op_k, not
+obstruction reads ``operator_block`` blocks, cut from the stored op_k, not
 the D the engine reads, so a wrong D or a wrong chain layout shows. The
-page products are built afresh on every page, over all (dimL + 1)^2 degree
-pairs, with one ``FloerComplex.product_vec`` per pair of representatives,
-where the engine keeps a table while its quotients are unchanged.
+window and E_1 oracles are block versions too: each window differential
+assembled from entries and ranked twice, and E_1 from the kernels and
+images of op_0 blocks. The page products are built afresh on every page,
+over all (dimL + 1)^2 degree pairs, with one ``FloerComplex.product_vec``
+per pair of representatives, where the engine keeps a table while its
+quotients are unchanged.
 """
 
 import itertools
@@ -38,6 +41,21 @@ from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
 def column_matrix(cols, ambient):
     """The matrix whose columns are the ints ``cols``, each over ``ambient`` rows."""
     return F2Matrix.from_row_ints(cols, ambient).transpose()
+
+
+def operator_block(fc, k, m):
+    """Block of op_k on C^m, cut from ``fc.ops[k]``; a zero block of shape
+    (dim C^(m+1-k*NL), dim C^m) when op_k is absent or out of range."""
+    t = m + 1 - k * fc.NL
+    images, positions = fc.ops.get(k), fc.morse.degree_positions(m)
+    cols = ([fc.morse.part(images[g], t) for g in positions] if images
+            else [0] * len(positions))
+    return column_matrix(cols, fc.morse.dim_at(t))
+
+
+def image_oracle(m):
+    """Column span of m as a canonical Subspace of F2^rows."""
+    return Subspace.from_vectors(m.rows, m.transpose().bits)
 
 
 def rref_oracle(row_ints, cols, pivot_limit=None):
@@ -279,7 +297,7 @@ def d_squared_oracle(fc):
                 mid = m + 1 - j * fc.NL
                 if not (0 <= mid <= fc.dimL):
                     continue
-                acc = acc + fc.operator(i, mid) @ fc.operator(j, m)
+                acc = acc + operator_block(fc, i, mid) @ operator_block(fc, j, m)
             if not acc.is_zero():
                 col = min(next(f2._bits_of(row)) for row in acc.bits if row)
                 witness = fc.morse.generators[fc.morse.degree_positions(m)[col]].name
@@ -414,12 +432,69 @@ def folded_homology_oracle(fc):
                 t = m + 1 - k * N
                 if not (0 <= t <= fc.dimL):
                     continue
-                for (i, j) in fc.operator(k, m).entries():
+                for (i, j) in operator_block(fc, k, m).entries():
                     entries.append((offsets[r_out][t] + i, offsets[r][m] + j))
         return F2Matrix.from_entries(sizes[r_out], sizes[r], entries)
 
     ranks = {r: rank_oracle(folded_matrix(r)) for r in range(N)}
     return {r: sizes[r] - ranks[r] - ranks[(r - 1) % N] for r in range(N)}
+
+
+def _window_offsets(fc, l):
+    """Offsets of the window blocks (p, m) of total degree l, and their total size."""
+    W = 2 * fc.nu + 2
+    off, acc = {}, 0
+    for p in range(-W, W + 1):
+        m = l - p * fc.NL
+        if 0 <= m <= fc.dimL and fc.morse.dim_at(m) > 0:
+            off[(p, m)] = acc
+            acc += fc.morse.dim_at(m)
+    return off, acc
+
+
+def window_matrix_oracle(fc, l):
+    """The window differential from total degree l to l + 1, assembled from
+    the entries of its op_k blocks."""
+    src, ssize = _window_offsets(fc, l)
+    tgt, tsize = _window_offsets(fc, l + 1)
+    entries = []
+    for (p, m), o in src.items():
+        for k in fc.ops:
+            key = (p + k, m + 1 - k * fc.NL)
+            if key not in tgt:
+                continue
+            for (i, j) in operator_block(fc, k, m).entries():
+                entries.append((tgt[key] + i, o + j))
+    return F2Matrix.from_entries(tsize, ssize, entries)
+
+
+def window_homology_oracle(fc):
+    """window_homology_dims with each window differential assembled from the
+    entries of its op_k blocks, in an offset layout keyed by (p, m), and
+    ranked once for each of the two degrees it touches."""
+    return {l: _window_offsets(fc, l)[1] - rank_oracle(window_matrix_oracle(fc, l))
+            - rank_oracle(window_matrix_oracle(fc, l - 1)) for l in range(fc.NL)}
+
+
+def e1_blocks_oracle(fc):
+    """e1_oracle from op_0 and op_1 blocks: cycles the kernel of the op_0
+    block of degree m, boundaries the image of the block of degree m - 1,
+    and op_1 applied to each representative as a matrix."""
+    quots = {}
+    for m in range(fc.dimL + 1):
+        cycles = f2.kernel(operator_block(fc, 0, m))
+        below = operator_block(fc, 0, m - 1)
+        bounds = image_oracle(below) if m > 0 else Subspace.zero(fc.morse.dim_at(m))
+        quots[m] = f2.quotient_map(bounds, cycles)
+    dims = {m: quots[m].dim for m in quots}
+    deltas = {}
+    for m in range(fc.dimL + 1):
+        t = m + 1 - fc.NL
+        tdim = dims.get(t, 0)
+        op1 = operator_block(fc, 1, m)
+        cols = [quots[t].coords(op1.mul_vec(q)) if tdim else 0 for q in quots[m].reps.basis]
+        deltas[m] = F2Matrix.from_row_ints(cols, tdim)
+    return dims, deltas
 
 
 def tail_freedom_oracle(fc, m, depth):
@@ -443,7 +518,7 @@ def tail_freedom_oracle(fc, m, depth):
         t = m + 1 - s * N
         rows = fc.morse.dim_at(t) if 0 <= t <= fc.dimL else 0
         for j in range(1, s + 1):
-            for (i, c) in fc.operator(s - j, m - j * N).entries():
+            for (i, c) in operator_block(fc, s - j, m - j * N).entries():
                 entries.append((row_off + i, offsets[j - 1] + c))
         row_off += rows
     ker = kernel_oracle(F2Matrix.from_entries(row_off, total, entries))
@@ -490,12 +565,12 @@ def obstruction_oracle(fc, r, m, vec, tail):
     """Next zig-zag obstruction of a depth-r cycle (lands in degree m+1-r*NL),
     slot by slot through the op_k blocks."""
     if r == 0:
-        return fc.operator(0, m).mul_vec(vec)
+        return operator_block(fc, 0, m).mul_vec(vec)
     out = 0
     for k in range(1, r + 1):
         s = r - k
         y = vec if s == 0 else tail[s - 1]
-        out ^= fc.operator(k, m - s * fc.NL).mul_vec(y)
+        out ^= operator_block(fc, k, m - s * fc.NL).mul_vec(y)
     return out
 
 

@@ -423,6 +423,20 @@ def test_derivations_of_twenty_generators_in_seconds(tmp_path):
     assert not any(data["derivations"][0]["generator_values"].values())
 
 
+def test_derivations_of_the_rank_12_torus_in_seconds():
+    # 4,096 derivations, printed from the generator values of the 12 basis
+    # elements: no derivation beyond the basis is built over 4,096 images
+    start = time.monotonic()
+    r = limited_proc("derivations", "enumerate", "--kind", "torus", "--n", "12",
+                     "--shift", "-1")
+    assert time.monotonic() - start < 10
+    assert (r.returncode, r.stderr) == (0, "")
+    data = json.loads(r.stdout)
+    assert (data["count"], data["nonzero"], len(data["derivations"])) == (4096, 4095, 4096)
+    assert data["derivations"][-1]["generator_values"] == {
+        f"x{i}": ["1"] for i in range(1, 13)}
+
+
 @pytest.mark.parametrize("maslov, code", [("3", 0), ("2", 2)])
 def test_audin_ring_of_6000_generators_in_seconds(tmp_path, maslov, code):
     # the ring check skips the pairs that cannot fail; NL 2 still hits the

@@ -6,8 +6,8 @@ from operator import or_, xor
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (kernel_oracle, quotient_reps_oracle, rank_oracle, rref_oracle,
-                     solve_oracle)
+from oracles import (image_oracle, kernel_oracle, quotient_reps_oracle, rank_oracle,
+                     rref_oracle, solve_oracle)
 
 from floeralg import f2linalg as f2
 
@@ -54,7 +54,7 @@ def test_rank_of_transpose(m):
 def test_rank_nullity(m):
     r = f2.rank(m)
     assert r + f2.kernel(m).dim == m.cols
-    assert f2.image(m).dim == r
+    assert image_oracle(m).dim == r
 
 
 @settings(max_examples=60)
@@ -101,8 +101,23 @@ def test_solve_many_matches_one_elimination_per_rhs(system):
     assert [f2.solve_many(m, [b])[0] for b in bs] == [solve_oracle(m, b) for b in bs]
 
 
-@given(matrices())
-def test_rank_and_kernel_match_the_oracle_elimination(m):
+@st.composite
+def sparse_wide_matrices(draw):
+    """Up to 12 rows over up to 200 columns, each row zero or a few bits."""
+    cols = draw(st.integers(0, 200))
+    column = st.integers(0, max(cols - 1, 0))
+    rows = draw(st.lists(st.sets(column, max_size=3 if cols else 0), max_size=12))
+    return f2.F2Matrix.from_row_ints([sum(1 << j for j in row) for row in rows], cols)
+
+
+@given(st.one_of(matrices(), sparse_wide_matrices(),
+                 st.builds(f2.F2Matrix.zeros, st.integers(0, 12), st.integers(0, 200))),
+       st.booleans())
+def test_rank_and_kernel_match_the_oracle_elimination(m, eliminated):
+    # rank counts pivots whether or not m already holds an Elimination
+    if eliminated:
+        f2.left_kernel(m)
+        assert "_elimination" in m.__dict__
     assert f2.rank(m) == rank_oracle(m)
     assert f2.kernel(m) == kernel_oracle(m)
     # the cached record takes no part in equality, hashing or repr

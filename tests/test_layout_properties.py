@@ -3,19 +3,22 @@ order, against the block-by-block oracles.
 
 Each op_k is stored once, as its images op_k(g), and D as their XOR; the
 census conjugation, the d^2 check, the folded homology, the paranoid tail
-system and the page engine's lifts run on those. ``MorseComplex.glue``
-places per-degree blocks over the generator order and
-``FloerComplex.operator`` cuts a block back out; the oracles in
-``oracles.py`` do each computation block by block.
+system and the page engine's lifts run on those, and the window and E_1
+oracles cut their columns from each op_k. ``MorseComplex.glue`` places
+per-degree blocks over the generator order and ``oracles.operator_block``
+cuts a block back out; the oracles in ``oracles.py`` do each computation
+block by block.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (census_oracle, d_squared_oracle, folded_homology_oracle,
-                     lift_slots, slot_pages, slots_chain, solve_oracle,
-                     tail_freedom_oracle)
+from oracles import (census_oracle, d_squared_oracle, e1_blocks_oracle,
+                     folded_homology_oracle, lift_slots, operator_block,
+                     slot_pages, slots_chain, solve_oracle, tail_freedom_oracle,
+                     window_homology_oracle, window_matrix_oracle)
 
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
@@ -45,6 +48,64 @@ def complexes(draw):
     dims = draw(st.one_of(dims_lists, sparse_dims))
     return fcx.random_complex_census(draw(st.integers(0, 2**16)), dims,
                                      draw(st.integers(2, 5)))[0]
+
+
+@st.composite
+def oracle_complexes(draw):
+    """Census complexes, dense or sparse, NL 2..7, so often with no op_1;
+    and exterior-ring complexes with or without a Morse boundary op_0 and
+    with or without a shift -1 derivation op_1."""
+    if draw(st.booleans()):
+        dims = draw(st.one_of(dims_lists, sparse_dims))
+        return fcx.random_complex_census(draw(st.integers(0, 2**16)), dims,
+                                         draw(st.integers(2, 7)))[0]
+    n = draw(st.integers(1, 4))
+    ring = ga.build_exterior(n)
+    gens = ring.degree_basis(1)
+    up, free, down = None, range(n), None
+    if n >= 3 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        up = ga.derivation_from_generator_values(
+            ring, 1, {gens[a]: ring.mul(frozenset({gens[b]}), frozenset({gens[c]}))})
+        free = [i for i in range(n) if i not in (b, c)]
+    if draw(st.booleans()):
+        sent = draw(st.sets(st.sampled_from(free)))
+        down = ga.derivation_from_generator_values(ring, -1, {gens[i]: ring.one() for i in sent})
+    return fcx.complex_from_ring(ring, 2, derivation=down, boundary=up)
+
+
+@SETTINGS
+@given(oracle_complexes())
+def test_window_oracle_equals_the_blockwise_window(fc):
+    assert sp.window_homology_dims(fc) == window_homology_oracle(fc)
+
+
+@SETTINGS
+@given(oracle_complexes())
+def test_window_columns_are_the_blockwise_window_matrices(fc):
+    # ranks alone hardly see a misplaced block (the T-shift is an
+    # automorphism), so the columns filed for each differential l = -1..NL-1
+    # are compared, in order, with the columns of the assembled matrix
+    filed = []
+    insert = f2._echelon_insert
+
+    def recording(pivots, v):
+        if not filed or filed[-1][0] is not pivots:
+            filed.append((pivots, []))
+        filed[-1][1].append(v)
+        return insert(pivots, v)
+
+    with mock.patch.object(f2, "_echelon_insert", recording):
+        sp.window_homology_dims(fc)
+    matrices = [window_matrix_oracle(fc, l) for l in range(-1, fc.NL)]
+    assert [cols for _, cols in filed] == [list(m.transpose().bits) for m in matrices if m.cols]
+
+
+@SETTINGS
+@given(oracle_complexes())
+def test_e1_oracle_equals_the_blockwise_e1(fc):
+    # dims and every delta_1 matrix, bit for bit
+    assert sp.e1_oracle(fc) == e1_blocks_oracle(fc)
 
 
 @SETTINGS
@@ -117,17 +178,17 @@ def test_operator_blocks_glue_back_to_the_stored_images(fc):
     # (dim C^(m+1-k*NL), dim C^m), zero when either degree is empty
     morse = fc.morse
     for k in range(fc.nu + 1):
-        blocks = {m: fc.operator(k, m) for m in range(fc.dimL + 1)}
+        blocks = {m: operator_block(fc, k, m) for m in range(fc.dimL + 1)}
         assert morse.glue(blocks, 1 - k * fc.NL).transpose().bits == fc.ops.get(
             k, (0,) * len(morse.generators))
     for k in (-1, fc.nu + 1):
         for m in range(-1, fc.dimL + 2):
             t = m + 1 - k * fc.NL
-            assert fc.operator(k, m) == F2Matrix.zeros(morse.dim_at(t), morse.dim_at(m))
+            assert operator_block(fc, k, m) == F2Matrix.zeros(morse.dim_at(t), morse.dim_at(m))
     for m in (-1, fc.dimL + 1):
         for k in range(fc.nu + 1):
             t = m + 1 - k * fc.NL
-            assert fc.operator(k, m) == F2Matrix.zeros(morse.dim_at(t), 0)
+            assert operator_block(fc, k, m) == F2Matrix.zeros(morse.dim_at(t), 0)
 
 
 @SETTINGS
@@ -162,7 +223,7 @@ def test_tail_freedom_solves_the_zig_zag_system(fc):
             for s in range(1, depth + 1):
                 out = 0
                 for j in range(1, s + 1):
-                    out ^= fc.operator(s - j, m - j * N).mul_vec(tail[j - 1])
+                    out ^= operator_block(fc, s - j, m - j * N).mul_vec(tail[j - 1])
                 assert out == 0
 
 
@@ -216,7 +277,7 @@ def test_boundary_chains_are_antecedents(fc):
                 assert chain == slots_chain(fc, top, ws)
                 out = 0
                 for i, w in enumerate(ws):
-                    out ^= fc.operator(r - 1 - i, top - i * N).mul_vec(w)
+                    out ^= operator_block(fc, r - 1 - i, top - i * N).mul_vec(w)
                 assert out == b
 
 

@@ -3,11 +3,11 @@
 The two oracles below are the frozenset algorithms the bitmask code
 replaced: the product-Leibniz check applies op_k and m_l to every generator
 pair as chains, and the page-product builder round-trips representatives
-through chains. They read op_k through ``fc.operator(k, m)`` and m_l from
-pair tables (built by the test, or read back from the serialized triples),
-never from the bitmask views they check. Reports and tables must agree
-exactly, witnesses included, on valid complexes and on seeded single-entry
-corruptions of m_0, m_1 and op_1. The tables are those ``induced_page_product``
+through chains. They read op_k through ``oracles.operator_block(fc, k, m)``
+and m_l from pair tables (built by the test, or read back from the
+serialized triples), never from the bitmask views they check. Reports and
+tables must agree exactly, witnesses included, on valid complexes and on
+seeded single-entry corruptions of m_0, m_1 and op_1. The tables are those ``induced_page_product``
 attaches to every page, so one kept from a page where it no longer holds
 shows; on Hypothesis ring complexes they must also equal
 ``oracles.page_product_tables``, the builder that multiplied afresh on every
@@ -58,7 +58,8 @@ def apply_operator(fc, k, chain):
         t = m + 1 - k * fc.NL
         if 0 <= t <= fc.dimL:
             part = frozenset(g for g in chain if fc.morse.generators[g].index == m)
-            out ^= vec_to_chain(fc, fc.operator(k, m).mul_vec(chain_to_vec(fc, part, m)), t)
+            block = oracles.operator_block(fc, k, m)
+            out ^= vec_to_chain(fc, block.mul_vec(chain_to_vec(fc, part, m)), t)
     return out
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 
 import pytest
+from oracles import e1_blocks_oracle, operator_block, window_homology_oracle
 
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
@@ -50,7 +51,7 @@ def test_page0_dims_and_delta(t2):
     p0 = sp.page0(t2)
     assert p0.dims() == [1, 2, 1]
     for m in range(3):
-        assert p0.delta_matrix(m) == t2.operator(0, m)  # bit-for-bit
+        assert p0.delta_matrix(m) == operator_block(t2, 0, m)  # bit-for-bit
     assert p0.delta_matrix(1).is_zero()  # perfect Morse function
 
 
@@ -454,19 +455,13 @@ def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, di
     # the folded oracle reads D and eliminates once per occupied
     # residue, with no per-degree operator block
     fc = fcx.assemble(fcx.MorseComplex([fcx.Generator("x", 0)], dimL), 2, {})
-    calls = operator_calls = 0
+    calls = 0
     rref = f2._rref_ints
-    operator = fcx.FloerComplex.operator
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return rref(*args, **kwargs)
-
-    def counting_operator(*args, **kwargs):
-        nonlocal operator_calls
-        operator_calls += 1
-        return operator(*args, **kwargs)
 
     monkeypatch.setattr(f2, "_rref_ints", counting)
     collapse = sp.run_to_collapse(fc)
@@ -474,9 +469,8 @@ def test_one_generator_complex_costs_a_few_eliminations_per_page(monkeypatch, di
     for page in collapse.pages:
         assert page.dims() == [1] + [0] * dimL
     calls = 0
-    monkeypatch.setattr(fcx.FloerComplex, "operator", counting_operator)
     assert fcx.folded_homology(fc) == {0: 1, 1: 0}
-    assert operator_calls == 0 and calls <= fc.NL
+    assert calls <= fc.NL
     monkeypatch.undo()
     assert sp.check_convergence(collapse).ok
 
@@ -515,7 +509,7 @@ def test_chain_complex_eliminates_only_where_an_obstruction_is_nonzero(monkeypat
     # D = 0, so no degree has a nonzero obstruction in or out and every
     # page carries every degree over, with no elimination: not in the turn,
     # the second lift or the page dumps, which read the ranks of shared
-    # zero deltas (ranked once per process, so the first run goes uncounted)
+    # zero deltas (a rank only counts rows in a pivot map, with no record)
     dimL = 200
     fc = fcx.assemble(fcx.MorseComplex(
         [fcx.Generator(f"x{i}", i) for i in range(dimL + 1)], dimL), 2, {})
@@ -546,6 +540,35 @@ def test_chain_complex_eliminates_only_where_an_obstruction_is_nonzero(monkeypat
     for page, nxt in zip(pages, pages[1:]):
         assert nxt.data.keys() == page.data.keys()
         assert all(nxt.data[m] is deg for m, deg in page.data.items())
+
+
+def test_census_oracles_make_no_matrix_transpose_or_back_substitution(monkeypatch):
+    # the window oracle ranks each window differential from its columns in
+    # one pivot map, the E_1 oracle reads op_0 and op_1 columns with no
+    # transpose, and a rank counts pivots with no back-substitution
+    fc, expected = fcx.random_complex_census(5, [2, 3, 3, 2, 1], 2)
+    window, e1 = window_homology_oracle(fc), e1_blocks_oracle(fc)
+    fresh = f2.F2Matrix.from_row_ints([0b0110, 0, 0b1010, 0b1100, 0b0011], 4)
+    counts = {"construct": 0, "transpose": 0, "back_substitute": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(f2.F2Matrix, "__post_init__",
+                        counting("construct", f2.F2Matrix.__post_init__))
+    assert sp.window_homology_dims(fc) == window == expected
+    assert counts["construct"] == 0
+    monkeypatch.setattr(f2.F2Matrix, "transpose", counting("transpose", f2.F2Matrix.transpose))
+    assert sp.e1_oracle(fc) == e1
+    assert counts["transpose"] == 0
+    monkeypatch.setattr(f2, "_back_substitute",
+                        counting("back_substitute", f2._back_substitute))
+    assert f2.rank(fresh) == 3
+    assert counts["back_substitute"] == 0 and "_elimination" not in fresh.__dict__
+    assert any(fc.ops[0]) and any(fc.ops[1])  # both are read
 
 
 def test_products_of_unchanged_pages_cost_nothing(monkeypatch):
