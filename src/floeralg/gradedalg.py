@@ -54,6 +54,9 @@ MAX_EXTERIOR_GENERATORS = 12
 # F2[a]/(a^(n+1)) has (n+1)^2/2 table entries; `ring rp --n 1000` prints 31 MB
 MAX_TRUNCATED_DEGREE = 1000
 MAX_ENUMERATION_ASSIGNMENTS = 1 << 24
+# a listing costs about 25 us, 280 bytes of output and 3 KB of peak memory per
+# derivation: 2^16 print in about 2 s at a 200 MB peak, 2^18 took 6 s and 700 MB
+MAX_LISTED_DERIVATIONS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -267,8 +270,26 @@ class GradedRing:
         Returns the pairs (g, f), g of degree 1 and f of degree d - 1, and for
         each basis element of degree d the coordinates over those pairs of
         one preimage under (g, f) -> g f, None when there is none. Depends
-        on the ring only, so it is computed once per degree and cached; all
-        the right-hand sides share one elimination.
+        on the ring only, so it is computed once per degree and cached.
+
+        An element e that is a single product, g f = e, gets the first such
+        pair in ``pair_cols`` order, read off the table rows. Only the
+        elements no single product hits share one elimination (``solve_many``)
+        over the products of all pairs.
+
+        Which preimages are used changes no derivation. Let E be ``_extend``
+        with them and R the residue (``_leibniz_residue``). For degree-1
+        values v that some Leibniz derivation D takes, E(v) = D, by induction
+        on degree: for e = sum of g_p f_p over the chosen pairs, D(e) is the
+        sum of D(g_p) f_p + g_p D(f_p), with D(f_p) = E(v)(f_p) below e's
+        degree, and that sum is how E(v)(e) is formed. R E(v) = 0 iff E(v)
+        is a Leibniz derivation (``check_leibniz``), which then takes v. So
+        the kernel of R E is the set of v that some derivation takes,
+        whichever preimages are used. ``derivation_basis`` keeps assignment a iff e_a
+        is not in span(e_c : c < a) + kernel, and yields, for each other a,
+        the one kernel vector e_a + (kept c < a): both depend on the kernel
+        alone. So the basis, its images and every ``InconsistentExtension``
+        are those of any other choice of preimages.
         """
         cache = self.__dict__.setdefault("_preimage_cache", {})
         cached = cache.get(d)
@@ -276,11 +297,20 @@ class GradedRing:
             rows = self.rows
             pair_cols = tuple((g, f) for g in self.degree_basis(1)
                               for f in self.degree_basis(d - 1))
-            col_vecs = [self._local(rows[g].get(f, 0), d) for g, f in pair_cols]
-            tgt = len(self.degree_basis(d))
-            mu = f2linalg.F2Matrix.from_row_ints(col_vecs, tgt).transpose()
-            cached = cache[d] = (pair_cols, tuple(
-                f2linalg.solve_many(mu, [1 << p for p in range(tgt)])))
+            first: dict[int, int] = {}  # 1 << k -> coordinates of e_k's first single product
+            for q, (g, f) in enumerate(pair_cols):
+                v = rows[g].get(f, 0)
+                if v and not v & (v - 1):
+                    first.setdefault(v, 1 << q)
+            elements = self.degree_basis(d)
+            coords = [first.get(self._units[e]) for e in elements]
+            rest = [p for p, c in enumerate(coords) if c is None]
+            if rest:
+                col_vecs = [self._local(rows[g].get(f, 0), d) for g, f in pair_cols]
+                mu = f2linalg.F2Matrix.from_row_ints(col_vecs, len(elements)).transpose()
+                for p, x in zip(rest, f2linalg.solve_many(mu, [1 << p for p in rest])):
+                    coords[p] = x
+            cached = cache[d] = (pair_cols, tuple(coords))
         return cached
 
     def __repr__(self):
@@ -428,21 +458,40 @@ def check_leibniz(d: Derivation) -> bool:
 def _leibniz_residue(ring: GradedRing, images: Sequence[int]) -> int:
     """What ``check_leibniz`` tests, as one int, zero iff every test passes
     and linear in the images: d(1) in bits 0..dim - 1, then for the p-th
-    degree-1 generator g and basis element b, d(g b) + d(g) b + g d(b) from
-    bit dim (1 + p dim + b) on."""
-    rows, units, dim = ring.rows, ring._units, ring.dim
-    residue, offset = images[ring.unit], dim
-    for g in ring.degree_basis(1):
+    degree-1 generator g and basis element b, d(g) b + d(g b) + g d(b) from
+    bit dim (1 + p dim + b) on.
+
+    Each generator row is gathered into one dict keyed by b: the row of
+    d(g) (the XOR of rows when d(g) has several bits), then d(g b) along
+    the row of g, then g d(b) for the nonzero images only. The int is the
+    one the pair-by-pair loop (``leibniz_residue_oracle`` in the tests)
+    builds, bit for bit."""
+    rows, dim = ring.rows, ring.dim
+    nonzero = [(b, db) for b, db in enumerate(images) if db]
+    residue = images[ring.unit]
+    for p, g in enumerate(ring.degree_basis(1)):
         row_g, dg = rows[g], images[g]
-        for b, db in enumerate(images):
-            r = _mask_mul(rows, dg, units[b]) if dg else 0
-            if b in row_g:
-                r ^= f2linalg._combine(images, row_g[b])
-            if db:
-                r ^= _mask_mul(rows, units[g], db)
+        if not dg & (dg - 1):
+            acc = dict(rows[dg.bit_length() - 1]) if dg else {}
+        else:
+            acc = {}
+            for k in f2linalg._bits_of(dg):
+                for b, v in rows[k].items():
+                    acc[b] = acc.get(b, 0) ^ v
+        for b, gb in row_g.items():
+            dgb = images[gb.bit_length() - 1] if not gb & (gb - 1) \
+                else f2linalg._combine(images, gb)
+            if dgb:
+                acc[b] = acc.get(b, 0) ^ dgb
+        for b, db in nonzero:
+            w = row_g.get(db.bit_length() - 1, 0) if not db & (db - 1) \
+                else _mask_mul(rows, ring._units[g], db)
+            if w:
+                acc[b] = acc.get(b, 0) ^ w
+        offset = dim * (1 + p * dim)
+        for b, r in acc.items():
             if r:
-                residue |= r << offset
-            offset += dim
+                residue |= r << (offset + b * dim)
     return residue
 
 
@@ -528,6 +577,16 @@ def derivation_basis(ring: GradedRing, shift: int) -> Iterator[Derivation]:
             yield Derivation(ring, shift, images)
 
 
+def _listed_basis(ring: GradedRing, shift: int) -> list[Derivation]:
+    """``derivation_basis`` in full, once its 2^dim combinations are known
+    to fit ``MAX_LISTED_DERIVATIONS``, before any of them is built."""
+    basis = list(derivation_basis(ring, shift))
+    if 1 << len(basis) > MAX_LISTED_DERIVATIONS:
+        raise SizeLimit(f"2^{len(basis)} derivations exceed MAX_LISTED_DERIVATIONS "
+                        f"= {MAX_LISTED_DERIVATIONS}")
+    return basis
+
+
 def enumerate_derivations(ring: GradedRing, shift: int) -> list[Derivation]:
     """All Leibniz derivations of the given shift, ordered by assignment.
 
@@ -537,7 +596,7 @@ def enumerate_derivations(ring: GradedRing, shift: int) -> list[Derivation]:
     list is b(0), b(1), ..., and its first nonzero element is b_0.
     """
     elements = [(0,) * ring.dim]
-    for d in derivation_basis(ring, shift):
+    for d in _listed_basis(ring, shift):
         elements += [tuple(map(xor, x, d.images)) for x in elements]
     return [Derivation(ring, shift, x) for x in elements]
 
@@ -549,7 +608,7 @@ def derivation_generator_values(ring: GradedRing, shift: int) -> list[dict[str, 
     basis is independent, so only the first of the 2^dim is zero."""
     gens = ring.degree_basis(1)
     values = [(0,) * len(gens)]
-    for d in derivation_basis(ring, shift):
+    for d in _listed_basis(ring, shift):
         values += [tuple(x ^ d.images[g] for x, g in zip(v, gens)) for v in values]
     return [{ring.basis[g].name: list(ring._names(x)) for g, x in zip(gens, v)} for v in values]
 

@@ -16,6 +16,7 @@ so it loads exactly as the same file written with ints.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Iterable
 
 from .errors import InputError, ShapeMismatch
@@ -141,6 +142,12 @@ def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
     Besides the schema, indices must be in range, a pair (i, j) may not be
     given outputs twice, and an entry may not list an output index twice:
     a repeat is rejected, not cancelled mod 2.
+
+    The schema makes every index an int >= 0, so the three checks run in
+    bulk: one ``max`` over the pairs and outputs, one key count of the
+    pair -> outputs dict and set sizes of the entries with two or more
+    outputs. Only a file that fails one of them is walked entry by entry
+    (``_first_bad_entry``), to name its first bad entry in file order.
     """
     if not _plain_ring(data):
         data = _schema_integers(data, "ring")
@@ -148,20 +155,32 @@ def ring_from_dict(data: dict, label: str = "ring") -> GradedRing:
     dim = len(basis)
     if not (0 <= data["unit"] < dim):
         raise InputError("unit index out of range")
-    mult = {}
-    for entry in data["mult"]:
-        i, j, ks = entry
-        if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in ks)):
-            raise InputError(f"mult entry {entry} has out-of-range indices")
-        if (i, j) in mult:
-            raise InputError(f"duplicate mult entry for pair ({i}, {j})")
-        if len(set(ks)) != len(ks):
-            raise InputError(f"mult entry {entry} lists an output index twice")
-        mult[(i, j)] = ks
+    entries = data["mult"]
+    mult = {(i, j): ks for i, j, ks in entries}
+    if not (len(mult) == len(entries)
+            and max(chain.from_iterable(chain(mult, mult.values())), default=0) < dim
+            and all(len(set(ks)) == len(ks) for ks in mult.values() if len(ks) > 1)):
+        raise _first_bad_entry(entries, dim)
     try:
         return GradedRing(basis, data["unit"], mult, label=label)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _first_bad_entry(entries: list, dim: int) -> InputError:
+    """The error for the first mult entry, in file order, with an index out
+    of range, a pair given before or an output index listed twice."""
+    seen = set()
+    for entry in entries:
+        i, j, ks = entry
+        if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in ks)):
+            return InputError(f"mult entry {entry} has out-of-range indices")
+        if (i, j) in seen:
+            return InputError(f"duplicate mult entry for pair ({i}, {j})")
+        if len(set(ks)) != len(ks):
+            return InputError(f"mult entry {entry} lists an output index twice")
+        seen.add((i, j))
+    raise AssertionError("every mult entry is valid")
 
 
 # -- complexes ---------------------------------------------------------------

@@ -10,7 +10,10 @@ modulo the smaller space, where the engine picks rows by pivot bit; ring and
 Leibniz identities checked on every basis pair or triple over frozenset
 elements, and a vanishing certificate replayed against its ring; every
 derivation of a shift found by trying each generator assignment, where the
-engine solves one kernel; the census
+engine solves one kernel; the Leibniz residue built pair by pair (generator,
+basis element), where the engine gathers one dict per generator row; product
+preimages all solved by one elimination, where the engine reads the single
+products off the table rows; the census
 conjugation and d^2 check computed block by block in degree-local
 coordinates, the census glued into the stored images op_k(g) only at the
 end; and the page engine with each zig-zag lift and
@@ -221,6 +224,38 @@ def derivations_oracle(ring, shift):
         if check_leibniz_all_pairs(d):
             found.append(d)
     return found
+
+
+def leibniz_residue_oracle(ring, images):
+    """``gradedalg._leibniz_residue`` one (generator, basis element) pair at a
+    time: d(1) in bits 0..dim - 1, then d(g) b + d(g b) + g d(b) for the
+    p-th degree-1 generator g and basis element b from bit dim (1 + p dim + b)."""
+    rows, units, dim = ring.rows, ring._units, ring.dim
+    residue, offset = images[ring.unit], dim
+    for g in ring.degree_basis(1):
+        row_g, dg = rows[g], images[g]
+        for b, db in enumerate(images):
+            r = ga._mask_mul(rows, dg, units[b]) if dg else 0
+            if b in row_g:
+                r ^= f2._combine(images, row_g[b])
+            if db:
+                r ^= ga._mask_mul(rows, units[g], db)
+            if r:
+                residue |= r << offset
+            offset += dim
+    return residue
+
+
+def product_preimages_oracle(ring, d):
+    """``GradedRing._product_preimages(d)`` with every degree-d basis element
+    solved against the products of all pairs in one elimination."""
+    rows = ring.rows
+    pair_cols = tuple((g, f) for g in ring.degree_basis(1)
+                      for f in ring.degree_basis(d - 1))
+    col_vecs = [ring._local(rows[g].get(f, 0), d) for g, f in pair_cols]
+    tgt = len(ring.degree_basis(d))
+    mu = F2Matrix.from_row_ints(col_vecs, tgt).transpose()
+    return pair_cols, tuple(f2.solve_many(mu, [1 << p for p in range(tgt)]))
 
 
 def z_coords_oracle(deg, vec):

@@ -500,6 +500,65 @@ def test_duplicate_pair_exit_2_whatever_the_order(tmp_path, mult):
     assert r.stderr == "error: duplicate mult entry for pair (0, 1)\n"
 
 
+# one bad entry each, appended to a valid table of 1 and a
+MULT_FAULTS = {
+    "out of range": ([1, 2, []], "mult entry [1, 2, []] has out-of-range indices"),
+    "output out of range": ([1, 1, [5]], "mult entry [1, 1, [5]] has out-of-range indices"),
+    "repeated output": ([1, 1, [1, 1]], "mult entry [1, 1, [1, 1]] lists an output index twice"),
+    "duplicate pair": ([0, 1, [1]], "duplicate mult entry for pair (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("faults", [
+    ("out of range",), ("output out of range",), ("out of range", "repeated output"), ("repeated output", "out of range"),
+    ("duplicate pair", "out of range"), ("out of range", "duplicate pair"),
+])
+def test_first_bad_mult_entry_in_file_order_is_named(tmp_path, faults):
+    mult = [[0, 0, [0]], [0, 1, [1]], [1, 0, [1]]] + [MULT_FAULTS[f][0] for f in faults]
+    r = run_cli("derivations", "enumerate", "--ring-file",
+                _ring_file(tmp_path, [("1", 0), ("a", 1)], mult), "--shift", "-1")
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == f"error: {MULT_FAULTS[faults[0]][1]}\n"
+
+
+def _exterior_8_file(tmp_path):
+    """``build_exterior(8)`` as a ring file: 256 basis elements, 6,561 entries."""
+    path = tmp_path / "exterior_8.json"
+    path.write_text(json.dumps(serialize.ring_to_dict(ga.build_exterior(8))))
+    return str(path)
+
+
+def test_audin_on_a_rank_8_ring_file_in_seconds(tmp_path):
+    # NL 2: the shift -1 derivations do not vanish, so the verdict is consistent
+    start = time.monotonic()
+    r = limited_proc("audin", "ring", "--ring-file", _exterior_8_file(tmp_path), "--maslov", "2")
+    assert time.monotonic() - start < 10
+    assert (r.returncode, r.stderr) == (1, "")
+    data = json.loads(r.stdout)
+    assert data["verdict"] == "consistent"
+    assert data["witness"]["kind"] == "nonzero_shift_minus_one_derivation"
+
+
+def test_derivations_of_a_rank_8_ring_file_in_seconds(tmp_path):
+    start = time.monotonic()
+    r = limited_proc("derivations", "enumerate", "--ring-file", _exterior_8_file(tmp_path),
+                     "--shift", "-1")
+    assert time.monotonic() - start < 10
+    assert (r.returncode, r.stderr) == (0, "")
+    data = json.loads(r.stdout)
+    assert (data["count"], data["nonzero"], len(data["derivations"])) == (256, 255, 256)
+
+
+def test_listing_above_the_derivation_cap_exit_2():
+    # the shift +1 derivations of the rank-4 torus form a 24-dimensional space
+    start = time.monotonic()
+    r = limited_proc("derivations", "enumerate", "--kind", "torus", "--n", "4", "--shift", "1")
+    assert time.monotonic() - start < 10
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == ("error: 2^24 derivations exceed MAX_LISTED_DERIVATIONS = "
+                        f"{ga.MAX_LISTED_DERIVATIONS}\n")
+
+
 # -- maslov ---------------------------------------------------------------------
 
 

@@ -8,7 +8,11 @@ agree on every linear map, Leibniz or not, over a ring that meets
 degree-1 triples, over bitmask rows) must agree with ``check_unit`` and the
 all-triples ``check_associative`` on seeded single-entry corruptions. The
 derivations of a shift, found from one kernel, must be the brute-force
-``derivations_oracle`` list, in its order.
+``derivations_oracle`` list, in its order. The Leibniz residue, gathered one
+generator row at a time, must be the pair-by-pair ``leibniz_residue_oracle``
+int, and the product preimages read off the table must multiply back to
+their targets and give the derivations that the one-elimination
+``product_preimages_oracle`` gives.
 """
 
 import random
@@ -22,7 +26,9 @@ from oracles import (
     check_leibniz_all_pairs,
     check_unit,
     derivations_oracle,
+    leibniz_residue_oracle,
     mult_table,
+    product_preimages_oracle,
 )
 
 from floeralg import f2linalg as f2
@@ -207,6 +213,112 @@ def test_oracle_rings_cover_inconsistent_assignments_and_dependencies():
     assert [len(derivations_oracle(r, -1)) for r in ENUMERATED[-4:]] == [2, 1, 2, 2]
     assert [d.generator_values() for d in ga.enumerate_derivations(one_relation(), -1)] == [
         {"a": (), "b": (), "c": ()}, {"a": ("1",), "b": ("1",), "c": ("1",)}]
+
+
+def fresh(ring):
+    """A copy of the ring with caches of its own."""
+    return ga.GradedRing(ring.basis, ring.unit, mult_table(ring), label=ring.label)
+
+
+@st.composite
+def residue_cases(draw):
+    """A ring, a shift and images: random multi-bit images of every basis
+    element, or the extension of random degree-1 values (a derivation only
+    when they are consistent)."""
+    ring = draw(st.sampled_from(ENUMERATED))
+    shift = draw(st.integers(-3, 3))
+    images = []
+    for i in range(ring.dim):
+        target = _target(ring, shift, i)
+        bits = draw(st.integers(0, (1 << len(target)) - 1))
+        images.append(sum(1 << k for q, k in enumerate(target) if bits >> q & 1))
+    if draw(st.booleans()):
+        gens = set(ring.degree_basis(1))
+        images = list(ga._extend(ring, [x if i in gens else 0 for i, x in enumerate(images)]))
+    return ring, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_cases())
+def test_residue_rows_match_the_pairwise_oracle(case):
+    ring, images = case
+    assert ga._leibniz_residue(ring, images) == leibniz_residue_oracle(ring, images)
+
+
+def no_single_products():
+    """Degree-1 x, y and degree-2 u, v, w with x x = u + v, x y = u + w and
+    y x = u + v + w: generated in degree 1, but no product is a basis element."""
+    names = [("1", 0), ("x", 1), ("y", 1), ("u", 2), ("v", 2), ("w", 2)]
+    basis = [ga.BasisElement(n, d) for n, d in names]
+    mult = {(0, i): (i,) for i in range(6)} | {(i, 0): (i,) for i in range(1, 6)}
+    mult |= {(1, 1): (3, 4), (1, 2): (3, 5), (2, 1): (3, 4, 5)}
+    return ga.GradedRing(basis, 0, mult, label="no_single_products")
+
+
+@pytest.mark.parametrize("ring, solved", [
+    (RINGS[-2], {2: 1}), (RINGS[-1], {2: 6, 3: 1}), (no_single_products(), {2: 3}),
+    (ga.build_exterior(4), {}), (ga.build_truncated_poly(5), {}),
+], ids=lambda x: x.label if isinstance(x, ga.GradedRing) else str(x))
+def test_preimages_multiply_back_to_their_targets(ring, solved, monkeypatch):
+    # ``solved``: degree -> elements no single product hits, left to solve_many
+    ring, rhs = fresh(ring), []
+    degrees = [d for d in ring.degrees() if d >= 2]
+    oracle_pairs = {d: product_preimages_oracle(ring, d)[0] for d in degrees}
+    solve_many = f2.solve_many
+
+    def counted(m, bs):
+        rhs.append(len(bs))
+        return solve_many(m, bs)
+    monkeypatch.setattr(f2, "solve_many", counted)
+    solved_at = {}
+    for d in degrees:
+        pair_cols, coords = ring._product_preimages(d)
+        assert pair_cols == oracle_pairs[d]
+        for e, c in zip(ring.degree_basis(d), coords):
+            product = 0
+            for q in f2._bits_of(c):
+                g, f = pair_cols[q]
+                product ^= ring.rows[g].get(f, 0)
+            assert product == 1 << e
+        if rhs:
+            solved_at[d] = rhs.pop()
+    assert solved_at == solved
+
+
+def test_derivations_do_not_depend_on_the_preimages():
+    differ, rng = 0, random.Random(5)
+    for base in ENUMERATED + [no_single_products()]:
+        engine, oracle = fresh(base), fresh(base)
+        degrees = [d for d in base.degrees() if d >= 2]
+        oracle.__dict__["_preimage_cache"] = {
+            d: product_preimages_oracle(oracle, d) for d in degrees}
+        differ += any(engine._product_preimages(d) != oracle._product_preimages(d)
+                      for d in degrees)
+        for shift in range(-3, 4):
+            assert ([d.images for d in ga.derivation_basis(engine, shift)]
+                    == [d.images for d in ga.derivation_basis(oracle, shift)])
+            target = engine.degree_basis(1 + shift) if 1 + shift >= 0 else ()
+            for _ in range(8):
+                values = {g: frozenset(k for k in target if rng.random() < 0.5)
+                          for g in engine.degree_basis(1)}
+                outcomes = []
+                for ring in (engine, oracle):
+                    try:
+                        outcomes.append(ga.derivation_from_generator_values(
+                            ring, shift, values).images)
+                    except InconsistentExtension:
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1]
+    assert differ  # the two choices of preimages are not the same everywhere
+
+
+def test_rank_8_exterior_preimages_need_no_elimination(monkeypatch):
+    def no_elimination(m, bs):
+        raise AssertionError("solve_many called")
+    monkeypatch.setattr(f2, "solve_many", no_elimination)
+    ring = fresh(ga.build_exterior(8))
+    for d in range(2, 9):
+        ring._product_preimages(d)
 
 
 def non_unital():

@@ -234,6 +234,20 @@ def test_enumeration_deterministic_order(ext2):
     assert [d.generator_values() for d in a] == [d.generator_values() for d in b]
 
 
+def test_listings_stop_at_the_derivation_cap(monkeypatch):
+    # the shift 0 derivations of the rank-4 torus are all 2^16 linear maps of
+    # its degree-1 part, a listing at the cap; its shift +1 ones are 2^24
+    ring = ga.build_exterior(4)
+    assert len(ga.derivation_generator_values(ring, 0)) == ga.MAX_LISTED_DERIVATIONS == 1 << 16
+    for listing in (ga.derivation_generator_values, ga.enumerate_derivations):
+        with pytest.raises(SizeLimit, match=r"^2\^24 derivations exceed "
+                                            r"MAX_LISTED_DERIVATIONS = 65536$"):
+            listing(ring, 1)
+    monkeypatch.setattr(ga, "MAX_LISTED_DERIVATIONS", 1 << 15)  # one dimension short
+    with pytest.raises(SizeLimit, match=r"^2\^16 derivations"):
+        ga.derivation_generator_values(ring, 0)
+
+
 # -- vanishing lemma -------------------------------------------------------------
 
 
