@@ -252,7 +252,7 @@ def cmd_maslov():
 @_engine_errors
 def cmd_maslov_index(loop_file, fmt):
     """Winding number of det^2 along a sampled Lagrangian loop."""
-    loop = serialize.loop_from_dict(serialize.load_json(loop_file))
+    loop = serialize.load_loop(loop_file)
     idx = maslov.maslov_index(loop)
     data = {"index": idx.value, "min_gap": round(idx.min_gap, 12),
             "samples": len(loop)}

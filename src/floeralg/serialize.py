@@ -10,14 +10,18 @@ well-formed file never imports jsonschema; any other data is validated, and
 a rejection carries jsonschema's ``best_match`` message. Every number in the
 ring and complex schemas is an integer, which JSON Schema takes to include
 integral floats such as 2.0; such data is read with each float as an int,
-so it loads exactly as the same file written with ints.
+so it loads exactly as the same file written with ints. ``load_loop``, the
+reader of ``maslov index``, skips even ``_plain_loop`` on a loop file whose
+text and array shape already imply it, and decodes with the cyclic garbage
+collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import InputError, ShapeMismatch
 from .f2linalg import _bits_of
@@ -403,21 +407,95 @@ def _plain_loop(data: Any) -> bool:
 
 
 def loop_from_dict(data: dict) -> LagrangianLoop:
-    import numpy as np  # loop files only; maslov needs it anyway
-
     if not _plain_loop(data):
         validate_against_schema(data, "loop")
     n, samples = data["n"], data["samples"]
+    parts = _sample_array(samples, n)
+    if parts is None:
+        raise _first_bad_sample(samples, n)
+    return _loop_of(parts)
+
+
+def _sample_array(samples: list, n: int):
+    """``samples`` as one (S, n, n, 2) float array of finite values, or None."""
+    import numpy as np  # loop files only; maslov needs it anyway
+
     try:
         parts = np.array(samples, dtype=np.float64)
-    except (ValueError, OverflowError):  # ragged, or an int beyond the float range
-        parts = None
-    if parts is None or parts.shape != (len(samples), n, n, 2) \
-            or not np.isfinite(parts).all():
-        raise _first_bad_sample(samples, n)
+    except (ValueError, TypeError, OverflowError):
+        # ragged, a non-number, or an int beyond the float range
+        return None
+    if parts.shape != (len(samples), n, n, 2) or not np.isfinite(parts).all():
+        return None
+    return parts
+
+
+def _loop_of(parts) -> LagrangianLoop:
+    import numpy as np
+
     frames = parts.view(np.complex128)[..., 0]
     frames.flags.writeable = False
-    return LagrangianLoop(frames.shape[1], tuple(frames))
+    return LagrangianLoop(frames.shape[1], frames)
+
+
+def load_loop(path: str) -> LagrangianLoop:
+    """``loop_from_dict(load_json(path))``, with most of its work skipped on
+    a plain loop file.
+
+    The file is read by ``load_json`` itself, so every read and decoding
+    error is the same. The cyclic collector is paused from the read until
+    the decoded lists are converted and released, and its prior state is
+    restored however this ends: decoded JSON holds no reference cycles, so
+    a collection could only walk its lists and free nothing. Any file that
+    ``_decode_loop`` does not accept goes through ``loop_from_dict`` on the
+    value ``load_json`` would have returned, so every message and exit code
+    is unchanged.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        read = load_json(path, _decode_loop)
+        if type(read) is LagrangianLoop:
+            return read
+    finally:
+        if enabled:
+            gc.enable()
+    return loop_from_dict(read)
+
+
+def _decode_loop(text: str) -> Any:
+    """The loop a plain loop file holds, else its decoded JSON.
+
+    A file is plain when its text has exactly four ``"`` and no ``true``,
+    ``false`` or ``null`` token, the decoded data is a dict with keys
+    exactly {n, samples}, ``type(n) is int`` with n >= 1, samples is a
+    non-empty list, and ``_sample_array`` reads it with shape
+    (len(samples), n, n, 2) and finite values. Then ``_plain_loop(data)``
+    holds, clause by clause:
+
+    - the dict and its keys are checked directly;
+    - so are n and samples;
+    - the two keys take the four ``"``, so the file holds no other string,
+      and without the three tokens no bool or null: every other value is
+      an int, a float, a list or an empty dict (a non-empty one has keys);
+    - numpy descends only into lists here and converts no dict to a float
+      (TypeError), so shape (S, n, n, 2) makes every frame, row and entry
+      a list, every entry of two items, and every item a number, hence an
+      int or a float.
+
+    ``loop_from_dict`` would then read the same array, check the same shape
+    and finiteness, and return the same loop.
+    """
+    data = json.loads(text)
+    if text.count('"') != 4 or "true" in text or "false" in text or "null" in text:
+        return data
+    if type(data) is not dict or data.keys() != {"n", "samples"}:
+        return data
+    n, samples = data["n"], data["samples"]
+    if type(n) is not int or n < 1 or type(samples) is not list or not samples:
+        return data
+    parts = _sample_array(samples, n)
+    return data if parts is None else _loop_of(parts)
 
 
 def _first_bad_sample(samples: list, n: int) -> InputError:
@@ -441,10 +519,15 @@ def _first_bad_sample(samples: list, n: int) -> InputError:
     raise AssertionError("every sample is a finite frame")
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str, decode: Callable[[str], Any] = json.loads) -> Any:
+    """``decode`` of the UTF-8 text of ``path``.
+
+    ``decode`` raises ValueError or RecursionError only for text that is not
+    valid JSON, as ``json.loads`` does; those and OSError are InputErrors.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return decode(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

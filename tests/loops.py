@@ -36,12 +36,12 @@ def concatenate(a, b):
         raise BasepointMismatch("ambient dimensions differ")
     if not _same_subspace(a.samples[0], b.samples[0]):
         raise BasepointMismatch("loops are not based at the same subspace")
-    return mv.LagrangianLoop(a.n, a.samples + b.samples)
+    return mv.LagrangianLoop.from_frames(np.concatenate([a.samples, b.samples]))
 
 
 def reverse(loop):
     """The loop traversed backwards, keeping the basepoint first."""
-    return mv.LagrangianLoop(loop.n, loop.samples[:1] + loop.samples[:0:-1])
+    return mv.LagrangianLoop.from_frames(np.concatenate([loop.samples[:1], loop.samples[:0:-1]]))
 
 
 def rotating_loop(n, samples, turns=1, factor=0):

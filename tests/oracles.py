@@ -25,7 +25,9 @@ assembled from entries and ranked twice, and E_1 from the kernels and
 images of op_0 blocks. The page products are built afresh on every page,
 over all (dimL + 1)^2 degree pairs, with one ``FloerComplex.product_vec``
 per pair of representatives, where the engine keeps a table while its
-quotients are unchanged.
+quotients are unchanged. The Maslov frame check runs the SVD behind
+``matrix_rank`` on every frame, where the engine skips it for the frames a
+Gram certificate clears.
 """
 
 import itertools
@@ -36,8 +38,9 @@ from functools import cached_property
 from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
+from floeralg import maslov as mv
 from floeralg import spectral as sp
-from floeralg.errors import LeibnizFailure, LiftFailure
+from floeralg.errors import DegenerateFrame, LeibnizFailure, LiftFailure, NotLagrangian
 from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
 
 
@@ -723,3 +726,42 @@ def page_product_tables(page, fc):
                 table.append(row)
             tables[(m1, m2)] = table
     return tables
+
+
+def scaled_frames_oracle(frames):
+    """The frames as one complex array, each divided by its largest real or
+    imaginary part, and their computed Gram matrices A^H A."""
+    import numpy as np
+
+    stack = np.array(frames, dtype=np.complex128)
+    parts = stack.view(np.float64)
+    scale = np.abs(parts).max(axis=(1, 2))
+    parts /= np.where(scale > 0, scale, 1.0)[:, None, None]
+    return stack, stack.conj().swapaxes(1, 2) @ stack
+
+
+def degenerate_oracle(stack):
+    """Per scaled frame, whether ``matrix_rank`` of [Re A; Im A] is below n."""
+    import numpy as np
+
+    real = np.concatenate([stack.real, stack.imag], axis=-2)
+    return np.linalg.matrix_rank(real) < stack.shape[-1]
+
+
+def checked_stack_oracle(frames, where="sample {}"):
+    """``maslov._checked_stack`` with the SVD run on every frame."""
+    import numpy as np
+
+    stack, gram = scaled_frames_oracle(frames)
+    degenerate = degenerate_oracle(stack)
+    with np.errstate(invalid="ignore"):
+        skew = np.abs(gram.imag).max(axis=(1, 2)) / np.abs(gram).max(axis=(1, 2))
+    bad = degenerate | ~(skew <= mv.LAGRANGIAN_TOL)
+    if bad.any():
+        k = int(bad.argmax())
+        if degenerate[k]:
+            raise DegenerateFrame(f"{where.format(k)}: columns do not span an "
+                                  f"n-dimensional real subspace")
+        raise NotLagrangian(f"{where.format(k)}: symplectic pairing of columns is "
+                            f"{skew[k]:.3e} of the Gram matrix > {mv.LAGRANGIAN_TOL:.0e}")
+    return stack

@@ -1,10 +1,12 @@
 """The jsonschema-free fast path for loop files: `_plain_loop` implies the schema."""
 
+import gc
 import json
 from importlib import resources
 
 import jsonschema
 import loops
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -198,3 +200,121 @@ def test_fast_path_implies_schema_on_mutated_loops(loop, data):
 def test_fast_path_implies_schema(data):
     if serialize._plain_loop(data):
         assert VALIDATOR.is_valid(data)
+
+
+# -- the read path of `maslov index` -----------------------------------------
+
+
+def old_read_path(path):
+    return serialize.loop_from_dict(serialize.load_json(path))
+
+
+def _read_path_files():
+    """name -> file text: every mutation above, and the layouts, numbers and
+    odd JSON that `load_loop` must read exactly as `old_read_path` does."""
+    texts = {f"mutation {name}": json.dumps(fn(plain())) for name, fn in MUTATIONS.items()}
+    # eight samples: a loop whose index the guard lets through
+    text = json.dumps(plain(2, 8))
+    long_int = "2" * 4400
+    texts.update({
+        "plain": text,
+        "canonical": serialize.canonical_json(plain(2, 8)),
+        "duplicate n": '{"n": 2, ' + text[1:],
+        "duplicate samples": text[:-1] + ', "samples": []}',
+        "only n, twice": '{"n": 2, "n": 2}',
+        "n = 1.0": json.dumps(dict(plain(1, 64), n=1.0)),
+        "NaN": text.replace("1.0", "NaN", 1),
+        "Infinity": text.replace("1.0", "Infinity", 1),
+        "-Infinity": text.replace("0.0", "-Infinity", 1),
+        "NaN as n": text.replace("2", "NaN", 1),
+        "-0 in a zero entry": text.replace("0.0", "-0", 1),
+        "-0 in a unit entry": text.replace("1.0", "-0", 1),
+        "int entries": text.replace("1.0", "1").replace("0.0", "0"),
+        "ints of 4,400 digits": text.replace("1.0", long_int, 1),
+        "n of 4,400 digits": text.replace("2", long_int, 1),
+        "float past the range": text.replace("1.0", "1e400", 1),
+        "int past the float range": text.replace("1.0", "1" + "0" * 400, 1),
+        "BOM": "\ufeff" + text,
+        "CRLF, pretty": json.dumps(plain(2, 8), indent=2).replace("\n", "\r\n"),
+        "pretty, 1 x 1": json.dumps(plain(1, 64), indent=4),
+        "empty object": "{}",
+    })
+    for depth, path in enumerate([["samples"], ["samples", 0], ["samples", 0, 0],
+                                  ["samples", 0, 0, 0], ["samples", 0, 0, 0, 0]]):
+        texts[f"{{}} at depth {depth + 1}"] = json.dumps(_set(plain(2, 8), path, {}))
+    return texts
+
+
+READ_PATH_FILES = _read_path_files()
+
+
+@pytest.mark.parametrize("name", READ_PATH_FILES)
+def test_load_loop_matches_the_old_read_path(tmp_path, monkeypatch, name):
+    path = tmp_path / "loop.json"
+    path.write_text(READ_PATH_FILES[name], encoding="utf-8", newline="")
+
+    def run():
+        r = CliRunner().invoke(main, ["maslov", "index", str(path)])
+        return r.exit_code, r.stdout, r.stderr
+    got = run()
+    monkeypatch.setattr(serialize, "load_loop", old_read_path)
+    assert got == run()
+    assert got[0] in (0, 2, 3), got
+
+
+@pytest.mark.parametrize("name", ["plain", "canonical", "-0 in a zero entry",
+                                  "int entries", "CRLF, pretty", "pretty, 1 x 1"])
+def test_plain_files_skip_the_entry_walk(tmp_path, monkeypatch, name):
+    path = tmp_path / "loop.json"
+    path.write_text(READ_PATH_FILES[name], encoding="utf-8", newline="")
+    expected = old_read_path(str(path))
+    monkeypatch.setattr(serialize, "_plain_loop", lambda data: pytest.fail("entries walked"))
+    loop = serialize.load_loop(str(path))
+    assert loop.n == expected.n and np.array_equal(loop.samples, expected.samples)
+    assert not loop.samples.flags.writeable
+
+
+def _collections(fn, *args):
+    """Collections the cyclic collector starts while fn(*args) runs."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+    gc.callbacks.append(record)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(record)
+    return started
+
+
+def test_load_loop_runs_no_collection(tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(serialize.canonical_json(serialize.loop_to_dict(loops.rotating_loop(2, 1024))))
+    assert gc.isenabled()
+    # the 7,000-odd lists of a 1,024-sample file start collections when
+    # decoded with the collector running
+    assert _collections(serialize.load_json, str(path))
+    assert _collections(serialize.load_loop, str(path)) == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", [
+    json.dumps(plain()), json.dumps(MUTATIONS["n = 2.0"](plain())),
+    json.dumps(MUTATIONS["bool leaf"](plain())), "{not json", "[" * 200_000,
+], ids=["plain", "fallback", "schema error", "invalid JSON", "deep nesting"])
+def test_load_loop_restores_the_collector_state(tmp_path, enabled, text):
+    path = tmp_path / "loop.json"
+    path.write_text(text)
+    if not enabled:
+        gc.disable()
+    try:
+        try:
+            serialize.load_loop(str(path))
+        except InputError:
+            pass
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()

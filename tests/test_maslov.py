@@ -257,7 +257,7 @@ def test_additivity_on_random_pairs():
 def test_basepoint_mismatch_detected():
     a = loops.rotating_loop(2, 64)
     c = loops.rotating_loop(2, 64, factor=1)
-    shifted = mv.LagrangianLoop(2, c.samples[16:] + c.samples[:16])
+    shifted = mv.LagrangianLoop.from_frames(np.roll(c.samples, -16, axis=0))
     with pytest.raises(loops.BasepointMismatch):
         loops.concatenate(a, shifted)
 
