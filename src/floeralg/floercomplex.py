@@ -19,7 +19,9 @@ the product-Leibniz check and the page engine of :mod:`floeralg.spectral`
 read those. The window and E_1 oracles of :mod:`floeralg.spectral` read
 each ``ops[k]`` on its own, not D, and ``MorseComplex.glue`` places
 per-degree blocks over the generator order, for the census change of
-basis. Each m_l is stored once, as bitmask rows.
+basis. Each m_l is stored once, as its nonzero rows ``{x: {y: m_l(x, y)}}``
+of chain bitmasks, the form ``GradedRing.rows`` keeps, so a table costs what
+it holds, not n^2.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import xor
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import f2linalg
 from .errors import (
@@ -47,6 +49,9 @@ MAX_TOTAL_DIM = 64
 MAX_CENSUS_NL = 10_000
 MAX_DIML = 1000
 MAX_GENERATORS = 10_000
+
+# m_l as its nonzero rows: x -> y -> m_l(g_x, g_y), a chain bitmask
+ProductRows = dict[int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -135,22 +140,20 @@ class FloerComplex:
     Use :func:`assemble` to construct one; the constructor assumes shapes
     were already checked. ``ops[k]`` is op_k as its images op_k(g), one
     chain bitmask per generator; ``ops`` must not change once
-    ``differential_images`` is read. ``products`` maps l to a pair table
-    ``{(i, j): iterable of k}``, meaning m_l(g_i, g_j) = sum of the g_k; it
-    is kept only as ``self.products[l]``, the bitmask rows of m_l.
+    ``differential_images`` is read. ``products`` maps l to the nonzero
+    rows of m_l, ``{x: {y: m_l(g_x, g_y)}}`` with the product a chain
+    bitmask and zero products omitted; a table not given is zero. It is
+    kept as given and must not change either.
     """
 
     def __init__(self, morse: MorseComplex, NL: int,
                  ops: dict[int, tuple[int, ...]],
-                 products: Optional[Mapping[int, Mapping[tuple[int, int], Iterable[int]]]] = None):
+                 products: Optional[dict[int, ProductRows]] = None):
         self.morse = morse
         self.NL = NL
         self.nu = (morse.dimL + 1) // NL
         self.ops = ops
-        n = len(morse.generators)
-        self.products: Optional[dict[int, tuple[tuple[int, ...], ...]]] = None
-        if products is not None:
-            self.products = {l: _bitmask_rows(n, table) for l, table in products.items()}
+        self.products = products
 
     @property
     def dimL(self) -> int:
@@ -180,45 +183,10 @@ class FloerComplex:
         """``check_d_squared`` of this complex, run once on first read."""
         return check_d_squared(self)
 
-    def product_rows(self, l: int) -> tuple[tuple[int, ...], ...]:
-        """m_l(x, y) as a chain bitmask at ``[x][y]``; zero for a table not given."""
-        if self.products is None:
-            raise ProductsAbsent("complex has no product tables")
-        rows = self.products.get(l)
-        if rows is None:
-            n = len(self.morse.generators)
-            rows = ((0,) * n,) * n
-        return rows
-
-    def product_vec(self, m1: int, v1: int, m2: int, v2: int) -> Optional[int]:
-        """m_0 of degree-local vectors of degrees m1 and m2.
-
-        Returns the degree-local vector of the product in degree m1 + m2, or
-        None when the product has support outside that degree (always the
-        case for a nonzero product beyond dimL).
-        """
-        rows = self.product_rows(0)
-        b = v2 << self.morse.degree_offset(m2)
-        out = 0
-        for x in f2linalg._bits_of(v1 << self.morse.degree_offset(m1)):
-            out ^= f2linalg._combine(rows[x], b)
-        vec = self.morse.part(out, m1 + m2)
-        return vec if vec << self.morse.degree_offset(m1 + m2) == out else None
-
-
-def _bitmask_rows(n: int, table: Mapping[tuple[int, int], Iterable[int]]
-                  ) -> tuple[tuple[int, ...], ...]:
-    """A pair table over n generators as rows, ``rows[i][j]`` = sum of g_k."""
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), ks in table.items():
-        for k in ks:
-            rows[i][j] |= 1 << k
-    return tuple(map(tuple, rows))
-
 
 def assemble(morse: MorseComplex, NL: int,
              ops: Mapping[int, Sequence[int]],
-             products: Optional[Mapping[int, Mapping[tuple[int, int], Iterable[int]]]] = None,
+             products: Optional[dict[int, ProductRows]] = None,
              ) -> FloerComplex:
     """Validate an operator family (and optional product tables) into a FloerComplex.
 
@@ -231,6 +199,12 @@ def assemble(morse: MorseComplex, NL: int,
     NotADifferential naming the first failing convolution index and a
     witness generator. ``NL`` is capped at ``MAX_CENSUS_NL``, as the residue
     reports and the window oracle grow with it.
+
+    ``products[l]`` is m_l as its nonzero rows ``{x: {y: chain}}``, kept as
+    given (see ``FloerComplex``). An index l outside 0..2*dimL//NL raises
+    ShapeMismatch, and so does a product with a bit outside degree
+    g_x.index + g_y.index - l*NL; that message names the first such pair
+    (x, y) in the order the rows were given, x's row before y within it.
     """
     if NL < 2:
         raise ShapeMismatch(f"NL must be >= 2, got {NL}")
@@ -250,16 +224,15 @@ def assemble(morse: MorseComplex, NL: int,
         stored[k] = tuple(images)
 
     fc = FloerComplex(morse, NL, stored, products)
-    for l, table in (products or {}).items():
+    gens = morse.generators
+    for l, rows in (products or {}).items():
         if l < 0 or l > fc.products_bound:
             raise ShapeMismatch(f"product index {l} outside 0..{fc.products_bound}")
-        rows = fc.products[l]
-        for (i, j) in table:
-            want = morse.generators[i].index + morse.generators[j].index - l * NL
-            if rows[i][j] & ~morse.degree_mask(want):
-                raise ShapeMismatch(f"m_{l}({morse.generators[i].name}, "
-                                    f"{morse.generators[j].name}) has entries "
-                                    f"of wrong degree")
+        for x, row in rows.items():
+            for y, chain in row.items():
+                if chain & ~morse.degree_mask(gens[x].index + gens[y].index - l * NL):
+                    raise ShapeMismatch(f"m_{l}({gens[x].name}, {gens[y].name}) "
+                                        f"has entries of wrong degree")
 
     if not fc.d2_report.ok:
         l, name = fc.d2_report.first_failure
@@ -349,9 +322,11 @@ def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
     For fixed x write M_i^x for the map y -> m_i(x, y); the identity says
     that op_j . M_i^x equals sum_{x' in op_j x} M_i^x' + M_i^x . op_j, summed
     over the splits. Chains are bitmasks over the global generator order,
-    op_j is held as its images op_j(g) and m_i as its rows, so one column y
-    of either side is a few XORs per split. A split whose m_i table or op_j
-    is zero contributes nothing to any side and is skipped.
+    op_j is held as its images op_j(g) and m_i as its nonzero rows, so the
+    columns of one x are a dict of the y some term reaches: those of row x
+    and of the rows x' in op_j x, and for m_i(x, op_j y) each y whose image
+    meets row x, read off the transpose of op_j. A split whose m_i table or
+    op_j is zero contributes nothing to any side and is skipped.
 
     Every pair is checked exactly: its column is the symmetric difference
     of the two sides as chains. Pairs are visited in the order (l, x, y)
@@ -362,18 +337,27 @@ def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
     if fc.products is None:
         raise ProductsAbsent("complex has no product tables")
     gens = fc.morse.generators
-    nonzero = {i: rows for i, rows in fc.products.items() if any(map(any, rows))}
+    nonzero = {i: rows for i, rows in fc.products.items() if rows}
+    preimages = {j: _transpose(images) for j, images in fc.ops.items()
+                 if nonzero and any(images)}
     entries = []
     for l in range(fc.products_bound + fc.nu + 1):
-        splits = []
-        for i in range(l + 1):
-            images = fc.ops.get(l - i, ())
-            if i in nonzero and any(images):
-                splits.append((nonzero[i], images))
+        splits = [(nonzero[i], fc.ops[l - i], preimages[l - i])
+                  for i in range(l + 1) if i in nonzero and l - i in preimages]
         pair = _first_leibniz_failure(splits, len(gens))
         witness = None if pair is None else (gens[pair[0]].name, gens[pair[1]].name)
         entries.append(IdentityEntry(l, witness is None, witness))
     return IdentityReport(tuple(entries))
+
+
+def _transpose(images: Sequence[int]) -> list[int]:
+    """The preimages of an operator given by its images: bit g of entry h
+    is set when h is in the image of g."""
+    out = [0] * len(images)
+    for g, image in enumerate(images):
+        for h in f2linalg._bits_of(image):
+            out[h] |= 1 << g
+    return out
 
 
 def _first_leibniz_failure(splits, n: int) -> Optional[tuple[int, int]]:
@@ -381,17 +365,19 @@ def _first_leibniz_failure(splits, n: int) -> Optional[tuple[int, int]]:
     if not splits:
         return None
     for x in range(n):
-        diff = [0] * n
-        for rows, images in splits:
-            row = rows[x]
+        diff: dict[int, int] = {}
+        for rows, images, preimages in splits:
             for xp in f2linalg._bits_of(images[x]):  # sum over x' in op_j x of M_i^x'
-                diff = [a ^ b for a, b in zip(diff, rows[xp])]
-            for y in range(n):
-                # op_j(m_i(x, y)) + m_i(x, op_j y)
-                diff[y] ^= f2linalg._combine(images, row[y]) ^ f2linalg._combine(row, images[y])
-        for y in range(n):
-            if diff[y]:
-                return x, y
+                for y, chain in rows.get(xp, {}).items():
+                    diff[y] = diff.get(y, 0) ^ chain
+            for yp, chain in rows.get(x, {}).items():
+                # op_j(m_i(x, y')) at y', and m_i(x, y') at each y with y' in op_j y
+                diff[yp] = diff.get(yp, 0) ^ f2linalg._combine(images, chain)
+                for y in f2linalg._bits_of(preimages[yp]):
+                    diff[y] = diff.get(y, 0) ^ chain
+        failing = [y for y, col in diff.items() if col]
+        if failing:
+            return x, min(failing)
     return None
 
 
@@ -502,10 +488,13 @@ def complex_from_ring(ring: GradedRing, NL: int,
     position = {g.name: p for p, g in enumerate(morse.generators)}
     cpos = [position[b.name] for b in ring.basis]
 
+    def chain(element: int) -> int:
+        return sum(1 << cpos[h] for h in f2linalg._bits_of(element))
+
     def images(d: Derivation) -> list[int]:
         out = [0] * len(cpos)
         for g, img in enumerate(d.images):
-            out[cpos[g]] = sum(1 << cpos[h] for h in f2linalg._bits_of(img))
+            out[cpos[g]] = chain(img)
         return out
 
     ops: dict[int, list[int]] = {}
@@ -522,7 +511,7 @@ def complex_from_ring(ring: GradedRing, NL: int,
 
     products = None
     if with_products:
-        products = {0: {(cpos[i], cpos[j]): [cpos[k] for k in f2linalg._bits_of(ks)]
-                        for i, row in enumerate(ring.rows) for j, ks in row.items()}}
+        products = {0: {cpos[i]: {cpos[j]: chain(ks) for j, ks in row.items()}
+                        for i, row in enumerate(ring.rows) if row}}
 
     return assemble(morse, NL, ops, products)

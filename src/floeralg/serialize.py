@@ -206,10 +206,11 @@ def complex_to_dict(fc: FloerComplex) -> dict:
         "operators": operators,
     }
     if fc.products is not None:
-        # rows are visited in (i, j, k) order, so the triples come out sorted
+        # rows and their entries are visited by sorted key, so the triples
+        # come out in (i, j, k) order
         out["products"] = {
-            str(l): [[i, j, k] for i, row in enumerate(fc.products[l])
-                     for j, bits in enumerate(row)
+            str(l): [[i, j, k] for i, row in sorted(fc.products[l].items())
+                     for j, bits in sorted(row.items())
                      for k in _bits_of(bits)]
             for l in sorted(fc.products)
         }
@@ -340,17 +341,17 @@ def complex_from_dict(data: dict) -> FloerComplex:
         product_keys: dict[int, str] = {}
         for key, triples in data["products"].items():
             l = _table_index(key, product_keys, "product")
-            table: dict[tuple[int, int], list[int]] = {}
-            seen = set()
+            rows: dict[int, dict[int, int]] = {}
             for i, j, k in triples:
-                if max(i, j, k) >= len(gens):
+                if max(i, j, k) >= n:
                     raise InputError(f"product entry ({i}, {j}, {k}) out of range")
-                if (i, j, k) in seen:
+                row = rows.setdefault(i, {})
+                chain = row.get(j, 0)
+                if chain >> k & 1:
                     raise InputError(f"product table {key} lists entry "
                                      f"({i}, {j}, {k}) twice")
-                seen.add((i, j, k))
-                table.setdefault((i, j), []).append(k)
-            products[l] = table
+                row[j] = chain | 1 << k
+            products[l] = rows
 
     return assemble(morse, NL, ops, products)
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from operator import xor
 from typing import Optional
 
 from . import f2linalg
@@ -568,7 +567,7 @@ def induced_page_product(pages, fc: FloerComplex, paranoid: bool = True):
         l, wit = rep.first_failure
         raise LeibnizFailure(f"product tables break the Leibniz identity at "
                              f"l={l}, witnesses {wit}")
-    rows = fc.product_rows(0)
+    rows = fc.products.get(0, {})
     out = []
     prev = None
     for page in pages:
@@ -584,17 +583,19 @@ def induced_page_product(pages, fc: FloerComplex, paranoid: bool = True):
 
 def _m0_products(fc: FloerComplex, rows, m1: int, v1: int, m2: int,
                  vecs) -> list[Optional[int]]:
-    """m_0(v1, v) for each v in ``vecs``, read through the rows of m_0, for
-    degree-local vectors of degrees m1 and m2: each the degree-local vector
-    of the product in degree m1 + m2, or None when the product has support
-    outside that degree (always the case for a nonzero product beyond
-    dimL). The chains m_0(v1, g) over the generators g of degree m2 are
-    summed once, and each v combines them."""
+    """m_0(v1, v) for each v in ``vecs``, read through the nonzero rows of
+    m_0 (``FloerComplex.products``), for degree-local vectors of degrees m1
+    and m2: each the degree-local vector of the product in degree m1 + m2,
+    or None when the product has support outside that degree (always the
+    case for a nonzero product beyond dimL). The chains m_0(v1, g) over the
+    generators g of degree m2 are summed once, and each v combines them."""
     morse = fc.morse
     positions = morse.degree_positions(m2)
     left = [0] * len(positions)
     for x in f2linalg._bits_of(v1 << morse.degree_offset(m1)):
-        left = list(map(xor, left, rows[x][positions.start:positions.stop]))
+        for y, chain in rows.get(x, {}).items():
+            if y in positions:
+                left[y - positions.start] ^= chain
     mt = m1 + m2
     shift = morse.degree_offset(mt)
     out: list[Optional[int]] = []

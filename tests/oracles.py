@@ -23,9 +23,10 @@ the D the engine reads, so a wrong D or a wrong chain layout shows. The
 window and E_1 oracles are block versions too: each window differential
 assembled from entries and ranked twice, and E_1 from the kernels and
 images of op_0 blocks. The page products are built afresh on every page,
-over all (dimL + 1)^2 degree pairs, with one ``FloerComplex.product_vec``
-per pair of representatives, where the engine keeps a table while its
-quotients are unchanged. The Maslov frame check runs the SVD behind
+over all (dimL + 1)^2 degree pairs, each pair of representatives
+multiplied as frozenset chains through the pair table of m_0 read back from
+the serialized triples, where the engine reads the nonzero rows of m_0 and
+keeps a table while its quotients are unchanged. The Maslov frame check runs the SVD behind
 ``matrix_rank`` on every frame, where the engine skips it for the frames a
 Gram certificate clears.
 """
@@ -39,6 +40,7 @@ from floeralg import f2linalg as f2
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
 from floeralg import maslov as mv
+from floeralg import serialize
 from floeralg import spectral as sp
 from floeralg.errors import DegenerateFrame, LeibnizFailure, LiftFailure, NotLagrangian
 from floeralg.f2linalg import F2Matrix, QuotientMap, Subspace
@@ -699,8 +701,39 @@ def slot_pages(fc):
     return pages
 
 
+def pair_tables(fc):
+    """m_l of fc as {l: {(i, j): frozenset of k}}, from the serialized triples."""
+    tables = {}
+    for key, triples in serialize.complex_to_dict(fc)["products"].items():
+        table = tables.setdefault(int(key), {})
+        for i, j, k in triples:
+            table[i, j] = table.get((i, j), frozenset()) | {k}
+    return tables
+
+
+def apply_product(table, a, b):
+    """A pair table on two chains, frozensets of generator positions."""
+    out = frozenset()
+    for i in a:
+        for j in b:
+            out ^= table.get((i, j), frozenset())
+    return out
+
+
+def chain_to_vec(fc, chain, m):
+    positions = fc.morse.degree_positions(m)
+    return sum(1 << positions.index(g) for g in chain)
+
+
+def vec_to_chain(fc, vec, m):
+    return frozenset(g for p, g in enumerate(fc.morse.degree_positions(m))
+                     if (vec >> p) & 1)
+
+
 def page_product_tables(page, fc):
     """Page classes of m_0 on every pair of representatives, per degree pair."""
+    m_0 = pair_tables(fc).get(0, {})
+    gens = fc.morse.generators
     tables = {}
     for m1 in range(fc.dimL + 1):
         for m2 in range(fc.dimL + 1):
@@ -711,14 +744,15 @@ def page_product_tables(page, fc):
             for q1 in page.reps(m1):
                 row = []
                 for q2 in page.reps(m2):
-                    vec = fc.product_vec(m1, q1, m2, q2)
-                    if vec is None:
+                    chain = apply_product(m_0, vec_to_chain(fc, q1, m1),
+                                          vec_to_chain(fc, q2, m2))
+                    if any(gens[g].index != mt for g in chain):
                         raise LeibnizFailure("product escapes the grading")
                     if mt > fc.dimL:
                         row.append(0)
                         continue
                     try:
-                        row.append(page.class_coords(mt, vec))
+                        row.append(page.class_coords(mt, chain_to_vec(fc, chain, mt)))
                     except ValueError as exc:
                         raise LeibnizFailure(
                             f"page {page.r} product of degrees ({m1},{m2}) "

@@ -281,6 +281,36 @@ def test_ss_run_generator_count_above_the_cap_exit_2(tmp_path):
     assert r.stderr == f"error: {n} generators exceed {fcx.MAX_GENERATORS}\n"
 
 
+def _empty_products_probe(tmp_path, keys):
+    """10,000 generators, 2,000 in each degree of dimL 4, NL 2, no
+    operators, and an empty product table for each of ``keys`` (none: no
+    ``products`` at all)."""
+    data = {"dimL": 4, "NL": 2, "operators": {},
+            "generators": [{"name": f"x{i:05d}", "index": i // 2000}
+                           for i in range(10000)]}
+    if keys is not None:
+        data["products"] = {key: [] for key in keys}
+    path = tmp_path / f"products_{'_'.join(keys or ['none'])}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_ss_run_empty_product_tables_cost_nothing(tmp_path):
+    # a table is held as its nonzero rows: three empty tables over 10,000
+    # generators are three empty dicts, not 10^8 ints each
+    r = limited_proc("ss", "run", str(_empty_products_probe(tmp_path, ["0", "1", "2"])))
+    plain = limited_proc("ss", "run", str(_empty_products_probe(tmp_path, None)))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert plain.returncode == 0 and r.stdout == plain.stdout
+
+
+def test_ss_run_product_index_above_the_bound_exit_2(tmp_path):
+    r = limited_proc("ss", "run",
+                     str(_empty_products_probe(tmp_path, ["0", "1", "2", "5"])))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: product index 5 outside 0..4\n"  # 2 * dimL // NL = 4
+
+
 def test_ss_run_morse_boundary_not_squaring_to_zero_exit_2(tmp_path):
     # op_0(a) = b and op_0(b) = c: op_0 squared sends a to c, so the
     # convolution identity l = 0 fails with a as its witness
@@ -328,9 +358,15 @@ def test_ss_run_rejects_keys_naming_the_same_k(tmp_path, table, key, copy):
 
 
 def test_complex_file_round_trip():
+    # the golden file comes back as it is; given its m_0 triples in reverse
+    # order and an empty m_1, the triples come back sorted by (i, j, k) and
+    # the empty table keeps its key
     data = json.loads(golden("t2_complex.json"))
-    fc = serialize.complex_from_dict(data)
-    assert serialize.complex_to_dict(fc) == data
+    reversed_m0 = dict(data, products={"0": data["products"]["0"][::-1], "1": []})
+    sorted_m0 = dict(data, products={"0": sorted(data["products"]["0"]), "1": []})
+    for given, written in ((data, data), (reversed_m0, sorted_m0)):
+        fc = serialize.complex_from_dict(given)
+        assert serialize.complex_to_dict(fc) == written
 
 
 # -- audin / rp ------------------------------------------------------------------

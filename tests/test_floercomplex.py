@@ -153,16 +153,16 @@ def test_folded_homology_morse_only():
 # -- product tables -----------------------------------------------------------------
 
 
-def test_assemble_accepts_higher_product_table(t2, t2_tables):
+def test_assemble_accepts_higher_product_table(t2):
     # m_1(x1, x2) = 1 has degree 1 + 1 - 2 = 0: assemble keeps it beside m_0,
     # and the complex file carries both tables
     i, j = t2.morse.position_of("x1"), t2.morse.position_of("x2")
     unit = t2.morse.position_of("1")
-    fc = fcx.assemble(t2.morse, 2, {}, {0: t2_tables[0], 1: {(i, j): frozenset({unit})}})
+    fc = fcx.assemble(t2.morse, 2, {}, {0: t2.products[0], 1: {i: {j: 1 << unit}}})
     data = serialize.complex_to_dict(fc)
     assert data["products"]["0"] == serialize.complex_to_dict(t2)["products"]["0"]
     assert data["products"]["1"] == [[i, j, unit]]
-    assert fc.product_rows(1)[i][j] == 1 << unit
+    assert fc.products[1] == {i: {j: 1 << unit}}
     assert serialize.complex_to_dict(serialize.complex_from_dict(data)) == data
 
 
@@ -175,17 +175,17 @@ def test_missing_product_table_reads_as_zero(t2):
     assert any(page.product for page in pages)
 
 
-def test_product_entry_of_wrong_degree_rejected(t2, t2_tables):
+def test_product_entry_of_wrong_degree_rejected(t2):
     # m_0(x2, x1) lies in degree 2, not in the degree 1 of x2; of two such
-    # pairs the first one listed in the table is named
+    # pairs the first one in the order the rows were given is named
     x1, x2 = t2.morse.position_of("x1"), t2.morse.position_of("x2")
-    m_0 = {(x2, x1): frozenset({x2}), (x1, x2): frozenset({x1})}
+    m_0 = {x2: {x1: 1 << x2}, x1: {x2: 1 << x1}}
     with pytest.raises(ShapeMismatch, match=r"^m_0\(x2, x1\) has entries of wrong degree$"):
         fcx.assemble(t2.morse, 2, {}, {0: m_0})
 
 
-def test_product_table_bound_enforced(t2, t2_tables):
-    too_long = {0: t2_tables[0], 3: {}}  # bound is 2*2//2 = 2
+def test_product_table_bound_enforced(t2):
+    too_long = {0: t2.products[0], 3: {}}  # bound is 2*2//2 = 2
     with pytest.raises(ShapeMismatch):
         fcx.assemble(t2.morse, 2, {}, too_long)
 
@@ -202,12 +202,11 @@ def test_leibniz_derivation_case(t2):
     assert fcx.check_product_leibniz(t2).ok
 
 
-def test_leibniz_corruption_reported(t2, t2_tables):
+def test_leibniz_corruption_reported(t2):
     # m_1(x1x2, x1) = x1: its op_1 image is the unit, which nothing balances
-    products = {0: t2_tables[0], 1: {}}
     top = t2.morse.position_of("x1x2")
     x1 = t2.morse.position_of("x1")
-    products[1][(top, x1)] = frozenset({x1})
+    products = {0: t2.products[0], 1: {top: {x1: 1 << x1}}}
     fc = fcx.FloerComplex(t2.morse, 2, t2.ops, products)
     report = fcx.check_product_leibniz(fc)
     assert not report.ok

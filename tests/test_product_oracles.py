@@ -10,8 +10,9 @@ tables must agree exactly, witnesses included, on valid complexes and on
 seeded single-entry corruptions of m_0, m_1 and op_1. The tables are those ``induced_page_product``
 attaches to every page, so one kept from a page where it no longer holds
 shows; on Hypothesis ring complexes they must also equal
-``oracles.page_product_tables``, the builder that multiplied afresh on every
-page through ``FloerComplex.product_vec``.
+``oracles.page_product_tables``, the builder that multiplies afresh on every
+page and every degree pair. ``spectral._m0_products``, the m_0 routine the
+engine ships, is checked against the chain product on its own.
 """
 
 import random
@@ -20,35 +21,15 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import apply_product, chain_to_vec, pair_tables, vec_to_chain
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
-from floeralg import serialize
 from floeralg import spectral as sp
 from floeralg.errors import LeibnizFailure, LiftFailure
 
 
 # -- frozenset chains --------------------------------------------------------
-
-
-def pair_tables(fc):
-    """m_l of fc as {l: {(i, j): frozenset of k}}, from the serialized triples."""
-    tables = {}
-    for key, triples in serialize.complex_to_dict(fc)["products"].items():
-        table = tables.setdefault(int(key), {})
-        for i, j, k in triples:
-            table[i, j] = table.get((i, j), frozenset()) | {k}
-    return tables
-
-
-def chain_to_vec(fc, chain, m):
-    positions = fc.morse.degree_positions(m)
-    return sum(1 << positions.index(g) for g in chain)
-
-
-def vec_to_chain(fc, vec, m):
-    return frozenset(g for p, g in enumerate(fc.morse.degree_positions(m))
-                     if (vec >> p) & 1)
 
 
 def apply_operator(fc, k, chain):
@@ -60,14 +41,6 @@ def apply_operator(fc, k, chain):
             part = frozenset(g for g in chain if fc.morse.generators[g].index == m)
             block = oracles.operator_block(fc, k, m)
             out ^= vec_to_chain(fc, block.mul_vec(chain_to_vec(fc, part, m)), t)
-    return out
-
-
-def apply_product(table, a, b):
-    out = frozenset()
-    for i in a:
-        for j in b:
-            out ^= table.get((i, j), frozenset())
     return out
 
 
@@ -171,6 +144,7 @@ def corrupted(seed):
     morse, NL = fc.morse, fc.NL
     ops = {k: list(v) for k, v in fc.ops.items()}
     products = pair_tables(fc)
+    rows = {l: {x: dict(row) for x, row in table.items()} for l, table in fc.products.items()}
     target = seed % 3
     if target < 2:
         table = products.setdefault(target, {})
@@ -181,6 +155,10 @@ def corrupted(seed):
                 break
         k = rng.choice(morse.degree_positions(deg))
         table[(x, y)] = table.get((x, y), frozenset()) ^ {k}
+        row = rows.setdefault(target, {}).setdefault(x, {})
+        row[y] = row.get(y, 0) ^ 1 << k
+        if not row[y]:
+            del row[y]
     else:
         slots = [m for m in range(morse.dimL + 1)
                  if 0 <= m + 1 - NL <= morse.dimL and morse.dim_at(m)
@@ -189,7 +167,7 @@ def corrupted(seed):
         tgt = morse.degree_positions(m + 1 - NL)[rng.randrange(morse.dim_at(m + 1 - NL))]
         src = morse.degree_positions(m)[rng.randrange(morse.dim_at(m))]
         ops.setdefault(1, [0] * len(morse.generators))[src] ^= 1 << tgt
-    return fcx.FloerComplex(morse, NL, {k: tuple(v) for k, v in ops.items()}, products), products
+    return fcx.FloerComplex(morse, NL, {k: tuple(v) for k, v in ops.items()}, rows), products
 
 
 CORRUPTION_SEEDS = range(45)
@@ -333,7 +311,8 @@ def test_product_vec_matches_chain_product(t2, mixed_boundary):
                                           vec_to_chain(fc, v2, m2))
                     expected = 0 if not chain else \
                         None if mt > fc.dimL else chain_to_vec(fc, chain, mt)
-                    assert fc.product_vec(m1, v1, m2, v2) == expected
+                    assert sp._m0_products(fc, fc.products.get(0, {}),
+                                           m1, v1, m2, [v2]) == [expected]
 
 
 def test_page_leibniz_detects_corrupted_table(t2):

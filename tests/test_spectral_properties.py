@@ -133,7 +133,7 @@ def test_product_vec_matches_ring_product(ring_complex, data):
         expected = None if prod else 0
     else:
         expected = fc.chain_to_vec(frozenset(position[k] for k in prod), mt)
-    assert fc.product_vec(m1, v1, m2, v2) == expected
+    assert sp._m0_products(fc, fc.products[0], m1, v1, m2, [v2]) == [expected]
 
 
 # -- stored obstructions -------------------------------------------------------
