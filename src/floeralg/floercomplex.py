@@ -13,15 +13,14 @@ Chains are int bitmasks: bit g is generator g of the global order, which
 sorts by (index, name), so each Morse degree is a contiguous run, located
 by one prefix table of degree starts in ``MorseComplex``; every cut of a
 chain to one degree is ``MorseComplex.part``. Each op_k is stored once, as
-its images op_k(g), one chain per generator, and so is D = sum_k op_k,
-their XOR (``differential_images``); ``d2_report``, the folded homology,
-the product-Leibniz check and the page engine of :mod:`floeralg.spectral`
-read those. The window and E_1 oracles of :mod:`floeralg.spectral` read
-each ``ops[k]`` on its own, not D, and ``MorseComplex.glue`` places
-per-degree blocks over the generator order, for the census change of
-basis. Each m_l is stored once, as its nonzero rows ``{x: {y: m_l(x, y)}}``
-of chain bitmasks, the form ``GradedRing.rows`` keeps, so a table costs what
-it holds, not n^2.
+its nonzero images ``{g: op_k(g)}``, and each m_l as its nonzero rows
+``{x: {y: m_l(x, y)}}`` (the form ``GradedRing.rows`` keeps), so a table
+costs what it holds, not n or n^2. D = sum_k op_k is one image per
+generator, their XOR (``differential_images``), read by ``d2_report``, the
+folded homology and the page engine of :mod:`floeralg.spectral`. The
+product-Leibniz check and the window and E_1 oracles read each ``ops[k]``
+on its own, not D, and ``MorseComplex.glue`` places per-degree blocks over
+the generator order, for the census change of basis.
 
 Operator and product tables are always inputs, synthetic or user-supplied;
 nothing here counts holomorphic objects.
@@ -31,9 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from operator import xor
 from typing import Mapping, Optional, Sequence, Union
 
 from . import f2linalg
@@ -138,16 +136,15 @@ class FloerComplex:
     """Validated complex: Morse data, minimal Maslov number, operator family.
 
     Use :func:`assemble` to construct one; the constructor assumes shapes
-    were already checked. ``ops[k]`` is op_k as its images op_k(g), one
-    chain bitmask per generator; ``ops`` must not change once
-    ``differential_images`` is read. ``products`` maps l to the nonzero
-    rows of m_l, ``{x: {y: m_l(g_x, g_y)}}`` with the product a chain
-    bitmask and zero products omitted; a table not given is zero. It is
-    kept as given and must not change either.
+    were already checked. ``ops[k]`` is op_k as its nonzero images
+    ``{g: op_k(g)}``, keyed by generator position, and ``products[l]`` the
+    nonzero rows of m_l, ``{x: {y: m_l(g_x, g_y)}}``; images and products
+    are chain bitmasks, and an absent key, image or table is zero. Both are
+    kept as given and must not change once ``differential_images`` is read.
     """
 
     def __init__(self, morse: MorseComplex, NL: int,
-                 ops: dict[int, tuple[int, ...]],
+                 ops: dict[int, dict[int, int]],
                  products: Optional[dict[int, ProductRows]] = None):
         self.morse = morse
         self.NL = NL
@@ -176,7 +173,11 @@ class FloerComplex:
     @cached_property
     def differential_images(self) -> tuple[int, ...]:
         """D(g) for every generator g, as chain bitmasks: the XOR of the op_k(g)."""
-        return tuple(reduce(xor, images) for images in zip(*self.ops.values()))
+        d = [0] * len(self.morse.generators)
+        for images in self.ops.values():
+            for g, image in images.items():
+                d[g] ^= image
+        return tuple(d)
 
     @cached_property
     def d2_report(self) -> IdentityReport:
@@ -185,20 +186,21 @@ class FloerComplex:
 
 
 def assemble(morse: MorseComplex, NL: int,
-             ops: Mapping[int, Sequence[int]],
+             ops: Mapping[int, Mapping[int, int]],
              products: Optional[dict[int, ProductRows]] = None,
              ) -> FloerComplex:
     """Validate an operator family (and optional product tables) into a FloerComplex.
 
-    ``ops[k]`` is op_k, k = 0..nu, as its images op_k(g): one chain bitmask
-    per generator of ``morse``, in the generator order. op_0 is the Morse
-    boundary; a missing k means zero, and op_0 is always stored. An index
-    outside 0..nu, a wrong number of images or an image with a bit outside
-    its target degree g.index + 1 - k*NL raises ShapeMismatch, and a family
-    whose total differential does not square to zero raises
-    NotADifferential naming the first failing convolution index and a
-    witness generator. ``NL`` is capped at ``MAX_CENSUS_NL``, as the residue
-    reports and the window oracle grow with it.
+    ``ops[k]`` is op_k, k = 0..nu, as its images ``{g: op_k(g)}`` over the
+    generator positions of ``morse``; zero images are dropped. op_0 is the
+    Morse boundary; a missing k means zero, and op_0 is always stored. An
+    index outside 0..nu, a position outside 0..n-1 or an image with a bit
+    outside its target degree g.index + 1 - k*NL raises ShapeMismatch,
+    checked in position order, so that message names the first such
+    generator. A family whose total differential does not square to zero
+    raises NotADifferential naming the first failing convolution index and
+    a witness generator. ``NL`` is capped at ``MAX_CENSUS_NL``, as the
+    residue reports and the window oracle grow with it.
 
     ``products[l]`` is m_l as its nonzero rows ``{x: {y: chain}}``, kept as
     given (see ``FloerComplex``). An index l outside 0..2*dimL//NL raises
@@ -211,20 +213,20 @@ def assemble(morse: MorseComplex, NL: int,
     if NL > MAX_CENSUS_NL:
         raise ShapeMismatch(f"NL {NL} exceeds {MAX_CENSUS_NL}")
     nu = (morse.dimL + 1) // NL
-    n = len(morse.generators)
-    stored = {0: (0,) * n}
+    gens = morse.generators
+    stored: dict[int, dict[int, int]] = {0: {}}
     for k, images in ops.items():
         if not 0 <= k <= nu:
             raise ShapeMismatch(f"operator index {k} outside 0..nu={nu}")
-        if len(images) != n:
-            raise ShapeMismatch(f"op_{k} has {len(images)} images for {n} generators")
-        for g, image in zip(morse.generators, images):
-            if image and image & ~morse.degree_mask(g.index + 1 - k * NL):
-                raise ShapeMismatch(f"op_{k}({g.name}) has entries of wrong degree")
-        stored[k] = tuple(images)
+        items = sorted(images.items())
+        for g, image in items:
+            if not 0 <= g < len(gens):
+                raise ShapeMismatch(f"op_{k} has an image at {g}, outside 0..{len(gens) - 1}")
+            if image & ~morse.degree_mask(gens[g].index + 1 - k * NL):
+                raise ShapeMismatch(f"op_{k}({gens[g].name}) has entries of wrong degree")
+        stored[k] = {g: image for g, image in items if image}
 
     fc = FloerComplex(morse, NL, stored, products)
-    gens = morse.generators
     for l, rows in (products or {}).items():
         if l < 0 or l > fc.products_bound:
             raise ShapeMismatch(f"product index {l} outside 0..{fc.products_bound}")
@@ -322,11 +324,11 @@ def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
     For fixed x write M_i^x for the map y -> m_i(x, y); the identity says
     that op_j . M_i^x equals sum_{x' in op_j x} M_i^x' + M_i^x . op_j, summed
     over the splits. Chains are bitmasks over the global generator order,
-    op_j is held as its images op_j(g) and m_i as its nonzero rows, so the
+    op_j is held as its nonzero images and m_i as its nonzero rows, so the
     columns of one x are a dict of the y some term reaches: those of row x
     and of the rows x' in op_j x, and for m_i(x, op_j y) each y whose image
-    meets row x, read off the transpose of op_j. A split whose m_i table or
-    op_j is zero contributes nothing to any side and is skipped.
+    meets row x, read off the nonzero preimages of op_j. A split whose m_i
+    or op_j is zero, and an x with no row and no image, add nothing.
 
     Every pair is checked exactly: its column is the symmetric difference
     of the two sides as chains. Pairs are visited in the order (l, x, y)
@@ -338,43 +340,44 @@ def check_product_leibniz(fc: FloerComplex) -> IdentityReport:
         raise ProductsAbsent("complex has no product tables")
     gens = fc.morse.generators
     nonzero = {i: rows for i, rows in fc.products.items() if rows}
-    preimages = {j: _transpose(images) for j, images in fc.ops.items()
-                 if nonzero and any(images)}
+    ops = {j: (images, sum(1 << g for g in images), _transpose(images))
+           for j, images in fc.ops.items() if nonzero and images}
+    xs = sorted(set().union(*nonzero.values(), *(images for images, _, _ in ops.values())))
     entries = []
     for l in range(fc.products_bound + fc.nu + 1):
-        splits = [(nonzero[i], fc.ops[l - i], preimages[l - i])
-                  for i in range(l + 1) if i in nonzero and l - i in preimages]
-        pair = _first_leibniz_failure(splits, len(gens))
+        splits = [(nonzero[i], *ops[l - i]) for i in range(l + 1)
+                  if i in nonzero and l - i in ops]
+        pair = _first_leibniz_failure(splits, xs) if splits else None
         witness = None if pair is None else (gens[pair[0]].name, gens[pair[1]].name)
         entries.append(IdentityEntry(l, witness is None, witness))
     return IdentityReport(tuple(entries))
 
 
-def _transpose(images: Sequence[int]) -> list[int]:
-    """The preimages of an operator given by its images: bit g of entry h
-    is set when h is in the image of g."""
-    out = [0] * len(images)
-    for g, image in enumerate(images):
+def _transpose(images: dict[int, int]) -> dict[int, int]:
+    """The nonzero preimages of an operator given by its nonzero images:
+    bit g of entry h is set when h is in the image of g."""
+    out: dict[int, int] = {}
+    for g, image in images.items():
         for h in f2linalg._bits_of(image):
-            out[h] |= 1 << g
+            out[h] = out.get(h, 0) | 1 << g
     return out
 
 
-def _first_leibniz_failure(splits, n: int) -> Optional[tuple[int, int]]:
+def _first_leibniz_failure(splits, xs: list[int]) -> Optional[tuple[int, int]]:
     """First pair (x, y) whose Leibniz column is nonzero, in (x, y) order."""
-    if not splits:
-        return None
-    for x in range(n):
+    for x in xs:
         diff: dict[int, int] = {}
-        for rows, images, preimages in splits:
-            for xp in f2linalg._bits_of(images[x]):  # sum over x' in op_j x of M_i^x'
-                for y, chain in rows.get(xp, {}).items():
-                    diff[y] = diff.get(y, 0) ^ chain
+        for rows, images, support, preimages in splits:
+            if x in images:  # sum over x' in op_j x of M_i^x'
+                for xp in f2linalg._bits_of(images[x]):
+                    for y, chain in rows.get(xp, {}).items():
+                        diff[y] = diff.get(y, 0) ^ chain
             for yp, chain in rows.get(x, {}).items():
                 # op_j(m_i(x, y')) at y', and m_i(x, y') at each y with y' in op_j y
-                diff[yp] = diff.get(yp, 0) ^ f2linalg._combine(images, chain)
-                for y in f2linalg._bits_of(preimages[yp]):
-                    diff[y] = diff.get(y, 0) ^ chain
+                diff[yp] = diff.get(yp, 0) ^ f2linalg._combine(images, chain & support)
+                if yp in preimages:
+                    for y in f2linalg._bits_of(preimages[yp]):
+                        diff[y] = diff.get(y, 0) ^ chain
         failing = [y for y, col in diff.items() if col]
         if failing:
             return x, min(failing)
@@ -463,8 +466,8 @@ def random_complex_census(seed: int, dims: Sequence[int], NL: int
         phi = phi + morse.glue({m: _random_matrix(rng, dims[m - k * NL], dims[m])
                                 for m in range(k * NL, dimL + 1)}, -k * NL)
     columns = (phi.inverse() @ d @ phi).transpose().bits
-    ops = {l: tuple(col & morse.degree_mask(g.index + 1 - l * NL)
-                    for g, col in zip(morse.generators, columns))
+    ops = {l: {p: col & morse.degree_mask(g.index + 1 - l * NL)
+               for p, (g, col) in enumerate(zip(morse.generators, columns))}
            for l in range(nu + 1)}
     return assemble(morse, NL, ops), expected
 
@@ -491,13 +494,10 @@ def complex_from_ring(ring: GradedRing, NL: int,
     def chain(element: int) -> int:
         return sum(1 << cpos[h] for h in f2linalg._bits_of(element))
 
-    def images(d: Derivation) -> list[int]:
-        out = [0] * len(cpos)
-        for g, img in enumerate(d.images):
-            out[cpos[g]] = chain(img)
-        return out
+    def images(d: Derivation) -> dict[int, int]:
+        return {cpos[g]: chain(img) for g, img in enumerate(d.images) if img}
 
-    ops: dict[int, list[int]] = {}
+    ops: dict[int, dict[int, int]] = {}
     if boundary is not None:
         if boundary.shift != 1:
             raise ShapeMismatch(f"boundary derivation shift {boundary.shift} "

@@ -192,12 +192,9 @@ def _first_bad_entry(entries: list, dim: int) -> InputError:
 
 def complex_to_dict(fc: FloerComplex) -> dict:
     gens = fc.morse.generators
-    operators: dict[str, list[list[int]]] = {}
-    for k in sorted(fc.ops):
-        entries = sorted((row, col) for col, image in enumerate(fc.ops[k])
-                         for row in _bits_of(image))
-        if entries or k == 0:
-            operators[str(k)] = [[row, col] for row, col in entries]
+    operators = {str(k): sorted([row, col] for col, image in fc.ops[k].items()
+                                for row in _bits_of(image))
+                 for k in sorted(fc.ops) if fc.ops[k] or k == 0}
 
     out = {
         "dimL": fc.dimL,
@@ -312,7 +309,7 @@ def complex_from_dict(data: dict) -> FloerComplex:
     nu = (dimL + 1) // NL
     n = len(gens)
 
-    ops: dict[int, tuple[int, ...]] = {}
+    ops: dict[int, dict[int, int]] = {}
     op_keys: dict[int, str] = {}
     for key, entries in data["operators"].items():
         k = _table_index(key, op_keys, "operator")
@@ -321,19 +318,19 @@ def complex_from_dict(data: dict) -> FloerComplex:
         if k > nu:
             # no entry fits, and 1 - k * NL may be too long to print
             raise ShapeMismatch(f"operator index {k} outside 0..nu={nu}")
-        images = [0] * n
+        images = ops[k] = {}
         for row, col in entries:
             if row >= n or col >= n:
                 raise InputError(f"operator {k} entry ({row}, {col}) out of range")
-            if images[col] >> row & 1:
+            image = images.get(col, 0)
+            if image >> row & 1:
                 raise InputError(f"operator {k} lists entry ({row}, {col}) twice")
-            images[col] |= 1 << row
+            images[col] = image | 1 << row
             shift = gens[row].index - gens[col].index
             if shift != 1 - k * NL:
                 raise ShapeMismatch(
                     f"op_{k} entry {gens[col].name} -> {gens[row].name} has "
                     f"degree shift {shift}, expected {1 - k * NL}")
-        ops[k] = tuple(images)
 
     products = None
     if "products" in data:

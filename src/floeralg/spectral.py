@@ -40,7 +40,7 @@ checked per residue against the folded homology and against a truncated
 Laurent-window oracle that builds the honest bigraded complex. That oracle
 and the E_1 oracle cut their columns from each stored ``fc.ops[k]`` on its
 own, not from D, so they stay independent of the engine; the window oracle
-visits only the stored operator keys, as an absent op_k is zero.
+visits only the stored operator keys and images, as an absent one is zero.
 """
 
 from __future__ import annotations
@@ -439,8 +439,8 @@ def window_homology_dims(fc: FloerComplex) -> dict[int, int]:
     to block p + k of degree l + 1. Each differential, l = -1..NL-1, is
     ranked once, as the pivots left by its columns in one pivot map: column
     g of block p is ``part(ops[k][g], m + 1 - k*NL)`` at the offset of block
-    p + k, OR-ed over the keys k whose block is in the window. It reads each
-    op_k, never D, so a wrong D still shows.
+    p + k, OR-ed over the keys k whose block is in the window and that keep
+    an image of g. It reads each op_k, never D, so a wrong D still shows.
     """
     W, N, morse = 2 * fc.nu + 2, fc.NL, fc.morse
 
@@ -465,7 +465,7 @@ def window_homology_dims(fc: FloerComplex) -> dict[int, int]:
             for g in morse.degree_positions(m):
                 col = 0
                 for images, t, o in keys:
-                    if images[g]:
+                    if g in images:
                         col |= morse.part(images[g], t) << o
                 f2linalg._echelon_insert(pivots, col)
         ranks[l] = len(pivots)
@@ -522,8 +522,8 @@ def e1_oracle(fc: FloerComplex) -> tuple[dict[int, int], dict[int, F2Matrix]]:
     morse = fc.morse
 
     def columns(k: int, m: int) -> list[int]:
-        images, t = fc.ops.get(k), m + 1 - k * fc.NL
-        return [morse.part(images[g], t) if images else 0 for g in morse.degree_positions(m)]
+        images, t = fc.ops.get(k, {}), m + 1 - k * fc.NL
+        return [morse.part(images.get(g, 0), t) for g in morse.degree_positions(m)]
 
     quots: dict[int, QuotientMap] = {}
     deltas: dict[int, F2Matrix] = {}

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import f2linalg
-from .errors import HypothesisFailure
+from .errors import HypothesisFailure, SizeLimit
+from .floercomplex import MAX_CENSUS_NL
 from .gradedalg import (
     GradedRing,
     TopClassWitness,
@@ -222,6 +223,8 @@ def rpn_driver(n: int, NL: int) -> RPnReport:
     if NL < 3:
         raise HypothesisFailure(f"driver requires minimal Maslov number >= 3, "
                                 f"got {NL}")
+    if NL > MAX_CENSUS_NL:
+        raise SizeLimit(f"NL {NL} exceeds {MAX_CENSUS_NL}")
     ring = build_truncated_poly(n)
     nu = (n + 1) // NL
     certificates = tuple(vanishing_lemma(ring, 1 - r * NL)

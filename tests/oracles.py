@@ -15,7 +15,7 @@ basis element), where the engine gathers one dict per generator row; product
 preimages all solved by one elimination, where the engine reads the single
 products off the table rows; the census
 conjugation and d^2 check computed block by block in degree-local
-coordinates, the census glued into the stored images op_k(g) only at the
+coordinates, the census glued into the stored images {g: op_k(g)} only at the
 end; and the page engine with each zig-zag lift and
 antecedent chain kept as a tuple of degree-local slots. The slot-by-slot
 obstruction reads ``operator_block`` blocks, cut from the stored op_k, not
@@ -55,10 +55,19 @@ def operator_block(fc, k, m):
     """Block of op_k on C^m, cut from ``fc.ops[k]``; a zero block of shape
     (dim C^(m+1-k*NL), dim C^m) when op_k is absent or out of range."""
     t = m + 1 - k * fc.NL
-    images, positions = fc.ops.get(k), fc.morse.degree_positions(m)
-    cols = ([fc.morse.part(images[g], t) for g in positions] if images
-            else [0] * len(positions))
+    images = fc.ops.get(k, {})
+    cols = [fc.morse.part(images.get(g, 0), t) for g in fc.morse.degree_positions(m)]
     return column_matrix(cols, fc.morse.dim_at(t))
+
+
+def flipped(images, g, bit):
+    """The nonzero images ``{g: op(g)}`` of an operator with bit ``bit`` of
+    op(g) flipped, as a new dict; an image that becomes 0 is dropped."""
+    out = dict(images)
+    out[g] = out.get(g, 0) ^ 1 << bit
+    if not out[g]:
+        del out[g]
+    return out
 
 
 def image_oracle(m):
@@ -445,7 +454,8 @@ def census_oracle(seed, dims, NL):
 
     # glued only here, into the images op'_l(g) over the generator order
     morse = fcx.MorseComplex(generators, dimL)
-    ops = {l: morse.glue(per, 1 - l * NL).transpose().bits for l, per in new_ops.items()}
+    ops = {l: dict(enumerate(morse.glue(per, 1 - l * NL).transpose().bits))
+           for l, per in new_ops.items()}
     return fcx.assemble(morse, NL, ops), expected
 
 

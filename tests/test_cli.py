@@ -710,6 +710,25 @@ def test_corpus_maslov_above_the_cap_exit_2(tmp_path, nl):
     assert r.stderr == f"error: NL {nl} exceeds {fcx.MAX_CENSUS_NL}\n"
 
 
+@pytest.mark.parametrize("nl", ["10001", "100000000", "99999999999999999999"])
+def test_rp_maslov_above_the_cap_exit_2(nl):
+    # without the cap the residue report holds NL entries: 100,000,000 ends
+    # in a MemoryError traceback under the 2 GB limit
+    from floeralg import floercomplex as fcx
+
+    r = limited_proc("rp", "--n", "5", "--maslov", nl)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: NL {nl} exceeds {fcx.MAX_CENSUS_NL}\n"
+
+
+def test_rp_maslov_at_the_cap_exits_0():
+    from floeralg import floercomplex as fcx
+
+    r = limited_proc("rp", "--n", "5", "--maslov", str(fcx.MAX_CENSUS_NL))
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["hf_total_rank"] == 6
+
+
 def test_corpus_dims_above_the_dimL_cap_exit_2(tmp_path):
     # without the cap, 20,000 degrees end in a MemoryError traceback under 3 GB
     from floeralg import floercomplex as fcx

@@ -1,8 +1,10 @@
 """Floer complex assembly, folded homology, products, synthetic corpus."""
 
 import hashlib
+import tracemalloc
 
 import pytest
+from oracles import flipped
 
 from floeralg import floercomplex as fcx
 from floeralg import gradedalg as ga
@@ -39,7 +41,7 @@ def test_nu_formula():
     assert sorted(fc.ops) == [0]
     # op_1 and op_2 images are accepted at their stated degree shifts:
     # op_1(g2) = g1 and op_2(g3) = g0
-    fc2 = fcx.assemble(morse, 2, {1: (0, 0, 0b0010, 0), 2: (0, 0, 0, 0b0001)})
+    fc2 = fcx.assemble(morse, 2, {1: {2: 0b0010}, 2: {3: 0b0001}})
     assert sorted(fc2.ops) == [0, 1, 2]
 
 
@@ -47,18 +49,22 @@ def test_assemble_rejects_wrong_shape():
     gens = [fcx.Generator(f"g{i}", i) for i in range(4)]
     morse = fcx.MorseComplex(gens, 3)
     with pytest.raises(ShapeMismatch):
-        fcx.assemble(morse, 2, {1: (0,) * 3})  # one image short
+        fcx.assemble(morse, 2, {1: {4: 0b0001}})  # an image keyed at n
     with pytest.raises(ShapeMismatch):
-        fcx.assemble(morse, 2, {5: (0,) * 4})  # operator index beyond nu
+        fcx.assemble(morse, 2, {1: {-1: 0b0001}})  # an image keyed at -1
+    with pytest.raises(ShapeMismatch):
+        fcx.assemble(morse, 2, {5: {}})  # operator index beyond nu
 
 
 @pytest.mark.parametrize("k, images, message", [
-    (0, (0b0100, 0, 0, 0), r"^op_0\(g0\) has entries of wrong degree$"),  # g0 -> g2
-    (0, (0, 0, 0, 0b0001), r"^op_0\(g3\) has entries of wrong degree$"),  # past dimL
-    (1, (0, 0b0010, 0, 0), r"^op_1\(g1\) has entries of wrong degree$"),  # g1 -> g1
-    (2, (0, 0, 0b0001, 0), r"^op_2\(g2\) has entries of wrong degree$"),  # below degree 0
-    (3, (0, 0, 0, 0), r"^operator index 3 outside 0..nu=2$"),
-    (1, (0, 0, 0b0010), r"^op_1 has 3 images for 4 generators$"),
+    (0, {0: 0b0100}, r"^op_0\(g0\) has entries of wrong degree$"),  # g0 -> g2
+    (0, {3: 0b0001}, r"^op_0\(g3\) has entries of wrong degree$"),  # past dimL
+    (1, {1: 0b0010}, r"^op_1\(g1\) has entries of wrong degree$"),  # g1 -> g1
+    (2, {2: 0b0001}, r"^op_2\(g2\) has entries of wrong degree$"),  # below degree 0
+    (3, {}, r"^operator index 3 outside 0..nu=2$"),
+    (1, {4: 0b0010}, r"^op_1 has an image at 4, outside 0..3$"),
+    # two bad images given out of order: the first in generator order is named
+    (1, {3: 0b0100, 1: 0b0010}, r"^op_1\(g1\) has entries of wrong degree$"),
 ])
 def test_assemble_rejects_images_outside_their_degree(k, images, message):
     # dimL 3, NL 2: op_k maps degree m to m + 1 - 2k, and nu = 2
@@ -68,9 +74,8 @@ def test_assemble_rejects_images_outside_their_degree(k, images, message):
 
 
 def test_assemble_rejects_broken_differential(t2):
-    bad = {1: list(t2.ops[1])}
     top, x1 = t2.morse.position_of("x1x2"), t2.morse.position_of("x1")
-    bad[1][top] ^= 1 << x1  # op1(x1x2) += x1
+    bad = {1: flipped(t2.ops[1], top, x1)}  # op1(x1x2) += x1
     with pytest.raises(NotADifferential) as err:
         fcx.assemble(t2.morse, 2, bad)
     assert "witness" in str(err.value)
@@ -83,9 +88,8 @@ def test_perfect_morse_t2_reduces_to_op1_squared(t2):
 
 
 def test_check_d_squared_detects_single_bit_corruption(t2):
-    op_1 = list(t2.ops[1])
-    op_1[t2.morse.position_of("x1x2")] ^= 1 << t2.morse.position_of("x1")
-    broken = fcx.FloerComplex(t2.morse, 2, {0: t2.ops[0], 1: tuple(op_1)})
+    op_1 = flipped(t2.ops[1], t2.morse.position_of("x1x2"), t2.morse.position_of("x1"))
+    broken = fcx.FloerComplex(t2.morse, 2, {0: t2.ops[0], 1: op_1})
     report = fcx.check_d_squared(broken)
     assert not report.ok
     l, witness = report.first_failure
@@ -99,8 +103,8 @@ def test_check_d_squared_picks_out_nonzero_columns_once(monkeypatch):
     gens = [fcx.Generator(f"x{m:03d}_{i}", m) for m in range(1000) for i in range(10)]
     morse = fcx.MorseComplex(gens, 999)
     # op_0 sends each generator of even degree to its twin one degree up
-    fc = fcx.assemble(morse, 2, {0: tuple(1 << (g + 10) if g // 10 % 2 == 0 else 0
-                                          for g in range(len(gens)))})
+    fc = fcx.assemble(morse, 2, {0: {g: 1 << (g + 10) for g in range(len(gens))
+                                      if g // 10 % 2 == 0}})
     walks = mask_calls = 0
 
     class CountingTuple(tuple):
@@ -123,6 +127,42 @@ def test_check_d_squared_picks_out_nonzero_columns_once(monkeypatch):
     assert (mask_calls, walks) == (0, 1)
 
 
+def one_entry_keys_file(operators=True):
+    """A complex file at the generator cap (10 generators per degree, dimL
+    999, NL 2, so nu = 500) whose op_k, k = 1..500, hold one entry each:
+    op_k(x{2k-1}_0) = x000_{k mod 10}. Every image lands in degree 0, where
+    D is zero, so D^2 = 0."""
+    gens = [{"name": f"x{m:03d}_{i}", "index": m} for m in range(1000) for i in range(10)]
+    ops = {str(k): [[k % 10, (2 * k - 1) * 10]] for k in range(1, 501)} if operators else {}
+    return {"dimL": 999, "NL": 2, "generators": gens, "operators": ops}
+
+
+def test_operators_are_stored_as_their_nonzero_images():
+    # 500 one-entry keys over 10,000 generators store 500 images, not
+    # 501 x 10,000, and write back the entries they were read from
+    data = one_entry_keys_file()
+    fc = serialize.complex_from_dict(data)
+    assert sum(map(len, fc.ops.values())) == 500
+    assert fc.ops[0] == {}
+    assert all(fc.ops[k] == {(2 * k - 1) * 10: 1 << k % 10} for k in range(1, 501))
+    assert serialize.complex_to_dict(fc)["operators"] == {"0": [], **data["operators"]}
+    assert fcx.folded_homology(fc) == {0: 4990, 1: 4990}  # D has rank 10
+
+
+def test_operator_memory_follows_the_entries():
+    # reading the 500 entries and folding costs about what the same file
+    # with no operators does (peak traced allocations)
+    def peak(data):
+        tracemalloc.start()
+        fcx.folded_homology(serialize.complex_from_dict(data))
+        out = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return out
+
+    with_ops, without = one_entry_keys_file(), one_entry_keys_file(operators=False)
+    assert peak(with_ops) - peak(without) < 1 << 20
+
+
 # -- folded homology -------------------------------------------------------------
 
 
@@ -142,7 +182,7 @@ def test_folded_homology_morse_only():
             fcx.Generator("d", 2)]
     # op_0(a) = b + c, op_0(b) = op_0(c) = d
     morse = fcx.MorseComplex(gens, 2)
-    fc = fcx.assemble(morse, 2, {0: (0b0110, 0b1000, 0b1000, 0)})
+    fc = fcx.assemble(morse, 2, {0: {0: 0b0110, 1: 0b1000, 2: 0b1000}})
     # H^0 = ker = 0... over the fold: residue 0 holds degrees {0, 2}
     hf = fcx.folded_homology(fc)
     # Morse cohomology: H^0 = 0 (a maps to b+c), H^1 = ker/im = 1/1... compute:

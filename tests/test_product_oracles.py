@@ -142,7 +142,7 @@ def corrupted(seed):
     d = rng.choice(ga.enumerate_derivations(ring, -1))
     fc = fcx.complex_from_ring(ring, 2, derivation=d, with_products=True)
     morse, NL = fc.morse, fc.NL
-    ops = {k: list(v) for k, v in fc.ops.items()}
+    ops = dict(fc.ops)
     products = pair_tables(fc)
     rows = {l: {x: dict(row) for x, row in table.items()} for l, table in fc.products.items()}
     target = seed % 3
@@ -166,8 +166,8 @@ def corrupted(seed):
         m = rng.choice(slots)
         tgt = morse.degree_positions(m + 1 - NL)[rng.randrange(morse.dim_at(m + 1 - NL))]
         src = morse.degree_positions(m)[rng.randrange(morse.dim_at(m))]
-        ops.setdefault(1, [0] * len(morse.generators))[src] ^= 1 << tgt
-    return fcx.FloerComplex(morse, NL, {k: tuple(v) for k, v in ops.items()}, rows), products
+        ops[1] = oracles.flipped(ops.get(1, {}), src, tgt)
+    return fcx.FloerComplex(morse, NL, ops, rows), products
 
 
 CORRUPTION_SEEDS = range(45)
